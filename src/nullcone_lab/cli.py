@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -31,14 +30,6 @@ from .poly import Polynomial, poly_parse
 from .suites import ALL_SUITE_RUNS, SUITES, run_suite
 
 
-def _threads() -> int:
-    raw = os.environ.get("NULLCONE_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _dump_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -55,12 +46,15 @@ def _dump_csv(rows) -> None:
 
 def _parse_field_arg(text: str) -> FieldCtx:
     """'2' -> F_2, '2,2' -> F_4, '0' -> rationals."""
-    parts = [p.strip() for p in text.split(",")]
-    p = int(parts[0])
-    if p == 0:
+    try:
+        parts = [int(part) for part in text.split(",")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 2:
+        raise BadParameter(f"bad field {text!r}; use 'p', 'p,n' or '0'")
+    if parts[0] == 0:
         return FieldCtx.rationals()
-    n = int(parts[1]) if len(parts) > 1 else 1
-    return ff_make(p, n)
+    return ff_make(*parts[:2])
 
 
 class ModuleSpec:
@@ -167,16 +161,7 @@ def cmd_verify(args) -> int:
                 params[key] = getattr(args, key)
         runs = [(args.suite, params)]
 
-    threads = _threads()
-    if threads > 1 and len(runs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_suite, name, args.budget, **params)
-                       for name, params in runs]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [run_suite(name, args.budget, **params)
-                   for name, params in runs]
+    reports = [run_suite(name, args.budget, **params) for name, params in runs]
 
     if args.json:
         if len(reports) == 1:
@@ -199,9 +184,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compute(args) -> int:
+    for flag in ("dmax", "degree"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise BadParameter(f"--{flag} must be >= 0, got {value}")
     spec = _resolve_rep(args)
     rep = spec.rep
-    threads = _threads()
 
     if args.what == "invariant-space":
         if args.degree is None:
@@ -232,8 +220,7 @@ def cmd_compute(args) -> int:
                       if args.pointfield else rep.ctx)
         gens = _resolve_generators(spec, rep.lift(pointfield), args.generators)
         runner = delta_bounded if args.what == "delta" else sigma_bounded
-        report = runner(rep, args.dmax, pointfield, declared_generators=gens,
-                        threads=threads)
+        report = runner(rep, args.dmax, pointfield, declared_generators=gens)
     elif args.what == "nullcone":
         point = _resolve_point(spec, rep, args.point)
         gens = _resolve_generators(spec, rep, args.generators)

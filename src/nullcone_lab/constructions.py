@@ -499,11 +499,6 @@ def ga2_example() -> Ga2Example:
     return Ga2Example(action, h_action, [x0, f], h_invs, point)
 
 
-def parametric_invariance_check(action: ParametricAction, f: Polynomial) -> bool:
-    """True iff f is fixed under every specialisation of the parameters."""
-    return action.is_invariant(f)
-
-
 # ---------------------------------------------------------------------------
 # sampled fixed spaces (one-sided bound for parametric invariants)
 

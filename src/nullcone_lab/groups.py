@@ -18,7 +18,7 @@ from .errors import (
 )
 from .fields import FieldCtx, Scalar
 from .linalg import Matrix, lift_matrix, _make_eliminator
-from .poly import Polynomial, mono_basis
+from .poly import Polynomial, _basis_index, _exponent_basis, substitution_images
 
 DEFAULT_CLOSURE_CAP = 10**6
 _TABLE_LIMIT = 1024  # build the full multiplication table below this order
@@ -197,9 +197,6 @@ class Representation:
             return Polynomial(f.ctx, f.nvars, terms, _trusted=True)
         return f.substitute_linear(inv)
 
-    def is_permutation_rep(self) -> bool:
-        return all(m.is_permutation() for m in self.matrices)
-
     def variable_permutations(self) -> list[list[int]]:
         """pi per element with rho(g) e_j = e_{pi[j]}."""
         perms = []
@@ -253,29 +250,17 @@ def sym_power_rep(r: Representation, m: int) -> Representation:
     if m < 0:
         raise DimensionMismatch("negative symmetric power")
     ctx, dim = r.ctx, r.dim
-    basis = mono_basis(dim, m)
-    index = {mn.exps: k for k, mn in enumerate(basis)}
+    basis = _exponent_basis(dim, m)
+    index = _basis_index(dim, m)
+    zero = ctx.zero
     out = []
     for g in range(r.group.order):
-        mat = r.matrices[g]
         # image of basis vector j is column j
-        forms = [Polynomial(ctx, dim,
-                            {tuple(1 if k == i else 0 for k in range(dim)): mat[i, j]
-                             for i in range(dim) if not mat[i, j].is_zero()},
-                            _trusted=True)
-                 for j in range(dim)]
-        cols = []
-        for mn in basis:
-            image = Polynomial.one(ctx, dim)
-            for j, e in enumerate(mn.exps):
-                if e:
-                    image = image * forms[j] ** e
-            cols.append(image)
-        zero = ctx.zero
         rows = [[zero] * len(basis) for _ in range(len(basis))]
-        for col_idx, image in enumerate(cols):
-            for exps, coeff in image.terms.items():
-                rows[index[exps]][col_idx] = coeff
+        for mono, image in substitution_images(r.matrices[g].transpose(), basis):
+            col = index[mono]
+            for exps, coeff in image.items():
+                rows[index[exps]][col] = coeff
         out.append(Matrix(ctx, rows))
     return Representation(r.group, out)
 
@@ -348,7 +333,10 @@ class PermutationBasis:
 
     def __init__(self, rep: Representation, basis_matrix: Matrix,
                  perms: list[tuple[int, ...]], orbit_slices: list[range]):
-        self.rep = rep
+        # no reference to rep is kept: rep caches this object, and a cycle
+        # would hold both until a full garbage collection
+        self.ctx = rep.ctx
+        self.group_order = rep.group.order
         self.basis_matrix = basis_matrix
         self.basis_inverse = basis_matrix.inverse()
         self.perms = perms
@@ -359,8 +347,7 @@ class PermutationBasis:
         return [len(s) for s in self.orbit_slices]
 
     def is_free(self) -> bool:
-        order = self.rep.group.order
-        return all(len(s) == order for s in self.orbit_slices)
+        return all(len(s) == self.group_order for s in self.orbit_slices)
 
     def is_transitive(self) -> bool:
         return len(self.orbit_slices) == 1
@@ -376,9 +363,8 @@ class PermutationBasis:
 
     def slot_coordinate_form(self, k: int, nvars: int) -> Polynomial:
         """The k-th permutation coordinate as a polynomial in the originals."""
-        ctx = self.rep.ctx
         row = self.basis_inverse.rows[k]
-        return Polynomial(ctx, nvars,
+        return Polynomial(self.ctx, nvars,
                           {tuple(1 if j == i else 0 for j in range(nvars)): c
                            for i, c in enumerate(row) if not c.is_zero()},
                           _trusted=True)
@@ -460,12 +446,11 @@ def find_permutation_basis(rep: Representation,
                 pi[k] = slc[0] + target_local
         perms.append(tuple(pi))
     pb = PermutationBasis(rep, basis_matrix, perms, orbit_slices)
-    _verify_permutation_basis(pb)
+    _verify_permutation_basis(rep, pb)
     return pb
 
 
-def _verify_permutation_basis(pb: PermutationBasis) -> None:
-    rep = pb.rep
+def _verify_permutation_basis(rep: Representation, pb: PermutationBasis) -> None:
     ctx = rep.ctx
     binv, b = pb.basis_inverse, pb.basis_matrix
     for g, pi in enumerate(pb.perms):

@@ -28,7 +28,8 @@ from .errors import (
 from .fields import FieldCtx, Scalar, lift
 from .groups import Representation
 from .linalg import Matrix, _make_eliminator, kernel, rank, rref
-from .poly import Monomial, Polynomial, mono_basis, _basis_index, _exponent_basis
+from .poly import (Monomial, Polynomial, mono_basis, substitution_images,
+                   _basis_index, _exponent_basis)
 
 DEFAULT_POINT_CAP = 10**6
 
@@ -37,50 +38,15 @@ DEFAULT_POINT_CAP = 10**6
 # invariant spaces
 
 
-def substitution_images(matrix: Matrix, d: int) -> list[dict]:
-    """Term dicts of m(Mx) for every degree-d basis monomial m, by degree DP."""
-    ctx, nvars = matrix.ctx, matrix.nrows
-    forms = []
-    for i in range(nvars):
-        forms.append({tuple(1 if k == j else 0 for k in range(nvars)): matrix[i, j]
-                      for j in range(nvars) if not matrix[i, j].is_zero()})
-    if d == 0:
-        return [{(0,) * nvars: ctx.one}]
-    level = {e: dict(forms[i]) for e in _exponent_basis(nvars, 1)
-             for i in [e.index(1)]}
-    for degree in range(2, d + 1):
-        nxt: dict[tuple[int, ...], dict] = {}
-        for e in _exponent_basis(nvars, degree):
-            i = next(k for k, x in enumerate(e) if x)
-            prev = list(e)
-            prev[i] -= 1
-            base = level[tuple(prev)]
-            form = forms[i]
-            prod: dict[tuple[int, ...], Scalar] = {}
-            for e1, c1 in base.items():
-                for e2, c2 in form.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    c = c1 * c2
-                    acc = prod.get(key)
-                    s = c if acc is None else acc + c
-                    if s.is_zero():
-                        prod.pop(key, None)
-                    else:
-                        prod[key] = s
-            nxt[e] = prod
-        level = nxt
-    return [level[e] for e in _exponent_basis(nvars, d)]
-
-
 def substitution_constraint_rows(matrix: Matrix, d: int) -> Iterator[dict[int, Scalar]]:
     """Rows of (B - I) where B is the degree-d action of the substitution
     x -> Mx on coefficient vectors: the kernel is the fixed space."""
     nvars = matrix.nrows
     index = _basis_index(nvars, d)
-    images = substitution_images(matrix, d)
     ncols = len(index)
     rows: list[dict[int, Scalar]] = [dict() for _ in range(ncols)]
-    for col, image in enumerate(images):
+    for mono, image in substitution_images(matrix, _exponent_basis(nvars, d)):
+        col = index[mono]
         for exps, coeff in image.items():
             rows[index[exps]][col] = coeff
     one = matrix.ctx.one
@@ -104,9 +70,12 @@ def _constraint_rows(rep: Representation, g: int, d: int) -> Iterator[dict[int, 
 
 @dataclass
 class InvariantSpace:
-    """Canonical basis of the degree-d invariants of a representation."""
+    """Canonical basis of the degree-d invariants of a representation.
 
-    rep: Representation
+    It keeps no reference to the representation, which caches it: a cycle
+    would hold both until a full garbage collection.
+    """
+
     degree: int
     basis: list[Polynomial]
 
@@ -144,7 +113,7 @@ def invariant_space(rep: Representation, d: int) -> InvariantSpace:
     assert elim.rank == generator_rank
     vectors = rref(elim.kernel_basis(), ncols, ctx)
     basis = [Polynomial.from_coeff_vector(ctx, nvars, d, vec) for vec in vectors]
-    space = InvariantSpace(rep, d, basis)
+    space = InvariantSpace(d, basis)
     rep._inv_space_cache[d] = space
     return space
 
@@ -363,19 +332,9 @@ def _lift_poly(f: Polynomial, target: FieldCtx) -> Polynomial:
 
 
 def _sup_report(kind: str, rep: Representation, points: list[list[Scalar]],
-                dmax: int, declared: Sequence[Polynomial] | None,
-                threads: int = 1) -> SeparationReport:
+                dmax: int, declared: Sequence[Polynomial] | None) -> SeparationReport:
     gens = _checked_generators(rep, declared) if declared is not None else None
-
-    def point_eps(v):
-        return epsilon(rep, v, dmax)
-
-    if threads > 1 and len(points) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(point_eps, points))
-    else:
-        reports = [point_eps(v) for v in points]
+    reports = [epsilon(rep, v, dmax) for v in points]
 
     value = None
     achieving: list[list[Scalar]] = []
@@ -402,7 +361,7 @@ def _sup_report(kind: str, rep: Representation, points: list[list[Scalar]],
 
 def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
                   declared_generators: Sequence[Polynomial] | None = None,
-                  cap: int = DEFAULT_POINT_CAP, threads: int = 1) -> SeparationReport:
+                  cap: int = DEFAULT_POINT_CAP) -> SeparationReport:
     """Sup of epsilon over the nonzero fixed points with coordinates in
     `pointfield`.  The value is exact when every unseparated point is
     certified inside the nullcone by the declared generators; otherwise it
@@ -411,15 +370,15 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     rep = rep.lift(pointfield)
     basis = fixed_point_space(rep)
     points = _span_points(basis, pointfield, cap)
-    for v in points[:1]:
+    for v in points:
         if not _is_fixed_point(rep, v):
             raise AssertionError("fixed-space enumeration produced a moving point")
-    return _sup_report("delta", rep, points, dmax, declared_generators, threads)
+    return _sup_report("delta", rep, points, dmax, declared_generators)
 
 
 def sigma_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
                   declared_generators: Sequence[Polynomial] | None = None,
-                  cap: int = DEFAULT_POINT_CAP, threads: int = 1) -> SeparationReport:
+                  cap: int = DEFAULT_POINT_CAP) -> SeparationReport:
     """Sup of epsilon over all nonzero points of the module over `pointfield`."""
     rep = rep.lift(pointfield)
     if pointfield.cardinality**rep.dim > cap:
@@ -428,7 +387,7 @@ def sigma_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     standard = [[pointfield.one if i == j else pointfield.zero
                  for i in range(rep.dim)] for j in range(rep.dim)]
     points = _span_points(standard, pointfield, cap)
-    return _sup_report("sigma", rep, points, dmax, declared_generators, threads)
+    return _sup_report("sigma", rep, points, dmax, declared_generators)
 
 
 # ---------------------------------------------------------------------------

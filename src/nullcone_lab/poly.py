@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContextMismatch, DimensionMismatch, ParseError
 from .fields import FieldCtx, Scalar
@@ -70,6 +70,63 @@ def mono_basis(nvars: int, d: int) -> list[Monomial]:
 @lru_cache(maxsize=None)
 def _basis_index(nvars: int, d: int) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(_exponent_basis(nvars, d))}
+
+
+def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
+                        ) -> Iterator[tuple[tuple[int, ...], dict]]:
+    """Yield (m, term dict of m(Mx)) for each exponent tuple m, where
+    x_i -> sum_j M[i][j] x_j, in an order of the routine's choosing.
+
+    Each image extends a shared prefix, image(e) = image(e - e_i) * form_i,
+    so one call serves a whole degree-d basis or the sparse support of one
+    polynomial alike.  The peeled variable i is the sparsest form present
+    (ties by index; plain index order for permutation matrices), which
+    keeps the products small.  Monomials are visited in the order of their
+    prefix chains, so every shared prefix is built once and only the
+    current chain is held: memory stays at one image per degree.  The
+    yielded dicts are shared with later images and must not be mutated.
+    """
+    ctx, nvars = matrix.ctx, matrix.nrows
+    one = ctx.one
+    one_val = one.val
+    forms = [[(j, c, c.val == one_val) for j, c in enumerate(row) if not c.is_zero()]
+             for row in matrix.rows]
+    # the chain of e adds the densest variables first, the sparsest last
+    build_order = sorted(range(nvars), key=lambda i: (len(forms[i]), i))[::-1]
+
+    def times_form(image: dict, form: list) -> dict:
+        prod: dict[tuple[int, ...], Scalar] = {}
+        for e1, c1 in image.items():
+            unit1 = c1.val == one_val
+            for j, c2, unit2 in form:
+                key = e1[:j] + (e1[j] + 1,) + e1[j + 1:]
+                c = c2 if unit1 else (c1 if unit2 else c1 * c2)
+                acc = prod.get(key)
+                if acc is None:
+                    prod[key] = c
+                else:
+                    s = acc + c
+                    if s.is_zero():
+                        del prod[key]
+                    else:
+                        prod[key] = s
+        return prod
+
+    constant = (0,) * nvars
+    chains = sorted((tuple(i for i in build_order for _ in range(e[i])), e)
+                    for e in monomials)
+    chain: tuple[int, ...] = ()
+    images = [{constant: one}]  # images[t] is the image of chain[:t]
+    for new_chain, exps in chains:
+        shared = 0
+        while (shared < len(chain) and shared < len(new_chain)
+               and chain[shared] == new_chain[shared]):
+            shared += 1
+        del images[shared + 1:]
+        for i in new_chain[shared:]:
+            images.append(times_form(images[-1], forms[i]))
+        chain = new_chain
+        yield exps, images[-1]
 
 
 class Polynomial:
@@ -278,12 +335,20 @@ class Polynomial:
                                     f"need {self.nvars}x{self.nvars}")
         if m.ctx != self.ctx:
             raise ContextMismatch("matrix over a different context")
-        forms = [Polynomial(self.ctx, self.nvars,
-                            {tuple(1 if k == j else 0 for k in range(self.nvars)): c
-                             for j, c in enumerate(row) if not c.is_zero()},
-                            _trusted=True)
-                 for row in m.rows]
-        return self.substitute(forms)
+        out: dict[tuple[int, ...], Scalar] = {}
+        for exps, image in substitution_images(m, self.terms):
+            coeff = self.terms[exps]
+            unit = coeff.is_one()
+            for e, c in image.items():
+                if not unit:
+                    c = c * coeff
+                acc = out.get(e)
+                s = c if acc is None else acc + c
+                if s.is_zero():
+                    out.pop(e, None)
+                else:
+                    out[e] = s
+        return Polynomial(self.ctx, self.nvars, out, _trusted=True)
 
     # -- coefficient vectors ------------------------------------------------------------
 

@@ -163,6 +163,24 @@ def test_module_spec_errors():
         parse_module_spec("torus:q=7,r=1,m=3")  # weight collision surfaces
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "invariant-space", "--gens", "1,1;0,1", "--field", "x",
+     "--degree", "2"),
+    ("compute", "delta", "--module", "va:p=2,n=1,m=2", "--dmax", "2",
+     "--pointfield", "x"),
+    ("compute", "delta", "--module", "va:p=2,n=1,m=2", "--dmax", "2",
+     "--pointfield", "2,2,7"),
+    ("compute", "invariant-space", "--module", "va:p=2,n=1,m=2", "--degree", "-1"),
+    ("compute", "epsilon", "--module", "va:p=2,n=1,m=2", "--point", "0,1,0",
+     "--dmax", "-1"),
+])
+def test_compute_bad_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_budget_skips_instead_of_dying(capsys):
     code, out, _ = run_cli(capsys, "verify", "gl2-delta", "--p", "2", "--n", "2",
                            "--budget", "0")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from nullcone_lab.errors import (
@@ -75,6 +78,21 @@ def test_invariant_space_trivial_group():
     f2 = ff_make(2)
     space = invariant_space(trivial_group(f2, 2).natural_rep(), 1)
     assert space.dim == 2
+
+
+def test_cached_spaces_and_permutation_basis_form_no_reference_cycle():
+    # a cycle would keep every representation and its cached spaces alive
+    # until a full collection, which sets the run's peak memory
+    rep = regular_rep(cyclic_group(ff_make(2), 4))
+    invariant_space(rep, 2)
+    assert rep.permutation_basis() is not None
+    ref = weakref.ref(rep)
+    gc.disable()
+    try:
+        del rep
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_invariant_space_swap_degree_two():
@@ -224,6 +242,17 @@ def test_delta_va_u1_over_f4():
     for v in report.points:
         for g in lifted.group.generator_indices:
             assert lifted.matrices[g].apply(v) == v
+
+
+def test_delta_rejects_any_moving_point(monkeypatch):
+    from nullcone_lab import invariants
+    f2 = ff_make(2)
+    rep = swap_group(f2).natural_rep()
+    # a faulty enumeration whose first point is fixed but whose second moves
+    monkeypatch.setattr(invariants, "_span_points",
+                        lambda basis, ctx, cap: [[f2.one, f2.one], [f2.one, f2.zero]])
+    with pytest.raises(AssertionError, match="moving point"):
+        delta_bounded(rep, 2, f2)
 
 
 def test_sigma_trivial_group_1dim():

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nullcone_lab.constructions import gl2_test_module, va_translation_matrix
 from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
-from nullcone_lab.groups import MatrixGroup, regular_rep
+from nullcone_lab.groups import MatrixGroup, Representation, regular_rep, sym_power_rep
 from nullcone_lab.invariants import (
     degree_reduce,
     delta_bounded,
@@ -169,6 +170,80 @@ def test_reynolds_images_span_invariant_space(ctx_maker, k):
         vectors = [reynolds(rep, Polynomial.from_monomial(ctx, m)).coeff_vector(d)
                    for m in mono_basis(rep.dim, d)]
         assert rank(vectors, ncols, ctx) == invariant_space(rep, d).dim
+
+
+# -- the shared substitution routine against Polynomial products -------------------------
+
+SUBST_FIELDS = [ff_make(2), ff_make(2, 2), ff_make(5), FieldCtx.rationals()]
+
+
+def _nonzero_elements(ctx):
+    if ctx.is_finite:
+        return [s for s in ff_enumerate(ctx) if not s.is_zero()]
+    return [ctx.scalar(Fraction(a, b)) for a in (-3, -1, 1, 2) for b in (1, 3)]
+
+
+@st.composite
+def field_matrix_poly(draw):
+    """A field, a square matrix whose rows have uneven densities (so the
+    sparsest-form peel order differs from index order), and a random
+    non-homogeneous polynomial."""
+    ctx = draw(st.sampled_from(SUBST_FIELDS))
+    n = draw(st.integers(1, 4))
+    nonzero = _nonzero_elements(ctx)
+    rows = []
+    for _ in range(n):
+        support = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        rows.append([draw(st.sampled_from(nonzero)) if j in support else ctx.zero
+                     for j in range(n)])
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                                 st.sampled_from([ctx.zero] + nonzero), max_size=6))
+    return ctx, Matrix(ctx, rows), Polynomial(ctx, n, terms)
+
+
+def _linear_form(ctx, coeffs):
+    n = len(coeffs)
+    return Polynomial(ctx, n, {tuple(int(k == j) for k in range(n)): c
+                               for j, c in enumerate(coeffs)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=field_matrix_poly())
+def test_substitute_linear_matches_substitute(case):
+    ctx, m, f = case
+    n = m.nrows
+    row_forms = [_linear_form(ctx, row) for row in m.rows]
+    for g in (f, Polynomial.zero(ctx, n), Polynomial.constant(ctx, n, ctx.scalar(3))):
+        assert g.substitute_linear(m) == g.substitute(row_forms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=field_matrix_poly(), d=st.integers(0, 3))
+def test_sym_power_columns_are_products_of_column_forms(case, d):
+    ctx, m, _ = case
+    n = m.nrows
+    # conjugate a cyclic shift group by L*U, an invertible matrix with the
+    # uneven rows of m, so the representing matrices are not permutations
+    one, zero = ctx.one, ctx.zero
+    lower = Matrix(ctx, [[m[i, j] if j < i else (one if j == i else zero)
+                          for j in range(n)] for i in range(n)])
+    upper = Matrix(ctx, [[m[i, j] if j > i or (j == i and not m[i, j].is_zero())
+                          else (one if j == i else zero)
+                          for j in range(n)] for i in range(n)])
+    p = lower * upper
+    group = cyclic_group(ctx, n)
+    rep = Representation(group, [p * g * p.inverse() for g in group.elements])
+    sym = sym_power_rep(rep, d)
+    basis = mono_basis(n, d)
+    for g in range(group.order):
+        mat = rep.matrices[g]
+        col_forms = [_linear_form(ctx, col) for col in zip(*mat.rows)]
+        for k, mono in enumerate(basis):
+            product = Polynomial.one(ctx, n)
+            for j, e in enumerate(mono.exps):
+                product = product * col_forms[j] ** e
+            assert [sym.matrices[g][r, k] for r in range(len(basis))] == \
+                product.coeff_vector(d)
 
 
 # -- degree reduction is verified on randomised instances ------------------------------------
