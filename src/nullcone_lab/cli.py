@@ -100,6 +100,8 @@ def parse_module_spec(text: str) -> ModuleSpec:
         if name == "cyclic":
             ctx = ff_make(args["p"])
             k = args["k"]
+            if k < 1:
+                raise BadParameter(f"cyclic module needs k >= 1, got {k}")
             rows = [[ctx.one if i == (j + 1) % k else ctx.zero
                      for j in range(k)] for i in range(k)]
             group = MatrixGroup.closure([Matrix(ctx, rows)])
@@ -157,8 +159,11 @@ def cmd_verify(args) -> int:
                                f"{sorted(SUITES)} or 'all'")
         params = {}
         for key in ("p", "n", "nmax"):
-            if getattr(args, key, None) is not None:
-                params[key] = getattr(args, key)
+            value = getattr(args, key, None)
+            if value is not None:
+                if value < 1:
+                    raise BadParameter(f"--{key} must be >= 1, got {value}")
+                params[key] = value
         runs = [(args.suite, params)]
 
     reports = [run_suite(name, args.budget, **params) for name, params in runs]

@@ -142,8 +142,7 @@ class FieldCtx:
     scalars built from two equal contexts interoperate.
     """
 
-    __slots__ = ("kind", "p", "n", "modulus", "_reduction", "_mul_cache",
-                 "_scalar_mul_planes", "_hash")
+    __slots__ = ("kind", "p", "n", "modulus", "_reduction", "_mul_cache", "_hash")
 
     def __init__(self, kind: str, p: int, n: int,
                  modulus: tuple[int, ...] | None):
@@ -154,7 +153,6 @@ class FieldCtx:
         # z^(n+j) mod modulus for j = 0..n-2, used to reduce products fast
         self._reduction: list[tuple[int, ...]] | None = None
         self._mul_cache: dict = {}
-        self._scalar_mul_planes: dict = {}
         self._hash = hash((kind, p, n, modulus))
         if kind == "extension":
             red = []

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fields import FieldCtx, Scalar, lift
 from .groups import Representation
-from .linalg import Matrix, _make_eliminator, kernel, rank, rref
+from .linalg import Matrix, _make_eliminator, kernel, rank
 from .poly import (Monomial, Polynomial, mono_basis, substitution_images,
                    _basis_index, _exponent_basis)
 
@@ -111,8 +111,8 @@ def invariant_space(rep: Representation, d: int) -> InvariantSpace:
                     "generator-fixed space not fixed by the whole group; "
                     "the closure or the representation is inconsistent")
     assert elim.rank == generator_rank
-    vectors = rref(elim.kernel_basis(), ncols, ctx)
-    basis = [Polynomial.from_coeff_vector(ctx, nvars, d, vec) for vec in vectors]
+    basis = [Polynomial.from_coeff_vector(ctx, nvars, d, vec)
+             for vec in elim.kernel_basis()]
     space = InvariantSpace(d, basis)
     rep._inv_space_cache[d] = space
     return space
@@ -540,18 +540,13 @@ class GenerationCertificate:
 def _candidate_degree_dim(candidates: list[Polynomial], degrees: list[int],
                           d: int, ctx: FieldCtx, nvars: int) -> int:
     """Dimension of the span of degree-d products of the candidates."""
-    solutions: list[tuple[int, ...]] = []
-
-    def search(i: int, remaining: int, partial: list[int]):
-        if i == len(degrees):
-            if remaining == 0:
-                solutions.append(tuple(partial))
-            return
-        max_e = remaining // degrees[i]
-        for e in range(max_e + 1):
-            search(i + 1, remaining - e * degrees[i], partial + [e])
-
-    search(0, d, [])
+    # exponent vectors e with sum(e_i * degrees[i]) == d, one candidate at a
+    # time, each partial vector paired with the degree it still has to reach
+    partials: list[tuple[tuple[int, ...], int]] = [((), d)]
+    for deg in degrees:
+        partials = [(exps + (e,), remaining - e * deg) for exps, remaining in partials
+                    for e in range(remaining // deg + 1)]
+    solutions = [exps for exps, remaining in partials if remaining == 0]
     if not solutions or not any(any(s) for s in solutions):
         return 0
     power_cache: dict[tuple[int, int], Polynomial] = {}

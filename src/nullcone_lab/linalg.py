@@ -4,11 +4,14 @@ Two elimination engines sit behind one interface: a generic one holding rows
 as Scalar lists, and a characteristic-2 engine that packs each of the n
 coefficient planes of a row into one Python int, so row operations become
 big-int XORs.  Constraint rows are streamed into the eliminator one at a
-time; the full stacked matrix is never materialised.
+time; the full stacked matrix is never materialised.  Both engines pivot on
+a row's highest column, which makes their kernel basis the canonical
+reduced row-echelon one without a second elimination.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 from .errors import ContextMismatch, DimensionMismatch, NotInvertible, ParseError
@@ -184,8 +187,12 @@ class Matrix:
 # row reduction engines
 #
 # Rows enter as sparse {column: Scalar} dicts.  The eliminator keeps a fully
-# reduced basis (incremental Gauss-Jordan), so pivot rows are always in
-# reduced row-echelon form with respect to ascending column order.
+# reduced basis (incremental Gauss-Jordan) whose pivot is each row's highest
+# nonzero column, so every pivot row vanishes at the other pivot columns and
+# at every column above its own.  The kernel vector of a free column j is then
+# 1 at j, zero at the other free columns and nonzero only at pivot columns
+# above j: kernel_basis() is the unique reduced row-echelon basis of the
+# kernel, in ascending column order, whatever order the rows came in.
 
 
 class _GenericEliminator:
@@ -204,12 +211,14 @@ class _GenericEliminator:
         dense = [zero] * self.ncols
         for c, s in row.items():
             dense[c] = s
-        for c in sorted(self.pivots):
-            if not dense[c].is_zero():
-                factor = dense[c]
-                pivot = self.pivots[c]
+        # Pivot rows vanish at each other's pivot columns, so the order of
+        # the reductions does not matter.
+        for c, pivot in self.pivots.items():
+            factor = dense[c]
+            if not factor.is_zero():
                 dense = [a - factor * b for a, b in zip(dense, pivot)]
-        lead = next((c for c in range(self.ncols) if not dense[c].is_zero()), None)
+        lead = next((c for c in range(self.ncols - 1, -1, -1)
+                     if not dense[c].is_zero()), None)
         if lead is None:
             return False
         inv = dense[lead].inverse()
@@ -225,9 +234,6 @@ class _GenericEliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def pivot_rows(self) -> list[list[Scalar]]:
-        return [self.pivots[c] for c in sorted(self.pivots)]
-
     def kernel_basis(self) -> list[list[Scalar]]:
         zero, one = self.ctx.zero, self.ctx.one
         free = [c for c in range(self.ncols) if c not in self.pivots]
@@ -240,6 +246,33 @@ class _GenericEliminator:
                     vec[c] = -pivot[j]
             basis.append(vec)
         return basis
+
+
+# A packed coefficient is an int whose bit i is the plane-i bit.  These two
+# helpers are the only code that tells F_2 (int values) from F_{2^n} (tuple
+# values).
+
+
+def _to_bits(ctx: FieldCtx, val) -> int:
+    if ctx.kind == "prime":
+        return val
+    return sum(bit << i for i, bit in enumerate(val))
+
+
+def _from_bits(ctx: FieldCtx, bits: int):
+    if ctx.kind == "prime":
+        return bits
+    return tuple((bits >> i) & 1 for i in range(ctx.n))
+
+
+@functools.lru_cache(maxsize=4096)  # at least |F_4096^*|
+def _mul_plan(ctx: FieldCtx, coeff: int) -> tuple[tuple[int, ...], ...]:
+    """plan[i] = input planes XORed into output plane i under mul by coeff."""
+    val = _from_bits(ctx, coeff)
+    products = [_to_bits(ctx, ctx._mul(val, _from_bits(ctx, 1 << j)))
+                for j in range(ctx.n)]
+    return tuple(tuple(j for j, prod in enumerate(products) if (prod >> i) & 1)
+                 for i in range(ctx.n))
 
 
 class _PackedChar2Eliminator:
@@ -259,51 +292,36 @@ class _PackedChar2Eliminator:
         out._pivot_mask = self._pivot_mask
         return out
 
-    def _mul_plan(self, val) -> list[list[int]]:
-        """plan[i] = input planes XORed into output plane i under mul by val."""
-        plan = self.ctx._scalar_mul_planes.get(val)
-        if plan is None:
-            n = self.nplanes
-            plan = [[] for _ in range(n)]
-            for j in range(n):
-                basis = (0,) * j + (1,) + (0,) * (n - 1 - j) if n > 1 else 1
-                prod = self.ctx._mul(val, basis)
-                coeffs = prod if n > 1 else (prod,)
-                for i in range(n):
-                    if coeffs[i]:
-                        plan[i].append(j)
-            self.ctx._scalar_mul_planes[val] = plan
-        return plan
-
-    def _scaled(self, planes: list[int], val) -> list[int]:
-        if self.nplanes == 1:
-            return planes[:]  # only nonzero scalar is 1
-        plan = self._mul_plan(val)
-        return [self._xor_all(planes, srcs) for srcs in plan]
+    def _scaled(self, planes: list[int], coeff: int) -> list[int]:
+        if coeff == 1:
+            return planes
+        return [self._xor_all(planes, srcs) for srcs in _mul_plan(self.ctx, coeff)]
 
     @staticmethod
-    def _xor_all(planes: list[int], srcs: list[int]) -> int:
+    def _xor_all(planes: list[int], srcs: tuple[int, ...]) -> int:
         acc = 0
         for j in srcs:
             acc ^= planes[j]
         return acc
 
-    def _coeff_at(self, planes: list[int], col: int):
+    def _coeff_at(self, planes: list[int], col: int) -> int:
         if self.nplanes == 1:
             return (planes[0] >> col) & 1
-        return tuple((pl >> col) & 1 for pl in planes)
+        bits = 0
+        for i, pl in enumerate(planes):
+            bits |= ((pl >> col) & 1) << i
+        return bits
 
     def pack(self, row: dict[int, Scalar]) -> list[int]:
+        masks: dict = {}  # raw value -> columns holding it
+        for c, s in row.items():
+            masks[s.val] = masks.get(s.val, 0) | (1 << c)
         planes = [0] * self.nplanes
-        if self.nplanes == 1:
-            for c, s in row.items():
-                if s.val:
-                    planes[0] |= 1 << c
-        else:
-            for c, s in row.items():
-                for i, bit in enumerate(s.val):
-                    if bit:
-                        planes[i] |= 1 << c
+        for val, mask in masks.items():
+            bits = _to_bits(self.ctx, val)
+            for i in range(self.nplanes):
+                if (bits >> i) & 1:
+                    planes[i] |= mask
         return planes
 
     def add_row(self, row: dict[int, Scalar]) -> bool:
@@ -312,30 +330,29 @@ class _PackedChar2Eliminator:
         for pl in planes:
             support |= pl
         # One pass clears every pivot column: pivot rows are zero at all
-        # other pivot columns, so reductions never re-set pivot bits.
+        # other pivot columns, so reductions never change the coefficient of
+        # another hit, and every hit's coefficient is nonzero.
         hits = support & self._pivot_mask
         while hits:
             c = (hits & -hits).bit_length() - 1
             hits &= hits - 1
-            coeff = self._coeff_at(planes, c)
-            if coeff == 1 if self.nplanes == 1 else any(coeff):
-                scaled = self._scaled(self.pivots[c], coeff)
-                planes = [a ^ b for a, b in zip(planes, scaled)]
+            scaled = self._scaled(self.pivots[c], self._coeff_at(planes, c))
+            planes = [a ^ b for a, b in zip(planes, scaled)]
         support = 0
         for pl in planes:
             support |= pl
         if not support:
             return False
-        lead = (support & -support).bit_length() - 1
+        lead = support.bit_length() - 1
         # normalise so the leading coefficient is 1
         coeff = self._coeff_at(planes, lead)
-        if not (coeff == 1 or (isinstance(coeff, tuple) and Scalar(self.ctx, coeff).is_one())):
-            inv = self.ctx._inv(coeff)
+        if coeff != 1:
+            inv = _to_bits(self.ctx, self.ctx._inv(_from_bits(self.ctx, coeff)))
             planes = self._scaled(planes, inv)
         # Gauss-Jordan: clear this column from every existing pivot row
         for c, pivot in self.pivots.items():
             pc = self._coeff_at(pivot, lead)
-            if pc == 1 or (isinstance(pc, tuple) and any(pc)):
+            if pc:
                 scaled = self._scaled(planes, pc)
                 self.pivots[c] = [a ^ b for a, b in zip(pivot, scaled)]
         self.pivots[lead] = planes
@@ -346,21 +363,10 @@ class _PackedChar2Eliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _unpack(self, planes: list[int]) -> list[Scalar]:
-        ctx = self.ctx
-        if self.nplanes == 1:
-            one, zero = ctx.one, ctx.zero
-            return [one if (planes[0] >> c) & 1 else zero
-                    for c in range(self.ncols)]
-        return [Scalar(ctx, tuple((pl >> c) & 1 for pl in planes))
-                for c in range(self.ncols)]
-
-    def pivot_rows(self) -> list[list[Scalar]]:
-        return [self._unpack(self.pivots[c]) for c in sorted(self.pivots)]
-
     def kernel_basis(self) -> list[list[Scalar]]:
         ctx = self.ctx
         zero, one = ctx.zero, ctx.one
+        scalars = {1: one}  # -x = x in characteristic 2
         free = [c for c in range(self.ncols) if c not in self.pivots]
         basis = []
         for j in free:
@@ -368,11 +374,11 @@ class _PackedChar2Eliminator:
             vec[j] = one
             for c, pivot in self.pivots.items():
                 coeff = self._coeff_at(pivot, j)
-                if self.nplanes == 1:
-                    if coeff:
-                        vec[c] = one
-                elif any(coeff):
-                    vec[c] = Scalar(ctx, coeff)  # -x = x in characteristic 2
+                if coeff:
+                    s = scalars.get(coeff)
+                    if s is None:
+                        s = scalars[coeff] = Scalar(ctx, _from_bits(ctx, coeff))
+                    vec[c] = s
             basis.append(vec)
         return basis
 
@@ -390,31 +396,30 @@ def _make_eliminator(ctx: FieldCtx, ncols: int):
 def kernel(rows: Iterable[dict[int, Scalar]], ncols: int, ctx: FieldCtx) -> list[list[Scalar]]:
     """Canonical (reduced row-echelon) basis of the joint kernel of the rows.
 
-    Rows are consumed one at a time; the kernel basis is re-reduced so the
-    result is byte-reproducible whatever the row order.
+    Rows are consumed one at a time; the basis is unique, so the result is
+    byte-reproducible whatever the row order.
     """
     elim = _make_eliminator(ctx, ncols)
     for row in rows:
         elim.add_row(row)
-    raw = elim.kernel_basis()
-    return rref(raw, ncols, ctx)
+    return elim.kernel_basis()
+
+
+def _sparse(vec: Sequence[Scalar]) -> dict[int, Scalar]:
+    return {c: s for c, s in enumerate(vec) if not s.is_zero()}
 
 
 def rref(vectors: Iterable[Sequence[Scalar]], ncols: int, ctx: FieldCtx) -> list[list[Scalar]]:
-    """Reduced row-echelon basis of the span, rows sorted by pivot column."""
-    elim = _make_eliminator(ctx, ncols)
-    for vec in vectors:
-        elim.add_row({c: s for c, s in enumerate(vec) if not s.is_zero()})
-    return elim.pivot_rows()
+    """Reduced row-echelon basis of the span, rows sorted by pivot column.
+
+    The span of V is the kernel of the kernel of V, over any field.
+    """
+    return kernel(map(_sparse, kernel(map(_sparse, vectors), ncols, ctx)), ncols, ctx)
 
 
 def rank(vectors: Iterable[Sequence[Scalar]], ncols: int, ctx: FieldCtx) -> int:
     elim = _make_eliminator(ctx, ncols)
-    n = 0
-    for vec in vectors:
-        if elim.add_row({c: s for c, s in enumerate(vec) if not s.is_zero()}):
-            n += 1
-    return n
+    return sum(elim.add_row(_sparse(vec)) for vec in vectors)
 
 
 def lift_matrix(m: Matrix, target: FieldCtx) -> Matrix:

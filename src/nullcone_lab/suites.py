@@ -175,26 +175,12 @@ def _named_p_groups() -> list[tuple[str, int, MatrixGroup]]:
 
 def suite_epsilon_free(budget: _Budget | None = None) -> SuiteReport:
     """epsilon(G, v) = |G| at every nonzero fixed point of the regular module."""
-    import itertools
-
-    from .invariants import fixed_point_space
-
     claims = []
     for label, p, group in _named_p_groups():
-        rep = regular_rep(group)
-        ctx = group.ctx
         order = group.order
-        basis = fixed_point_space(rep)
-        values = set()
-        count = 0
-        for coeffs in itertools.product(ctx.enumerate(), repeat=len(basis)):
-            if all(c.is_zero() for c in coeffs):
-                continue
-            v = [ctx.zero] * order
-            for coeff, vec in zip(coeffs, basis):
-                v = [acc + coeff * x for acc, x in zip(v, vec)]
-            values.add(epsilon(rep, v, order).value)
-            count += 1
+        report = delta_bounded(regular_rep(group), order, group.ctx)
+        count = len(report.point_values)
+        values = {value for _, value in report.point_values}
         claims.append(Claim(
             f"epsilon-free-{label}",
             f"epsilon({label}, v) = {order} at each of the {count} nonzero "

@@ -173,12 +173,34 @@ def test_module_spec_errors():
     ("compute", "invariant-space", "--module", "va:p=2,n=1,m=2", "--degree", "-1"),
     ("compute", "epsilon", "--module", "va:p=2,n=1,m=2", "--point", "0,1,0",
      "--dmax", "-1"),
+    ("compute", "sigma", "--module", "cyclic:p=2,k=0", "--dmax", "2"),
+    ("compute", "sigma", "--module", "cyclic:p=2,k=-1", "--dmax", "2"),
 ])
 def test_compute_bad_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "binomial", "--p", "2", "--nmax", "-1"),
+    ("verify", "binomial", "--p", "2", "--nmax", "0"),
+    ("verify", "binomial", "--p", "0", "--nmax", "3"),
+    ("verify", "regular-rep", "--p", "2", "--n", "0"),
+])
+def test_verify_size_below_one_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be >= 1" in err
+
+
+def test_cyclic_module_of_size_one_is_valid(capsys):
+    code, out, _ = run_cli(capsys, "compute", "sigma", "--module", "cyclic:p=2,k=1",
+                           "--dmax", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["module"] == "cyclic:p=2,k=1"
 
 
 def test_verify_budget_skips_instead_of_dying(capsys):

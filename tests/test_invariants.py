@@ -83,7 +83,8 @@ def test_invariant_space_trivial_group():
 def test_cached_spaces_and_permutation_basis_form_no_reference_cycle():
     # a cycle would keep every representation and its cached spaces alive
     # until a full collection, which sets the run's peak memory
-    rep = regular_rep(cyclic_group(ff_make(2), 4))
+    f2 = ff_make(2)
+    rep = regular_rep(cyclic_group(f2, 4))
     invariant_space(rep, 2)
     assert rep.permutation_basis() is not None
     ref = weakref.ref(rep)
@@ -91,6 +92,14 @@ def test_cached_spaces_and_permutation_basis_form_no_reference_cycle():
     try:
         del rep
         assert ref() is None
+        # a generation check leaves no cyclic garbage behind either
+        rep = regular_rep(cyclic_group(f2, 4))
+        gc.collect()
+        cert = check_generation([P(f2, 4, "x0 + x1 + x2 + x3"),
+                                 P(f2, 4, "x0*x2 + x1*x3")], rep, 3)
+        assert [v.candidate_dim for v in cert.verdicts] == [1, 2, 2]
+        del rep, cert
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -97,8 +97,6 @@ def test_packed_engine_agrees_with_generic(ctx_maker):
             row = {c: s for c, s in enumerate(r) if not s.is_zero()}
             assert gen.add_row(dict(row)) == packed.add_row(dict(row))
         assert gen.rank == packed.rank
-        assert [[s.val for s in r] for r in gen.pivot_rows()] == \
-               [[s.val for s in r] for r in packed.pivot_rows()]
         assert [[s.val for s in r] for r in gen.kernel_basis()] == \
                [[s.val for s in r] for r in packed.kernel_basis()]
 
@@ -137,3 +135,83 @@ def test_lift_matrix():
     m = Matrix.from_ints(f2, [[1, 1], [0, 1]])
     lifted = lift_matrix(m, f4)
     assert lifted.ctx == f4 and lifted[0, 1] == f4.one
+
+
+def _lowest_pivot_rref(vectors, ncols, ctx):
+    """Dense Gauss-Jordan pivoting on each row's lowest column: the reduced
+    row-echelon rows, sorted by pivot, and their pivot columns."""
+    rows = [list(v) for v in vectors]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [s * inv for s in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not row[col].is_zero():
+                factor = row[col]
+                rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def _two_pass_kernel(vectors, ncols, ctx):
+    """Kernel vectors read off lowest-column pivots, then re-reduced."""
+    reduced, pivots = _lowest_pivot_rref(vectors, ncols, ctx)
+    raw = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [ctx.zero] * ncols
+        vec[j] = ctx.one
+        for row, c in zip(reduced, pivots):
+            if not row[j].is_zero():
+                vec[c] = -row[j]
+        raw.append(vec)
+    return _lowest_pivot_rref(raw, ncols, ctx)[0]
+
+
+@pytest.mark.parametrize("ctx_maker", [lambda: ff_make(2), lambda: ff_make(2, 2),
+                                       lambda: ff_make(2, 3), lambda: ff_make(3),
+                                       FieldCtx.rationals])
+def test_kernel_and_rref_match_two_pass_oracle(ctx_maker):
+    """kernel() reads the canonical basis straight off the eliminator; it
+    must equal a re-reduction of lowest-pivot kernel vectors."""
+    ctx = ctx_maker()
+    rng = random.Random(4000 + ctx.p * 10 + ctx.n)
+    if ctx.is_finite:
+        elems = ff_enumerate(ctx)
+        pick = lambda: rng.choice(elems)
+    else:
+        pick = lambda: ctx.scalar(rng.randint(-3, 3)) * ctx.scalar(rng.randint(1, 3)).inverse()
+    cases = []
+    for _ in range(15):
+        ncols = rng.randint(1, 8)
+        rows = [[pick() for _ in range(ncols)] for _ in range(rng.randint(0, 9))]
+        for _ in range(rng.randint(0, 2)):  # zero rows
+            rows.insert(rng.randint(0, len(rows)), [ctx.zero] * ncols)
+        cases.append((rows, ncols))
+    for ncols in (1, 4, 7):
+        identity = [[ctx.one if i == j else ctx.zero for j in range(ncols)]
+                    for i in range(ncols)]
+        # full rank: unit lower-triangular mixing of the identity rows
+        mixed = [[ctx.one if i == j else (pick() if j < i else ctx.zero)
+                  for j in range(ncols)] for i in range(ncols)]
+        cases.append(([r for r in reversed(mixed)], ncols))
+        cases.append((identity, ncols))
+        cases.append(([[ctx.zero] * ncols] * 3, ncols))  # rank 0
+        cases.append(([], ncols))
+    ranks = set()
+    for rows, ncols in cases:
+        expected = _two_pass_kernel(rows, ncols, ctx)
+        got = kernel((sparse(ctx, r) for r in rows), ncols, ctx)
+        assert [[s.val for s in v] for v in got] == [[s.val for s in v] for v in expected]
+        span, _ = _lowest_pivot_rref(rows, ncols, ctx)
+        assert [[s.val for s in v] for v in rref(rows, ncols, ctx)] == \
+               [[s.val for s in v] for v in span]
+        ranks.add((len(span), ncols))
+    assert any(r == 0 for r, _ in ranks) and any(r == n for r, n in ranks)
+    assert any(0 < r < n for r, n in ranks)
