@@ -451,11 +451,10 @@ def find_permutation_basis(rep: Representation,
 
 
 def _verify_permutation_basis(rep: Representation, pb: PermutationBasis) -> None:
-    ctx = rep.ctx
-    binv, b = pb.basis_inverse, pb.basis_matrix
+    """rho(g) B = B P_g for every g, where B P_g is B with column j replaced
+    by column perms[g][j].  B is invertible, so this is B^-1 rho(g) B = P_g."""
+    b = pb.basis_matrix.key()
     for g, pi in enumerate(pb.perms):
-        conj = binv * rep.matrices[g] * b
-        expected = Matrix(ctx, [[ctx.one if pi[j] == i else ctx.zero
-                                 for j in range(rep.dim)] for i in range(rep.dim)])
-        if conj != expected:
+        permuted = tuple(tuple(row[k] for k in pi) for row in b)
+        if (rep.matrices[g] * pb.basis_matrix).key() != permuted:
             raise AssertionError("permutation basis failed conjugation check")

@@ -5,7 +5,8 @@ coeffs(g.m - m) over the generators; constraint rows are streamed into the
 eliminator generator by generator, then the remaining group elements are
 streamed as well and must not change the rank (this is the all-elements
 verification).  Bases are reduced row-echelon with graded-lex columns, so
-witnesses and certificates are byte-reproducible.
+witnesses and certificates are byte-reproducible; each basis polynomial is
+built straight from the eliminator's sparse kernel vector.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def invariant_space(rep: Representation, d: int) -> InvariantSpace:
     if cached is not None:
         return cached
     ctx, nvars = rep.ctx, rep.dim
-    ncols = len(_exponent_basis(nvars, d))
-    elim = _make_eliminator(ctx, ncols)
+    exponents = _exponent_basis(nvars, d)
+    elim = _make_eliminator(ctx, len(exponents))
     group = rep.group
     gen_set = set(group.generator_indices)
     for g in group.generator_indices:
@@ -111,7 +112,8 @@ def invariant_space(rep: Representation, d: int) -> InvariantSpace:
                     "generator-fixed space not fixed by the whole group; "
                     "the closure or the representation is inconsistent")
     assert elim.rank == generator_rank
-    basis = [Polynomial.from_coeff_vector(ctx, nvars, d, vec)
+    basis = [Polynomial(ctx, nvars, {exponents[c]: s for c, s in vec.items()},
+                        _trusted=True)
              for vec in elim.kernel_basis()]
     space = InvariantSpace(d, basis)
     rep._inv_space_cache[d] = space

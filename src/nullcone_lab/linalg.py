@@ -1,12 +1,15 @@
-"""Exact dense linear algebra over a FieldCtx.
+"""Exact linear algebra over a FieldCtx: dense matrices, streamed elimination.
 
 Two elimination engines sit behind one interface: a generic one holding rows
-as Scalar lists, and a characteristic-2 engine that packs each of the n
-coefficient planes of a row into one Python int, so row operations become
-big-int XORs.  Constraint rows are streamed into the eliminator one at a
-time; the full stacked matrix is never materialised.  Both engines pivot on
-a row's highest column, which makes their kernel basis the canonical
-reduced row-echelon one without a second elimination.
+as sparse {column: Scalar} dicts, and a characteristic-2 engine that packs
+each of the n coefficient planes of a row into one Python int, so row
+operations become big-int XORs.  Constraint rows are streamed into the
+eliminator one at a time; the full stacked matrix is never materialised.
+Both engines pivot on a row's highest column, which makes their kernel basis
+the canonical reduced row-echelon one without a second elimination, and both
+clear a pivot row of later pivots lazily: only when a new row uses it, and
+once for all rows when the kernel is read.  The kernel comes out as one
+sparse {column: Scalar} dict per free column; kernel() makes it dense.
 """
 
 from __future__ import annotations
@@ -186,66 +189,112 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # row reduction engines
 #
-# Rows enter as sparse {column: Scalar} dicts.  The eliminator keeps a fully
-# reduced basis (incremental Gauss-Jordan) whose pivot is each row's highest
-# nonzero column, so every pivot row vanishes at the other pivot columns and
-# at every column above its own.  The kernel vector of a free column j is then
-# 1 at j, zero at the other free columns and nonzero only at pivot columns
+# Rows enter as sparse {column: Scalar} dicts.  A row's pivot is its highest
+# nonzero column.  A new row is reduced against the pivot rows it hits, then
+# joins them; the pivot rows are not cleared of its pivot column at once.
+# Instead each pivot row remembers which pivot columns it is already cleared
+# of, and is cleared of the rest only when an incoming row uses it or when
+# kernel_basis() is read.  A cleared pivot row vanishes at every other pivot
+# column, so reducing against the rows a new row hits is one pass, in any
+# order, and no step scans all the pivot rows when a pivot is added.
+#
+# Once every pivot row is cleared, the kernel vector of a free column j is 1
+# at j, zero at the other free columns and nonzero only at pivot columns
 # above j: kernel_basis() is the unique reduced row-echelon basis of the
-# kernel, in ascending column order, whatever order the rows came in.
+# kernel, in ascending column order, whatever order the rows came in.  It is
+# read off each pivot row's entries at free columns, one sparse
+# {column: Scalar} dict per free column.
+
+
+def _subtract(row: dict[int, Scalar], factor: Scalar, pivot: dict[int, Scalar]) -> None:
+    """row -= factor * pivot, in place, keeping only nonzero entries."""
+    for c, b in pivot.items():
+        old = row.get(c)
+        if old is None:
+            row[c] = -(factor * b)
+        else:
+            new = old - factor * b
+            if new.is_zero():
+                del row[c]
+            else:
+                row[c] = new
 
 
 class _GenericEliminator:
+    """Rows as sparse {column: Scalar} dicts over any field."""
+
     def __init__(self, ctx: FieldCtx, ncols: int):
         self.ctx = ctx
         self.ncols = ncols
-        self.pivots: dict[int, list[Scalar]] = {}
+        self.pivots: dict[int, dict[int, Scalar]] = {}
+        # pivot column -> number of pivots, in the order they came, that its
+        # row is cleared of (its own included)
+        self._cleared: dict[int, int] = {}
 
     def clone(self) -> "_GenericEliminator":
         out = _GenericEliminator(self.ctx, self.ncols)
-        out.pivots = {c: row[:] for c, row in self.pivots.items()}
+        out.pivots = {c: dict(row) for c, row in self.pivots.items()}
+        out._cleared = dict(self._cleared)
         return out
 
+    def _pending(self, c: int) -> list[int]:
+        """Pivot columns other than its own where pivot row c is nonzero."""
+        return [col for col in self.pivots[c] if col != c and col in self.pivots]
+
+    def _clean(self, cols: Iterable[int]) -> None:
+        """Clear the pivot rows at `cols` of the pivots that came since.
+
+        A row's pending columns lie below its pivot column, so the rows they
+        need are collected first and every row is cleared in ascending column
+        order, against rows that are clear already: no recursion, however long
+        the chain of pending rows.
+        """
+        rank = len(self.pivots)
+        stale, todo, seen = [], list(cols), set(cols)
+        while todo:
+            c = todo.pop()
+            if self._cleared[c] != rank:
+                stale.append(c)
+                for col in self._pending(c):
+                    if col not in seen:
+                        seen.add(col)
+                        todo.append(col)
+        for c in sorted(stale):
+            row = self.pivots[c]
+            for col in self._pending(c):
+                _subtract(row, row[col], self.pivots[col])
+            self._cleared[c] = rank
+
     def add_row(self, row: dict[int, Scalar]) -> bool:
-        zero = self.ctx.zero
-        dense = [zero] * self.ncols
-        for c, s in row.items():
-            dense[c] = s
-        # Pivot rows vanish at each other's pivot columns, so the order of
-        # the reductions does not matter.
-        for c, pivot in self.pivots.items():
-            factor = dense[c]
-            if not factor.is_zero():
-                dense = [a - factor * b for a, b in zip(dense, pivot)]
-        lead = next((c for c in range(self.ncols - 1, -1, -1)
-                     if not dense[c].is_zero()), None)
-        if lead is None:
+        row = {c: s for c, s in row.items() if not s.is_zero()}
+        for c in [c for c in row if c in self.pivots]:
+            # a cleared pivot row changes no other hit's coefficient
+            if self._cleared[c] != len(self.pivots):
+                self._clean((c,))
+            _subtract(row, row[c], self.pivots[c])
+        if not row:
             return False
-        inv = dense[lead].inverse()
-        dense = [s * inv for s in dense]
-        for c, pivot in self.pivots.items():
-            if not pivot[lead].is_zero():
-                factor = pivot[lead]
-                self.pivots[c] = [a - factor * b for a, b in zip(pivot, dense)]
-        self.pivots[lead] = dense
+        lead = max(row)
+        inv = row[lead].inverse()
+        if not inv.is_one():
+            row = {c: s * inv for c, s in row.items()}
+        self.pivots[lead] = row
+        self._cleared[lead] = len(self.pivots)
         return True
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def kernel_basis(self) -> list[list[Scalar]]:
-        zero, one = self.ctx.zero, self.ctx.one
-        free = [c for c in range(self.ncols) if c not in self.pivots]
-        basis = []
-        for j in free:
-            vec = [zero] * self.ncols
-            vec[j] = one
-            for c, pivot in self.pivots.items():
-                if not pivot[j].is_zero():
-                    vec[c] = -pivot[j]
-            basis.append(vec)
-        return basis
+    def kernel_basis(self) -> list[dict[int, Scalar]]:
+        self._clean(self.pivots)
+        one = self.ctx.one
+        basis = {j: {j: one} for j in range(self.ncols) if j not in self.pivots}
+        for c in sorted(self.pivots):
+            for j, s in self.pivots[c].items():
+                if j != c:
+                    basis[j][c] = -s
+        return list(basis.values())
 
 
 # A packed coefficient is an int whose bit i is the plane-i bit.  These two
@@ -285,11 +334,16 @@ class _PackedChar2Eliminator:
         self.ncols = ncols
         self.pivots: dict[int, list[int]] = {}
         self._pivot_mask = 0
+        # pivot column -> mask of the pivot columns (its own included) that
+        # its row is cleared of
+        self._cleared: dict[int, int] = {}
 
     def clone(self) -> "_PackedChar2Eliminator":
         out = _PackedChar2Eliminator(self.ctx, self.ncols)
-        out.pivots = {c: planes[:] for c, planes in self.pivots.items()}
+        # plane lists are replaced, never changed in place, so they are shared
+        out.pivots = dict(self.pivots)
         out._pivot_mask = self._pivot_mask
+        out._cleared = dict(self._cleared)
         return out
 
     def _scaled(self, planes: list[int], coeff: int) -> list[int]:
@@ -302,6 +356,13 @@ class _PackedChar2Eliminator:
         acc = 0
         for j in srcs:
             acc ^= planes[j]
+        return acc
+
+    @staticmethod
+    def _support(planes: list[int]) -> int:
+        acc = 0
+        for pl in planes:
+            acc |= pl
         return acc
 
     def _coeff_at(self, planes: list[int], col: int) -> int:
@@ -324,23 +385,53 @@ class _PackedChar2Eliminator:
                     planes[i] |= mask
         return planes
 
-    def add_row(self, row: dict[int, Scalar]) -> bool:
-        planes = self.pack(row)
-        support = 0
-        for pl in planes:
-            support |= pl
-        # One pass clears every pivot column: pivot rows are zero at all
-        # other pivot columns, so reductions never change the coefficient of
-        # another hit, and every hit's coefficient is nonzero.
-        hits = support & self._pivot_mask
+    def _reduce(self, planes: list[int], hits: int) -> list[int]:
+        """Clear `planes` at the pivot columns in `hits`, where it is nonzero.
+
+        Each pivot row used is cleared first, so it changes no other hit's
+        coefficient and one pass in any order suffices.
+        """
+        mask = self._pivot_mask
         while hits:
             c = (hits & -hits).bit_length() - 1
             hits &= hits - 1
+            if self._cleared[c] != mask:
+                self._clean(1 << c)
             scaled = self._scaled(self.pivots[c], self._coeff_at(planes, c))
             planes = [a ^ b for a, b in zip(planes, scaled)]
-        support = 0
-        for pl in planes:
-            support |= pl
+        return planes
+
+    def _clean(self, cols: int) -> None:
+        """Clear the pivot rows at `cols` of the pivots added since.
+
+        A row's pending columns lie below its pivot column, so the rows they
+        need are collected first and every row is cleared in ascending column
+        order, against rows that are clear already: no recursion, however long
+        the chain of pending rows.
+        """
+        mask = self._pivot_mask
+        stale, todo, seen = 0, cols, cols
+        while todo:
+            c = todo.bit_length() - 1
+            todo ^= 1 << c
+            cleared = self._cleared[c]
+            if cleared != mask:
+                stale |= 1 << c
+                pending = self._support(self.pivots[c]) & mask & ~cleared & ~seen
+                seen |= pending
+                todo |= pending
+        while stale:
+            c = (stale & -stale).bit_length() - 1
+            stale &= stale - 1
+            planes = self.pivots[c]
+            hits = self._support(planes) & mask & ~self._cleared[c]
+            self.pivots[c] = self._reduce(planes, hits)
+            self._cleared[c] = mask
+
+    def add_row(self, row: dict[int, Scalar]) -> bool:
+        planes = self.pack(row)
+        planes = self._reduce(planes, self._support(planes) & self._pivot_mask)
+        support = self._support(planes)
         if not support:
             return False
         lead = support.bit_length() - 1
@@ -349,38 +440,34 @@ class _PackedChar2Eliminator:
         if coeff != 1:
             inv = _to_bits(self.ctx, self.ctx._inv(_from_bits(self.ctx, coeff)))
             planes = self._scaled(planes, inv)
-        # Gauss-Jordan: clear this column from every existing pivot row
-        for c, pivot in self.pivots.items():
-            pc = self._coeff_at(pivot, lead)
-            if pc:
-                scaled = self._scaled(planes, pc)
-                self.pivots[c] = [a ^ b for a, b in zip(pivot, scaled)]
-        self.pivots[lead] = planes
         self._pivot_mask |= 1 << lead
+        self.pivots[lead] = planes
+        self._cleared[lead] = self._pivot_mask
         return True
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def kernel_basis(self) -> list[list[Scalar]]:
+    def kernel_basis(self) -> list[dict[int, Scalar]]:
+        self._clean(self._pivot_mask)
         ctx = self.ctx
-        zero, one = ctx.zero, ctx.one
+        one = ctx.one
         scalars = {1: one}  # -x = x in characteristic 2
-        free = [c for c in range(self.ncols) if c not in self.pivots]
-        basis = []
-        for j in free:
-            vec = [zero] * self.ncols
-            vec[j] = one
-            for c, pivot in self.pivots.items():
-                coeff = self._coeff_at(pivot, j)
-                if coeff:
-                    s = scalars.get(coeff)
-                    if s is None:
-                        s = scalars[coeff] = Scalar(ctx, _from_bits(ctx, coeff))
-                    vec[c] = s
-            basis.append(vec)
-        return basis
+        basis = {j: {j: one} for j in range(self.ncols) if j not in self.pivots}
+        free = ~self._pivot_mask
+        for c in sorted(self.pivots):
+            planes = self.pivots[c]
+            rest = self._support(planes) & free
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                coeff = self._coeff_at(planes, j)
+                s = scalars.get(coeff)
+                if s is None:
+                    s = scalars[coeff] = Scalar(ctx, _from_bits(ctx, coeff))
+                basis[j][c] = s
+        return list(basis.values())
 
 
 def _make_eliminator(ctx: FieldCtx, ncols: int):
@@ -393,16 +480,23 @@ def _make_eliminator(ctx: FieldCtx, ncols: int):
 # public entry points
 
 
+def _sparse_kernel(rows: Iterable[dict[int, Scalar]], ncols: int,
+                   ctx: FieldCtx) -> list[dict[int, Scalar]]:
+    elim = _make_eliminator(ctx, ncols)
+    for row in rows:
+        elim.add_row(row)
+    return elim.kernel_basis()
+
+
 def kernel(rows: Iterable[dict[int, Scalar]], ncols: int, ctx: FieldCtx) -> list[list[Scalar]]:
     """Canonical (reduced row-echelon) basis of the joint kernel of the rows.
 
     Rows are consumed one at a time; the basis is unique, so the result is
     byte-reproducible whatever the row order.
     """
-    elim = _make_eliminator(ctx, ncols)
-    for row in rows:
-        elim.add_row(row)
-    return elim.kernel_basis()
+    zero = ctx.zero
+    return [[vec.get(c, zero) for c in range(ncols)]
+            for vec in _sparse_kernel(rows, ncols, ctx)]
 
 
 def _sparse(vec: Sequence[Scalar]) -> dict[int, Scalar]:
@@ -414,7 +508,7 @@ def rref(vectors: Iterable[Sequence[Scalar]], ncols: int, ctx: FieldCtx) -> list
 
     The span of V is the kernel of the kernel of V, over any field.
     """
-    return kernel(map(_sparse, kernel(map(_sparse, vectors), ncols, ctx)), ncols, ctx)
+    return kernel(_sparse_kernel(map(_sparse, vectors), ncols, ctx), ncols, ctx)
 
 
 def rank(vectors: Iterable[Sequence[Scalar]], ncols: int, ctx: FieldCtx) -> int:

@@ -7,6 +7,7 @@ Suite reports are byte-identical across reruns with the same parameters
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
@@ -426,9 +427,13 @@ def run_suite(name: str, budget_minutes: float | None = None,
     if runner is None:
         raise UnknownSuite(f"unknown suite {name!r}; choose from "
                            f"{sorted(SUITES)} or 'all'")
+    params = {k: v for k, v in params.items() if v is not None}
+    unknown = [k for k in params if k not in inspect.signature(runner).parameters]
+    if unknown:
+        raise BadParameter(f"suite {name!r} takes no "
+                           + ", ".join(f"--{k}" for k in unknown))
     budget = _Budget(budget_minutes)
     start = time.monotonic()
-    report = runner(budget=budget, **{k: v for k, v in params.items()
-                                      if v is not None})
+    report = runner(budget=budget, **params)
     report.duration_s = time.monotonic() - start
     return report

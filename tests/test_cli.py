@@ -196,6 +196,20 @@ def test_verify_size_below_one_exits_2(capsys, argv):
     assert err.startswith("error: ") and "must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "torus-sigma", "--p", "2"),
+    ("verify", "epsilon-free", "--p", "2"),
+    ("verify", "regular-rep", "--nmax", "2"),
+    ("verify", "binomial", "--n", "2"),
+])
+def test_verify_parameter_the_suite_does_not_take_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"takes no {argv[2]}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cyclic_module_of_size_one_is_valid(capsys):
     code, out, _ = run_cli(capsys, "compute", "sigma", "--module", "cyclic:p=2,k=1",
                            "--dmax", "2", "--json")

@@ -17,6 +17,7 @@ from nullcone_lab.groups import (
     regular_rep,
     sym_power_rep,
     vectorized_identity,
+    _verify_permutation_basis,
 )
 from nullcone_lab.linalg import Matrix
 from nullcone_lab.poly import Polynomial, poly_parse
@@ -269,6 +270,21 @@ def test_permutation_basis_vandermonde_p3():
     assert pb is not None
     assert pb.is_free() and pb.is_transitive()
     assert pb.orbit_sizes == [3]
+
+
+@pytest.mark.parametrize("p, degree", [(2, 1), (3, 2)])
+def test_permutation_basis_check_rejects_a_tampered_permutation(p, degree):
+    """Swapping two slots of one element's permutation breaks rho(g) B = B P_g."""
+    ctx = ff_make(p)
+    group = MatrixGroup.closure([unipotent(ctx, ctx.one)])
+    rep = sym_power_rep(group.natural_rep(), degree)
+    pb = rep.permutation_basis()
+    _verify_permutation_basis(rep, pb)
+    pi = list(pb.perms[1])
+    pi[0], pi[1] = pi[1], pi[0]
+    pb.perms[1] = tuple(pi)
+    with pytest.raises(AssertionError):
+        _verify_permutation_basis(rep, pb)
 
 
 def test_permutation_basis_absent_for_scaling_action():

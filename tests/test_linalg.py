@@ -6,12 +6,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullcone_lab.errors import NotInvertible, ParseError
 from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
 from nullcone_lab.linalg import (
     Matrix,
     _GenericEliminator,
+    _make_eliminator,
     _PackedChar2Eliminator,
     kernel,
     lift_matrix,
@@ -97,8 +99,8 @@ def test_packed_engine_agrees_with_generic(ctx_maker):
             row = {c: s for c, s in enumerate(r) if not s.is_zero()}
             assert gen.add_row(dict(row)) == packed.add_row(dict(row))
         assert gen.rank == packed.rank
-        assert [[s.val for s in r] for r in gen.kernel_basis()] == \
-               [[s.val for s in r] for r in packed.kernel_basis()]
+        assert [[(c, s.val) for c, s in v.items()] for v in gen.kernel_basis()] == \
+               [[(c, s.val) for c, s in v.items()] for v in packed.kernel_basis()]
 
 
 def test_kernel_canonical_regardless_of_row_order():
@@ -215,3 +217,71 @@ def test_kernel_and_rref_match_two_pass_oracle(ctx_maker):
         ranks.add((len(span), ncols))
     assert any(r == 0 for r, _ in ranks) and any(r == n for r, n in ranks)
     assert any(0 < r < n for r, n in ranks)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_descending_chain_clears_without_recursion(p):
+    """Rows {i, i+1} for descending i leave each pivot row pending on the
+    next one down: kernel_basis() clears a 3,000-row chain iteratively."""
+    ctx = ff_make(p)
+    ncols = 3000
+    elim = _make_eliminator(ctx, ncols)
+    for i in reversed(range(ncols - 1)):
+        assert elim.add_row({i: ctx.one, i + 1: ctx.one})
+    basis = elim.kernel_basis()
+    assert len(basis) == 1
+    # x_{i+1} = -x_i, normalised to 1 at the free column 0
+    assert [basis[0][c].val for c in range(ncols)] == [(-1) ** c % p for c in range(ncols)]
+
+
+_FIELDS = {"F2": lambda: ff_make(2), "F4": lambda: ff_make(2, 2),
+           "F3": lambda: ff_make(3), "QQ": FieldCtx.rationals}
+
+
+def _dense(ctx, ncols, basis):
+    return [[v.get(c, ctx.zero).val for c in range(ncols)] for v in basis]
+
+
+def _sparse_scalars(row):
+    return {c: s for c, s in enumerate(row) if not s.is_zero()}
+
+
+def _check_against_oracle(ctx, ncols, elim, rows):
+    expected = _two_pass_kernel(rows, ncols, ctx)
+    assert _dense(ctx, ncols, elim.kernel_basis()) == [[s.val for s in v] for v in expected]
+    assert elim.rank == ncols - len(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(sorted(_FIELDS)), ncols=st.integers(1, 7), data=st.data())
+def test_lazy_clearing_survives_clones_and_midstream_reads(field, ncols, data):
+    """add_row, clone() and kernel_basis() in any interleaving give the
+    oracle's kernel, and a mutated clone leaves its original unchanged."""
+    ctx = _FIELDS[field]()
+    if ctx.is_finite:
+        elems = ff_enumerate(ctx)
+        entry = st.sampled_from(elems)
+    else:
+        entry = st.builds(lambda a, b: ctx.scalar(a) * ctx.scalar(b).inverse(),
+                          st.integers(-3, 3), st.integers(1, 3))
+    row_st = st.lists(entry, min_size=ncols, max_size=ncols)
+    elim = _make_eliminator(ctx, ncols)
+    rows = []
+    for op in data.draw(st.lists(st.sampled_from(["add", "add", "clone", "read"]),
+                                 max_size=14)):
+        if op == "add":
+            row = data.draw(row_st)
+            elim.add_row(_sparse_scalars(row))
+            rows.append(row)
+        elif op == "read":
+            _check_against_oracle(ctx, ncols, elim, rows)
+        else:
+            copy = elim.clone()
+            extra = [data.draw(row_st) for _ in range(data.draw(st.integers(1, 3)))]
+            for row in extra:
+                copy.add_row(_sparse_scalars(row))
+            _check_against_oracle(ctx, ncols, copy, rows + extra)
+            _check_against_oracle(ctx, ncols, elim, rows)
+            if data.draw(st.booleans()):
+                elim, rows = copy, rows + extra
+    _check_against_oracle(ctx, ncols, elim, rows)
