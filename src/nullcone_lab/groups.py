@@ -2,7 +2,10 @@
 
 Elements live in a deterministic closure order (breadth-first from the
 identity, generators in the given order), so every index-based artefact
-— multiplication tables, permutation bases, reports — is reproducible.
+— permutation bases, reports — is reproducible.  Closure records the Cayley
+graph `right[k][i]` = elements[i] * generators[k] and the tree
+`parent[j] = (i, k)` (i < j) that first reached elements[j]; products of
+elements are read off these by index.
 """
 
 from __future__ import annotations
@@ -16,43 +19,51 @@ from .errors import (
     NotInvertible,
     NotPermutationAction,
 )
-from .fields import FieldCtx, Scalar
+from .fields import FieldCtx, Scalar, _is_probable_prime
 from .linalg import Matrix, lift_matrix, _make_eliminator
 from .poly import Polynomial, _basis_index, _exponent_basis, substitution_images
 
 DEFAULT_CLOSURE_CAP = 10**6
-_TABLE_LIMIT = 1024  # build the full multiplication table below this order
+
+
+def _minkowski_bound(n: int) -> int:
+    """Minkowski's bound on the order of a finite subgroup of GL_n(Q):
+    the product over primes p of p^(sum_k floor(n / (p^k (p-1))))."""
+    bound = 1
+    for p in range(2, n + 2):
+        if _is_probable_prime(p):
+            m = p - 1
+            while m <= n:
+                bound *= p ** (n // m)
+                m *= p
+    return bound
 
 
 class MatrixGroup:
     """A finite group of invertible matrices over one context."""
 
     def __init__(self, ctx: FieldCtx, dim: int, generators: list[Matrix],
-                 elements: list[Matrix], *, _from_closure: bool = False):
+                 elements: list[Matrix], right: list[list[int]], parent: list,
+                 *, _from_closure: bool = False):
         if not _from_closure:
             raise TypeError("use MatrixGroup.closure() to build groups")
         self.ctx = ctx
         self.dim = dim
         self.generators = generators
         self.elements = elements
+        self.right, self.parent = right, parent
         self.index = {m.key(): i for i, m in enumerate(elements)}
         self.generator_indices = [self.index[g.key()] for g in generators]
-        self._mul_table: list[list[int]] | None = None
-        self._mul_lazy: dict[tuple[int, int], int] = {}
         self.inverse_table = [self.index[m.inverse().key()] for m in elements]
-        if len(elements) <= _TABLE_LIMIT:
-            self._mul_table = [
-                [self.index[(a * b).key()] for b in elements] for a in elements
-            ]
 
     @staticmethod
     def closure(generators: Sequence[Matrix],
                 cap: int = DEFAULT_CLOSURE_CAP) -> "MatrixGroup":
         """Close the generators under multiplication.
 
-        Raises CapExceeded once more than `cap` elements appear, which is
-        the expected outcome for infinite groups such as unipotent matrices
-        over the rationals.
+        Raises CapExceeded once more than `cap` elements appear.  Over the
+        rationals it raises once the closure passes Minkowski's bound on
+        finite subgroups of GL_n(Q), which proves the group infinite.
         """
         if not generators:
             raise NotInvertible("at least one generator required")
@@ -67,26 +78,26 @@ class MatrixGroup:
             g.inverse()  # raises NotInvertible on singular input
             if g not in gens:
                 gens.append(g)
+        limit = cap if ctx.is_finite else min(cap, _minkowski_bound(dim))
         identity = Matrix.identity(ctx, dim)
-        elements = [identity]
-        seen = {identity.key()}
-        frontier = [identity]
-        while frontier:
-            new_frontier = []
-            for e in frontier:
-                for g in gens:
-                    m = e * g
-                    k = m.key()
-                    if k not in seen:
-                        seen.add(k)
-                        elements.append(m)
-                        new_frontier.append(m)
-                        if len(elements) > cap:
-                            raise CapExceeded(
-                                f"closure exceeded cap {cap}; the group is "
-                                "infinite or larger than configured")
-            frontier = new_frontier
-        return MatrixGroup(ctx, dim, gens, elements, _from_closure=True)
+        elements, parent = [identity], [None]
+        index = {identity.key(): 0}
+        right = [[] for _ in gens]
+        for i, e in enumerate(elements):  # elements grows as a breadth-first queue
+            for k, g in enumerate(gens):
+                m = e * g
+                j = index.setdefault(m.key(), len(elements))
+                if j == len(elements):
+                    elements.append(m)
+                    parent.append((i, k))
+                    if len(elements) > limit:
+                        raise CapExceeded(
+                            f"closure exceeded {limit} elements, Minkowski's bound "
+                            f"for GL_{dim}(Q); the group is infinite" if limit < cap
+                            else f"closure exceeded cap {cap}; the group is "
+                            "infinite or larger than configured")
+                right[k].append(j)
+        return MatrixGroup(ctx, dim, gens, elements, right, parent, _from_closure=True)
 
     # -- queries -----------------------------------------------------------
 
@@ -99,13 +110,20 @@ class MatrixGroup:
         return 0
 
     def mul(self, i: int, j: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[i][j]
-        cached = self._mul_lazy.get((i, j))
-        if cached is None:
-            cached = self.index[(self.elements[i] * self.elements[j]).key()]
-            self._mul_lazy[(i, j)] = cached
-        return cached
+        word = []  # generators along the tree path from the identity to j
+        while j:
+            j, k = self.parent[j]
+            word.append(k)
+        for k in reversed(word):
+            i = self.right[k][i]
+        return i
+
+    def left_translation(self, g: int) -> list[int]:
+        """Index of elements[g] * elements[x] for every x, along tree edges."""
+        out = [g]
+        for i, k in self.parent[1:]:
+            out.append(self.right[k][out[i]])
+        return out
 
     def inv(self, i: int) -> int:
         return self.inverse_table[i]
@@ -124,8 +142,8 @@ class MatrixGroup:
         return n == 1
 
     def is_abelian(self) -> bool:
-        return all(self.mul(i, j) == self.mul(j, i)
-                   for i in range(self.order) for j in range(self.order))
+        gens = self.generator_indices  # commuting generators suffice
+        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
     def subgroup(self, generators: Sequence[Matrix],
                  cap: int = DEFAULT_CLOSURE_CAP) -> "MatrixGroup":
@@ -142,13 +160,10 @@ class MatrixGroup:
         """The same group with entries embedded into an extension field."""
         if target == self.ctx:
             return self
-        lifted = MatrixGroup.__new__(MatrixGroup)
-        MatrixGroup.__init__(
-            lifted, target, self.dim,
-            [lift_matrix(g, target) for g in self.generators],
-            [lift_matrix(m, target) for m in self.elements],
-            _from_closure=True)
-        return lifted
+        return MatrixGroup(target, self.dim,
+                           [lift_matrix(g, target) for g in self.generators],
+                           [lift_matrix(m, target) for m in self.elements],
+                           self.right, self.parent, _from_closure=True)
 
 
 class Representation:
@@ -177,12 +192,11 @@ class Representation:
         return self.matrices[self.group.inv(i)]
 
     def verify_homomorphism(self) -> bool:
+        """rho(h) rho(s) = rho(hs) for all h and generators s; induction does the rest."""
         g = self.group
-        for i in range(g.order):
-            for j in range(g.order):
-                if self.matrices[i] * self.matrices[j] != self.matrices[g.mul(i, j)]:
-                    return False
-        return True
+        return all(self.matrices[h] * self.matrices[s] == self.matrices[hs]
+                   for k, s in enumerate(g.generator_indices)
+                   for h, hs in enumerate(g.right[k]))
 
     def act_on_poly(self, i: int, f: Polynomial) -> Polynomial:
         """(g.f)(v) = f(g^-1 v): substitute the inverse matrix."""
@@ -314,8 +328,8 @@ def regular_rep(group: MatrixGroup) -> Representation:
     mats = []
     for g in range(n):
         rows = [[zero] * n for _ in range(n)]
-        for j in range(n):
-            rows[group.mul(g, j)][j] = one
+        for j, gj in enumerate(group.left_translation(g)):
+            rows[gj][j] = one
         mats.append(Matrix(ctx, rows))
     return Representation(group, mats)
 
@@ -437,12 +451,12 @@ def find_permutation_basis(rep: Representation,
 
     basis_matrix = Matrix(ctx, list(zip(*accepted_vectors)))  # columns = vectors
     perms = []
-    for h in range(group.order):
+    for left in map(group.left_translation, range(group.order)):
         pi = [0] * dim
         for o, slc in enumerate(orbit_slices):
             for local, k in enumerate(slc):
                 g = orbit_elements[o][local]
-                target_local = slot_of_element[o][group.mul(h, g)]
+                target_local = slot_of_element[o][left[g]]
                 pi[k] = slc[0] + target_local
         perms.append(tuple(pi))
     pb = PermutationBasis(rep, basis_matrix, perms, orbit_slices)

@@ -382,13 +382,13 @@ def sigma_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
                   declared_generators: Sequence[Polynomial] | None = None,
                   cap: int = DEFAULT_POINT_CAP) -> SeparationReport:
     """Sup of epsilon over all nonzero points of the module over `pointfield`."""
-    rep = rep.lift(pointfield)
     if pointfield.cardinality**rep.dim > cap:
         raise TooManyPoints(f"{pointfield.cardinality}^{rep.dim} points "
                             f"exceeds the cap {cap}")
-    standard = [[pointfield.one if i == j else pointfield.zero
-                 for i in range(rep.dim)] for j in range(rep.dim)]
-    points = _span_points(standard, pointfield, cap)
+    rep = rep.lift(pointfield)
+    # enumerate() is ascending with zero first, so these are already sorted
+    points = [list(c) for c in itertools.product(pointfield.enumerate(),
+                                                 repeat=rep.dim)][1:]
     return _sup_report("sigma", rep, points, dmax, declared_generators)
 
 

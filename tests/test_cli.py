@@ -175,6 +175,8 @@ def test_module_spec_errors():
      "--dmax", "-1"),
     ("compute", "sigma", "--module", "cyclic:p=2,k=0", "--dmax", "2"),
     ("compute", "sigma", "--module", "cyclic:p=2,k=-1", "--dmax", "2"),
+    ("compute", "epsilon", "--gens", "1,1;0,1", "--field", "0", "--point", "1,0",
+     "--dmax", "2"),
 ])
 def test_compute_bad_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullcone_lab.errors import CapExceeded, GroupMismatch, NotInvertible, NotPermutationAction
 from nullcone_lab.fields import FieldCtx, ff_make
@@ -17,6 +18,7 @@ from nullcone_lab.groups import (
     regular_rep,
     sym_power_rep,
     vectorized_identity,
+    _minkowski_bound,
     _verify_permutation_basis,
 )
 from nullcone_lab.linalg import Matrix
@@ -64,6 +66,18 @@ def test_closure_cap_exceeded_over_q():
         MatrixGroup.closure([unipotent(qq, qq.one)], cap=100)
 
 
+def test_unipotent_closure_over_q_stops_at_minkowski_bound():
+    qq = FieldCtx.rationals()
+    assert [_minkowski_bound(n) for n in (1, 2, 3, 4)] == [2, 24, 48, 5760]
+    with pytest.raises(CapExceeded, match="infinite"):
+        MatrixGroup.closure([unipotent(qq, qq.one)])
+    # the signed permutations of three coordinates attain the bound and close
+    cycle = Matrix.from_ints(qq, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    swap = Matrix.from_ints(qq, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    sign = Matrix.from_ints(qq, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert MatrixGroup.closure([cycle, swap, sign]).order == 48
+
+
 def test_closure_rejects_singular():
     f2 = ff_make(2)
     with pytest.raises(NotInvertible):
@@ -92,6 +106,75 @@ def test_mul_table_matches_matrix_products():
     for i in range(3):
         for j in range(3):
             assert g.elements[g.mul(i, j)] == g.elements[i] * g.elements[j]
+
+
+def random_group(draw):
+    """1-3 random monomial generators: permutations over F_2, monomial
+    matrices over F_3 and F_4, signed permutations over QQ."""
+    name = draw(st.sampled_from(["F2", "F3", "F4", "QQ"]))
+    ctx, ext = {"F2": (ff_make(2), ff_make(2, 2)), "F3": (ff_make(3), ff_make(3, 2)),
+                "F4": (ff_make(2, 2), None), "QQ": (FieldCtx.rationals(), None)}[name]
+    units = [ctx.one, -ctx.one] if name == "QQ" else ctx.enumerate()[1:]
+    dim = draw(st.integers(1, 2 if name == "F4" else 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        pi = draw(st.permutations(range(dim)))
+        rows = [[ctx.zero] * dim for _ in range(dim)]
+        for j in range(dim):
+            rows[pi[j]][j] = draw(st.sampled_from(units))
+        gens.append(Matrix(ctx, rows))
+    return MatrixGroup.closure(gens), ext
+
+
+def assert_tables_match_products(group):
+    els, n = group.elements, group.order
+    for i in range(n):
+        left = group.left_translation(i)
+        assert group.inv(i) == group.index[els[i].inverse().key()]
+        for j in range(n):
+            prod = group.index[(els[i] * els[j]).key()]
+            assert left[j] == prod and group.mul(i, j) == prod
+    assert group.is_abelian() == all(group.mul(i, j) == group.mul(j, i)
+                                     for i in range(n) for j in range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cayley_graph_agrees_with_dense_products(data):
+    group, ext = random_group(data.draw)
+    assert_tables_match_products(group)
+    reg = regular_rep(group)
+    for g in range(group.order):
+        assert reg.matrices[g].permutation() == [
+            group.index[(group.elements[g] * x).key()] for x in group.elements]
+    if ext is not None:
+        lifted = group.lift(ext)
+        assert lifted.ctx == ext and lifted.order == group.order
+        assert_tables_match_products(lifted)
+
+
+def test_closure_alone_multiplies_matrices(monkeypatch):
+    """The closure forms elements[i] * generators[k] once per pair; the
+    regular representation and a lift read its Cayley graph instead."""
+    f3 = ff_make(3)
+    cycle = Matrix.from_ints(f3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    swap = Matrix.from_ints(f3, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    sign = Matrix.from_ints(f3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    products = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    group = MatrixGroup.closure([cycle, swap, sign])
+    assert group.order == 48
+    assert len(products) == group.order * 3
+    products.clear()
+    regular_rep(group)
+    group.lift(ff_make(3, 2))
+    assert products == []
 
 
 # -- polynomial action ---------------------------------------------------------
@@ -217,6 +300,16 @@ def test_hom_rep_rejects_mismatched_groups():
     g2 = MatrixGroup.closure([unipotent(f2, f2.one)])
     with pytest.raises(GroupMismatch):
         hom_rep(g1.natural_rep(), g2.natural_rep())
+
+
+def test_verify_homomorphism_rejects_swapped_matrices():
+    f2 = ff_make(2)
+    z4 = cyclic_group(f2, 4)
+    assert z4.natural_rep().verify_homomorphism()
+    mats = list(z4.elements)
+    assert mats[1] == z4.generators[0]  # closure order: 1, g, g^2, g^3
+    mats[1], mats[2] = mats[2], mats[1]
+    assert not Representation(z4, mats).verify_homomorphism()
 
 
 def test_regular_rep_of_z2():

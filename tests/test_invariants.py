@@ -296,6 +296,17 @@ def test_sigma_point_cap():
         sigma_bounded(rep, 1, f5, cap=10)
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2)])
+def test_sigma_points_equal_the_span_of_the_standard_basis(p, n):
+    from nullcone_lab import invariants
+    ctx = ff_make(p, n)
+    standard = [[ctx.one if i == j else ctx.zero for i in range(3)] for j in range(3)]
+    report = sigma_bounded(trivial_group(ctx, 3).natural_rep(), 1, ctx)
+    points = [v for v, _ in report.point_values]
+    assert points == invariants._span_points(standard, ctx, 10**6)
+    assert len(points) == ctx.cardinality**3 - 1
+
+
 def test_delta_report_determinism():
     f2 = ff_make(2)
     rep = regular_rep(cyclic_group(f2, 4))
