@@ -44,7 +44,7 @@ class MatrixGroup:
 
     def __init__(self, ctx: FieldCtx, dim: int, generators: list[Matrix],
                  elements: list[Matrix], right: list[list[int]], parent: list,
-                 *, _from_closure: bool = False):
+                 inverse_table: list[int] | None = None, *, _from_closure: bool = False):
         if not _from_closure:
             raise TypeError("use MatrixGroup.closure() to build groups")
         self.ctx = ctx
@@ -54,7 +54,8 @@ class MatrixGroup:
         self.right, self.parent = right, parent
         self.index = {m.key(): i for i, m in enumerate(elements)}
         self.generator_indices = [self.index[g.key()] for g in generators]
-        self.inverse_table = [self.index[m.inverse().key()] for m in elements]
+        self.inverse_table = (inverse_table if inverse_table is not None else
+                              [self.index[m.inverse().key()] for m in elements])
 
     @staticmethod
     def closure(generators: Sequence[Matrix],
@@ -157,13 +158,17 @@ class MatrixGroup:
         return Representation(self, self.elements)
 
     def lift(self, target: FieldCtx) -> "MatrixGroup":
-        """The same group with entries embedded into an extension field."""
+        """The same group with entries embedded into an extension field.
+
+        An embedding is an injective ring map, so the element order, the
+        Cayley graph and the inverses carry over unchanged."""
         if target == self.ctx:
             return self
         return MatrixGroup(target, self.dim,
                            [lift_matrix(g, target) for g in self.generators],
                            [lift_matrix(m, target) for m in self.elements],
-                           self.right, self.parent, _from_closure=True)
+                           self.right, self.parent, self.inverse_table,
+                           _from_closure=True)
 
 
 class Representation:

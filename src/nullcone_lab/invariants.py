@@ -12,6 +12,7 @@ built straight from the eliminator's sparse kernel vector.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Sequence
 
@@ -111,7 +112,8 @@ def invariant_space(rep: Representation, d: int) -> InvariantSpace:
                 raise AssertionError(
                     "generator-fixed space not fixed by the whole group; "
                     "the closure or the representation is inconsistent")
-    assert elim.rank == generator_rank
+    if elim.rank != generator_rank:
+        raise AssertionError("the all-elements re-check changed the rank")
     basis = [Polynomial(ctx, nvars, {exponents[c]: s for c, s in vec.items()},
                         _trusted=True)
              for vec in elim.kernel_basis()]
@@ -217,14 +219,30 @@ def _verify_invariant(rep: Representation, f: Polynomial) -> bool:
     return all(rep.act_on_poly(g, f) == f for g in range(rep.group.order))
 
 
+def _orbit_product_invariant(rep: Representation,
+                             forms: Sequence[Sequence[Scalar]]) -> bool:
+    """True when every representing matrix permutes the linear forms.
+
+    The forms are row vectors l_k, and g.l = l rho(g)^-1.  The inverses
+    rho(g)^-1 run over all of rep.matrices, so if every l_k rho lies in the
+    multiset of the l_k, each g permutes the factors of their product, which
+    is therefore invariant.  Reads only the matrices and the forms.
+    """
+    factors = Matrix(rep.ctx, forms)
+    wanted = Counter(factors.key())
+    return all(Counter((factors * m).key()) == wanted for m in rep.matrices)
+
+
 def _fast_path_epsilon(rep: Representation, v: list[Scalar]):
     """Minimal degree of an invariant monomial in permutation coordinates.
 
     Valid for p-groups in their own characteristic at fixed points: orbit
     sums span the invariants and O(m)(v) = |orbit| * m(v), so only fully
     stabilised monomials survive, and those are products over whole
-    variable orbits.  Returns (degree, witness) or None when no orbit has
-    all coordinates nonzero (the point lies in the nullcone).
+    variable orbits.  Returns (degree, witness, forms), where the witness is
+    the product of the linear forms (rows of the inverse basis matrix, one
+    per slot of the orbit), or None when no orbit has all coordinates
+    nonzero (the point lies in the nullcone).
     """
     pb = rep.permutation_basis()
     w = pb.coordinates(v)
@@ -239,16 +257,18 @@ def _fast_path_epsilon(rep: Representation, v: list[Scalar]):
     witness = Polynomial.one(rep.ctx, rep.dim)
     for k in slc:
         witness = witness * pb.slot_coordinate_form(k, rep.dim)
-    return degree, witness
+    return degree, witness, [pb.basis_inverse.rows[k] for k in slc]
 
 
 def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int,
             use_fast_path: bool = True) -> SeparationReport:
     """Least positive degree d <= dmax of an invariant nonvanishing at the point.
 
-    Every emitted value is machine-checked: the witness is invariant and
-    nonzero at the point, and the full invariant space of each lower degree
-    vanishes there.
+    Every emitted value is machine-checked: the witness is nonzero at the
+    point, the full invariant space of each lower degree vanishes there, and
+    the witness is invariant.  A fast-path witness is a product of linear
+    forms, certified by checking that every representing matrix permutes
+    them; any other witness is a basis vector of an invariant space.
     """
     v = _check_point(rep, point)
     ctx = rep.ctx
@@ -260,12 +280,14 @@ def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int,
             candidate = hit
 
     if candidate is not None:
-        value, witness = candidate
+        value, witness, forms = candidate
         for d in range(1, value):
             if any(not s.is_zero() for s in invariant_space(rep, d).evaluate_all(v)):
                 raise AssertionError("fast path disagreed with the invariant spaces")
-        assert _verify_invariant(rep, witness)
-        assert not witness.evaluate(v).is_zero()
+        if not _orbit_product_invariant(rep, forms):
+            raise AssertionError("fast-path witness failed its orbit-product certificate")
+        if witness.evaluate(v).is_zero():
+            raise AssertionError("fast-path witness vanishes at the point")
         return SeparationReport("epsilon", value, witness, [v], dmax, ctx)
 
     for d in range(1, dmax + 1):
@@ -487,9 +509,12 @@ def degree_reduce(rep: Representation, f: Polynomial,
         reduced_new = Polynomial.variable(ctx, n, 0) + c1.scale(d_inv)
         result = reduced_new.substitute_linear(basis_matrix.inverse())
 
-    assert result.degree() == 1
-    assert _verify_invariant(rep, result)
-    assert not result.evaluate(v).is_zero()
+    if result.degree() != 1:
+        raise AssertionError("degree reduction did not reach degree 1")
+    if not _verify_invariant(rep, result):
+        raise AssertionError("degree reduction produced a non-invariant")
+    if result.evaluate(v).is_zero():
+        raise AssertionError("degree reduction produced a form vanishing at the point")
     return result
 
 

@@ -1,4 +1,5 @@
-"""Exact linear algebra over a FieldCtx: dense matrices, streamed elimination.
+"""Exact linear algebra over a FieldCtx: dense matrices with sparse
+products, and streamed elimination.
 
 Two elimination engines sit behind one interface: a generic one holding rows
 as sparse {column: Scalar} dicts, and a characteristic-2 engine that packs
@@ -86,31 +87,47 @@ class Matrix:
         return self.rows[ij[0]][ij[1]]
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Row i of the product is the sum over the nonzero a_ik of
+        a_ik * (row k of other), accumulated over that row's nonzeros only.
+        The contexts are checked once; the sums run on raw field values."""
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.ncols} columns vs {other.nrows} rows")
-        cols = list(zip(*other.rows))
+        ctx = self.ctx
+        if other.ctx != ctx:
+            raise ContextMismatch(f"mixed contexts {ctx!r} and {other.ctx!r}")
+        add, mul = ctx._add, ctx._mul
+        zero_val, one_val = ctx.zero.val, ctx.one.val
+        supports = [[(j, b.val) for j, b in enumerate(row) if b.val != zero_val]
+                    for row in other.rows]
         out = []
         for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = self.ctx.zero
-                for a, b in zip(row, col):
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(self.ctx, out)
+            acc: list = [None] * other.ncols
+            for k, s in enumerate(row):
+                a = s.val
+                if a == zero_val:
+                    continue
+                unit = a == one_val
+                for j, b in supports[k]:
+                    c = b if unit else mul(a, b)
+                    old = acc[j]
+                    acc[j] = c if old is None else add(old, c)
+            out.append([Scalar(ctx, zero_val if v is None else v) for v in acc])
+        return Matrix(ctx, out)
 
     def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
+        zero = self.ctx.zero
+        zero_val = zero.val
+        support = [(k, b) for k, b in enumerate(vec) if not b.is_zero()]
         out = []
         for row in self.rows:
-            acc = self.ctx.zero
-            for a, b in zip(row, vec):
-                if not a.is_zero() and not b.is_zero():
-                    acc = acc + a * b
-            out.append(acc)
+            acc = None
+            for k, b in support:
+                a = row[k]
+                if a.val != zero_val:
+                    acc = a * b if acc is None else acc + a * b
+            out.append(zero if acc is None else acc)
         return out
 
     def transpose(self) -> "Matrix":

@@ -177,6 +177,24 @@ def test_closure_alone_multiplies_matrices(monkeypatch):
     assert products == []
 
 
+def test_lift_inverts_no_matrix(monkeypatch):
+    """A field embedding keeps which element is the inverse of which."""
+    f3 = ff_make(3)
+    group = MatrixGroup.closure([Matrix.from_ints(f3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+                                 Matrix.from_ints(f3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])])
+    inversions = []
+    real_inverse = Matrix.inverse
+
+    def counting_inverse(m):
+        inversions.append(m)
+        return real_inverse(m)
+
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    lifted = group.lift(ff_make(3, 2))
+    assert inversions == []
+    assert lifted.inverse_table == group.inverse_table
+
+
 # -- polynomial action ---------------------------------------------------------
 
 def test_act_identity():

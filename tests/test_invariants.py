@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +21,12 @@ from nullcone_lab.errors import (
     TooManyPoints,
     VanishesAtPoint,
 )
+from nullcone_lab.constructions import gl2_test_module
 from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
-from nullcone_lab.groups import MatrixGroup, regular_rep
+from nullcone_lab.groups import MatrixGroup, Representation, regular_rep
 from nullcone_lab.invariants import (
+    _fast_path_epsilon,
+    _orbit_product_invariant,
     check_generation,
     degree_reduce,
     delta_bounded,
@@ -33,7 +40,9 @@ from nullcone_lab.invariants import (
     weight_invariant_monomials,
 )
 from nullcone_lab.linalg import Matrix
-from nullcone_lab.poly import Monomial, mono_basis, poly_parse
+from nullcone_lab.poly import Monomial, Polynomial, mono_basis, poly_parse
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def P(ctx, nvars, text):
@@ -219,6 +228,74 @@ def test_epsilon_undetermined_in_nullcone():
     report = epsilon(rep, [f4.zero, f4.zero, f4.zero], 3)
     assert report.value is None
     assert report.to_dict()["value"] == {"undetermined_above": 3}
+
+
+def test_orbit_product_certificate_on_gl2():
+    """The fast path's factor rows pass; a factor from another orbit or a
+    factor scaled by z does not, though each tampered set still has size 4."""
+    module = gl2_test_module(2, 2)
+    rep = module.rep
+    degree, witness, forms = _fast_path_epsilon(rep, module.identity_point)
+    assert degree == len(forms) == 4
+    assert _orbit_product_invariant(rep, forms)
+    pb = rep.permutation_basis()
+    chosen = pb.basis_inverse.rows.index(forms[0])
+    other = next(s for s in pb.orbit_slices if chosen not in s)
+    assert not _orbit_product_invariant(
+        rep, forms[:-1] + [pb.basis_inverse.rows[other[0]]])
+    z = rep.ctx.generator()
+    assert not _orbit_product_invariant(
+        rep, [[z * s for s in forms[0]]] + forms[1:])
+
+
+def test_fast_path_witness_never_substituted(monkeypatch):
+    """The fast path certifies its witness without acting on the polynomial."""
+    f4 = ff_make(2, 2)
+    rep = regular_rep(cyclic_group(f4, 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial substitution on the fast path")
+
+    monkeypatch.setattr(Representation, "act_on_poly", refuse)
+    monkeypatch.setattr(Polynomial, "substitute_linear", refuse)
+    report = epsilon(rep, [f4.one] * 4, 4)
+    assert report.value == 4
+    assert str(report.witness) == "x0*x1*x2*x3"
+
+
+TAMPERED_FACTOR = """
+import sys
+from nullcone_lab import invariants
+from nullcone_lab.fields import ff_make
+from nullcone_lab.groups import MatrixGroup, regular_rep
+from nullcone_lab.linalg import Matrix
+
+if __debug__:
+    sys.exit("run with python -O")
+real = invariants._fast_path_epsilon
+
+def tampered(rep, v):
+    degree, witness, forms = real(rep, v)
+    z = rep.ctx.generator()
+    return degree, witness, [[z * s for s in forms[0]]] + forms[1:]
+
+invariants._fast_path_epsilon = tampered
+f4 = ff_make(2, 2)
+cycle = Matrix(f4, [[f4.one if i == (j + 1) % 4 else f4.zero for j in range(4)]
+                    for i in range(4)])
+invariants.epsilon(regular_rep(MatrixGroup.closure([cycle])), [f4.one] * 4, 4)
+"""
+
+
+def test_tampered_fast_path_factor_rejected_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", TAMPERED_FACTOR],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: fast-path witness failed its orbit-product certificate" \
+        in proc.stderr
 
 
 # -- delta and sigma ------------------------------------------------------------------

@@ -8,7 +8,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullcone_lab.errors import NotInvertible, ParseError
+from nullcone_lab.errors import (ContextMismatch, DimensionMismatch, NotInvertible,
+                                 ParseError)
 from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
 from nullcone_lab.linalg import (
     Matrix,
@@ -47,6 +48,8 @@ def test_matrix_multiply_and_inverse():
     assert singular.det().is_zero()
     # det oracle: 1*4 - 2*3 = -2 = 3 mod 5
     assert m.det() == f5.scalar(3)
+    with pytest.raises(ContextMismatch):
+        m * Matrix.from_ints(ff_make(3), [[1, 0], [0, 1]])
 
 
 def test_permutation_detection():
@@ -285,3 +288,71 @@ def test_lazy_clearing_survives_clones_and_midstream_reads(field, ncols, data):
             if data.draw(st.booleans()):
                 elim, rows = copy, rows + extra
     _check_against_oracle(ctx, ncols, elim, rows)
+
+
+# -- the sparse matrix kernel against a dense triple loop -------------------------------
+
+def _dense_product(a, b):
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = a.ctx.zero
+            for k in range(a.ncols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc.val)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@st.composite
+def _matrices(draw, ctx, nrows, ncols):
+    """Random, zero-lined, permutation (scaled or not) and identity matrices."""
+    if ctx.is_finite:
+        entry = st.sampled_from(ff_enumerate(ctx))
+    else:
+        entry = st.builds(lambda a, b: ctx.scalar(a) * ctx.scalar(b).inverse(),
+                          st.integers(-3, 3), st.integers(1, 3))
+    kinds = ["dense", "sparse", "zero lines"]
+    if nrows == ncols:
+        kinds += ["permutation", "monomial", "identity"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "identity":
+        return Matrix.identity(ctx, nrows)
+    if kind in ("permutation", "monomial"):
+        pi = draw(st.permutations(range(nrows)))
+        rows = [[ctx.zero] * nrows for _ in range(nrows)]
+        for j in range(nrows):
+            rows[pi[j]][j] = (ctx.one if kind == "permutation"
+                              else draw(entry.filter(lambda s: not s.is_zero())))
+        return Matrix(ctx, rows)
+    sparse_entry = st.one_of(st.just(ctx.zero), st.just(ctx.one), entry)
+    rows = [draw(st.lists(entry if kind == "dense" else sparse_entry,
+                          min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if kind == "zero lines":
+        for i in draw(st.sets(st.integers(0, nrows - 1))):
+            rows[i] = [ctx.zero] * ncols
+        for j in draw(st.sets(st.integers(0, ncols - 1))):
+            for row in rows:
+                row[j] = ctx.zero
+    return Matrix(ctx, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(sorted(_FIELDS)), data=st.data())
+def test_sparse_product_and_apply_match_dense_oracle(field, data):
+    ctx = _FIELDS[field]()
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = data.draw(_matrices(ctx, n, k))
+    b = data.draw(_matrices(ctx, k, m))
+    product = a * b
+    assert (product.nrows, product.ncols) == (n, m)
+    assert product.key() == _dense_product(a, b)
+    assert all(s.ctx == ctx for row in product.rows for s in row)
+    vec = list(data.draw(_matrices(ctx, k, 1)).transpose().rows[0])
+    assert tuple(s.val for s in a.apply(vec)) == \
+        tuple(row[0] for row in _dense_product(a, Matrix(ctx, [[s] for s in vec])))
+    with pytest.raises(DimensionMismatch):
+        a * data.draw(_matrices(ctx, k + 1, m))
+    with pytest.raises(DimensionMismatch):
+        a.apply(vec + [ctx.zero])

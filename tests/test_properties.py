@@ -15,6 +15,8 @@ from nullcone_lab.constructions import gl2_test_module, va_translation_matrix
 from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
 from nullcone_lab.groups import MatrixGroup, Representation, regular_rep, sym_power_rep
 from nullcone_lab.invariants import (
+    _orbit_product_invariant,
+    _verify_invariant,
     degree_reduce,
     delta_bounded,
     epsilon,
@@ -244,6 +246,92 @@ def test_sym_power_columns_are_products_of_column_forms(case, d):
                 product = product * col_forms[j] ** e
             assert [sym.matrices[g][r, k] for r in range(len(basis))] == \
                 product.coeff_vector(d)
+
+
+# -- the fast path's orbit-product certificate ----------------------------------------------
+
+# generators of a Sylow p-subgroup of S_4 (p = 2, order 8) and of S_3 (p = 3),
+# each as the images of 0..3
+SYLOW_GENERATORS = {2: [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)], 3: [(1, 2, 0, 3)]}
+
+
+@st.composite
+def monomial_p_groups(draw):
+    """D Q D^-1 for Q inside a conjugate of a Sylow p-subgroup of S_dim and
+    a diagonal D over F_2, F_3 or F_4: a monomial p-group in its own
+    characteristic whose entries need not be 0 and 1."""
+    ctx = draw(st.sampled_from([ff_make(2), ff_make(3), ff_make(2, 2)]))
+    dim = draw(st.integers(ctx.p, 4))
+    pi = draw(st.permutations(range(dim)))
+    d = [draw(st.sampled_from(ctx.enumerate()[1:])) for _ in range(dim)]
+    sigmas = [s for s in SYLOW_GENERATORS[ctx.p]  # those moving only 0..dim-1
+              if s[dim:] == tuple(range(dim, 4))]
+    chosen = [s for s in sigmas if draw(st.booleans())] or sigmas[:1]
+    gens = []
+    for sigma in chosen:
+        rows = [[ctx.zero] * dim for _ in range(dim)]
+        for j in range(dim):  # pi sigma pi^-1 sends pi[j] to pi[sigma[j]]
+            src, dst = pi[j], pi[sigma[j]]
+            rows[dst][src] = d[dst] * d[src].inverse()
+        gens.append(Matrix(ctx, rows))
+    return MatrixGroup.closure(gens)
+
+
+def _form_product(ctx, forms):
+    n = len(forms[0])
+    product = Polynomial.one(ctx, n)
+    for row in forms:
+        product = product * Polynomial(
+            ctx, n, {tuple(int(i == j) for i in range(n)): c
+                     for j, c in enumerate(row) if not c.is_zero()})
+    return product
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=monomial_p_groups(), data=st.data())
+def test_orbit_product_certificate_is_sound(group, data):
+    """The product of linear forms over a whole orbit passes the certificate,
+    and whenever a (possibly tampered) factor list passes, its product is
+    invariant by polynomial substitution."""
+    ctx = group.ctx
+    assert group.is_p_group(ctx.p)
+    rep = group.natural_rep()
+    pb = rep.permutation_basis()
+    assert pb is not None
+    rows = pb.basis_inverse.rows
+    for slc in pb.orbit_slices:
+        forms = [rows[k] for k in slc]
+        assert _orbit_product_invariant(rep, forms)
+        assert _verify_invariant(rep, _form_product(ctx, forms))
+    # the orbit of an arbitrary nonzero form, as a set of row vectors
+    elems = ctx.enumerate()
+    vec = data.draw(st.lists(st.sampled_from(elems), min_size=rep.dim,
+                             max_size=rep.dim).filter(
+                                 lambda v: any(not s.is_zero() for s in v)))
+    orbit = {}
+    for m in rep.matrices:
+        image = (Matrix(ctx, [vec]) * m).rows[0]
+        orbit.setdefault(tuple(s.val for s in image), image)
+    forms = list(orbit.values())
+    assert _orbit_product_invariant(rep, forms)
+    assert _verify_invariant(rep, _form_product(ctx, forms))
+    # tamper with one factor of a slot orbit
+    slc = data.draw(st.sampled_from(pb.orbit_slices))
+    forms = [rows[k] for k in slc]
+    pos = data.draw(st.integers(0, len(forms) - 1))
+    how = data.draw(st.sampled_from(["replace", "scale", "drop", "duplicate"]))
+    if how == "replace":
+        forms[pos] = rows[data.draw(st.integers(0, rep.dim - 1))]
+    elif how == "scale":
+        c = data.draw(st.sampled_from([c for c in elems[1:] if not c.is_one()]
+                                      or [ctx.one]))
+        forms[pos] = tuple(c * s for s in forms[pos])
+    elif how == "drop":
+        del forms[pos]
+    else:
+        forms.append(forms[pos])
+    if forms and _orbit_product_invariant(rep, forms):
+        assert _verify_invariant(rep, _form_product(ctx, forms))
 
 
 # -- degree reduction is verified on randomised instances ------------------------------------
