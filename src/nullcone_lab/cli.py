@@ -19,6 +19,7 @@ from .errors import BadParameter, NullconeLabError, UnknownSuite
 from .fields import FieldCtx, ff_make
 from .groups import MatrixGroup, Representation, regular_rep
 from .invariants import (
+    check_point_count,
     delta_bounded,
     epsilon,
     invariant_space,
@@ -69,7 +70,8 @@ class ModuleSpec:
         self.default_point = default_point
 
 
-def parse_module_spec(text: str) -> ModuleSpec:
+def _spec_args(text: str) -> tuple[str, dict[str, int]]:
+    """'name:k=v,...' -> (name, {k: v})."""
     if ":" not in text:
         raise BadParameter(f"module spec {text!r} must look like name:k=v,...")
     name, _, arg_text = text.partition(":")
@@ -82,6 +84,11 @@ def parse_module_spec(text: str) -> ModuleSpec:
             args[key.strip()] = int(val)
         except ValueError as exc:
             raise BadParameter(f"bad integer in module spec: {piece!r}") from exc
+    return name, args
+
+
+def parse_module_spec(text: str) -> ModuleSpec:
+    name, args = _spec_args(text)
     try:
         if name == "va":
             module = va_module(args["p"], args["n"], args["m"])
@@ -111,6 +118,21 @@ def parse_module_spec(text: str) -> ModuleSpec:
     except NullconeLabError as exc:
         raise BadParameter(f"module spec {text!r}: {exc}") from exc
     raise BadParameter(f"unknown module builder {name!r}")
+
+
+def _refuse_oversized_sigma(args) -> None:
+    """Refuse a sigma request whose point count the argv already fixes, before
+    the module is built: the cyclic builder's dimension is its k.  Requests
+    this cannot size, or that are malformed, are left to the usual path."""
+    name, params = _spec_args(args.module)
+    if name != "cyclic" or params.get("k", 0) < 1 or "p" not in params:
+        return
+    try:
+        pointfield = (_parse_field_arg(args.pointfield) if args.pointfield
+                      else ff_make(params["p"]))
+    except NullconeLabError:
+        return
+    check_point_count(pointfield, params["k"])
 
 
 def _resolve_rep(args) -> ModuleSpec:
@@ -193,6 +215,8 @@ def cmd_compute(args) -> int:
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise BadParameter(f"--{flag} must be >= 0, got {value}")
+    if args.what == "sigma" and args.module:
+        _refuse_oversized_sigma(args)
     spec = _resolve_rep(args)
     rep = spec.rep
 

@@ -24,6 +24,7 @@ from .errors import (
     NotFixedPoint,
     NotInvariantCandidate,
     NotInvariantGenerator,
+    RationalContext,
     TooManyPoints,
     VanishesAtPoint,
 )
@@ -400,13 +401,21 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     return _sup_report("delta", rep, points, dmax, declared_generators)
 
 
+def check_point_count(pointfield: FieldCtx, dim: int,
+                      cap: int = DEFAULT_POINT_CAP) -> None:
+    """Refuse sigma's enumeration of pointfield^dim before any work starts."""
+    if not pointfield.is_finite:
+        raise RationalContext("sigma enumerates the points of a finite field")
+    if pointfield.cardinality**dim > cap:
+        raise TooManyPoints(f"{pointfield.cardinality}^{dim} points "
+                            f"exceeds the cap {cap}")
+
+
 def sigma_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
                   declared_generators: Sequence[Polynomial] | None = None,
                   cap: int = DEFAULT_POINT_CAP) -> SeparationReport:
     """Sup of epsilon over all nonzero points of the module over `pointfield`."""
-    if pointfield.cardinality**rep.dim > cap:
-        raise TooManyPoints(f"{pointfield.cardinality}^{rep.dim} points "
-                            f"exceeds the cap {cap}")
+    check_point_count(pointfield, rep.dim, cap)
     rep = rep.lift(pointfield)
     # enumerate() is ascending with zero first, so these are already sorted
     points = [list(c) for c in itertools.product(pointfield.enumerate(),

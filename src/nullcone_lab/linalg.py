@@ -163,23 +163,40 @@ class Matrix:
         return pi
 
     def inverse(self) -> "Matrix":
+        """Gauss-Jordan on [A | I], rows held as {column: raw value} over
+        their nonzeros, so each step touches only the pivot row's support."""
         if self.nrows != self.ncols:
             raise NotInvertible("not square")
-        n = self.ncols
-        work = [list(row) + list(ident_row)
-                for row, ident_row in zip(self.rows, Matrix.identity(self.ctx, n).rows)]
+        n, ctx = self.ncols, self.ctx
+        sub, mul, inv = ctx._sub, ctx._mul, ctx._inv
+        zero_val, one_val = ctx.zero.val, ctx.one.val
+        work = []
+        for i, row in enumerate(self.rows):
+            support = {j: s.val for j, s in enumerate(row) if s.val != zero_val}
+            support[n + i] = one_val
+            work.append(support)
         for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+            pivot = next((r for r in range(col, n) if col in work[r]), None)
             if pivot is None:
                 raise NotInvertible("singular matrix")
             work[col], work[pivot] = work[pivot], work[col]
-            inv = work[col][col].inverse()
-            work[col] = [s * inv for s in work[col]]
-            for r in range(n):
-                if r != col and not work[r][col].is_zero():
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return Matrix(self.ctx, [row[n:] for row in work])
+            lead = work[col][col]
+            if lead != one_val:
+                scale = inv(lead)
+                work[col] = {c: mul(v, scale) for c, v in work[col].items()}
+            pivot_row = work[col]
+            for r, row in enumerate(work):
+                factor = row.get(col)
+                if r == col or factor is None:
+                    continue
+                for c, v in pivot_row.items():
+                    new = sub(row.get(c, zero_val), mul(factor, v))
+                    if new == zero_val:
+                        row.pop(c, None)
+                    else:
+                        row[c] = new
+        return Matrix(ctx, [[Scalar(ctx, row.get(n + j, zero_val)) for j in range(n)]
+                            for row in work])
 
     def det(self) -> Scalar:
         if self.nrows != self.ncols:
@@ -314,29 +331,14 @@ class _GenericEliminator:
         return list(basis.values())
 
 
-# A packed coefficient is an int whose bit i is the plane-i bit.  These two
-# helpers are the only code that tells F_2 (int values) from F_{2^n} (tuple
-# values).
-
-
-def _to_bits(ctx: FieldCtx, val) -> int:
-    if ctx.kind == "prime":
-        return val
-    return sum(bit << i for i, bit in enumerate(val))
-
-
-def _from_bits(ctx: FieldCtx, bits: int):
-    if ctx.kind == "prime":
-        return bits
-    return tuple((bits >> i) & 1 for i in range(ctx.n))
+# A packed coefficient is an int whose bit i is the plane-i bit.  A field
+# value in characteristic 2, whether in F_2 or in F_{2^n}, already is that int.
 
 
 @functools.lru_cache(maxsize=4096)  # at least |F_4096^*|
 def _mul_plan(ctx: FieldCtx, coeff: int) -> tuple[tuple[int, ...], ...]:
     """plan[i] = input planes XORed into output plane i under mul by coeff."""
-    val = _from_bits(ctx, coeff)
-    products = [_to_bits(ctx, ctx._mul(val, _from_bits(ctx, 1 << j)))
-                for j in range(ctx.n)]
+    products = [ctx._mul(coeff, 1 << j) for j in range(ctx.n)]
     return tuple(tuple(j for j, prod in enumerate(products) if (prod >> i) & 1)
                  for i in range(ctx.n))
 
@@ -395,8 +397,7 @@ class _PackedChar2Eliminator:
         for c, s in row.items():
             masks[s.val] = masks.get(s.val, 0) | (1 << c)
         planes = [0] * self.nplanes
-        for val, mask in masks.items():
-            bits = _to_bits(self.ctx, val)
+        for bits, mask in masks.items():
             for i in range(self.nplanes):
                 if (bits >> i) & 1:
                     planes[i] |= mask
@@ -455,8 +456,7 @@ class _PackedChar2Eliminator:
         # normalise so the leading coefficient is 1
         coeff = self._coeff_at(planes, lead)
         if coeff != 1:
-            inv = _to_bits(self.ctx, self.ctx._inv(_from_bits(self.ctx, coeff)))
-            planes = self._scaled(planes, inv)
+            planes = self._scaled(planes, self.ctx._inv(coeff))
         self._pivot_mask |= 1 << lead
         self.pivots[lead] = planes
         self._cleared[lead] = self._pivot_mask
@@ -482,7 +482,7 @@ class _PackedChar2Eliminator:
                 coeff = self._coeff_at(planes, j)
                 s = scalars.get(coeff)
                 if s is None:
-                    s = scalars[coeff] = Scalar(ctx, _from_bits(ctx, coeff))
+                    s = scalars[coeff] = Scalar(ctx, coeff)
                 basis[j][c] = s
         return list(basis.values())
 

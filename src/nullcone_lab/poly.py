@@ -49,7 +49,10 @@ def grlex_key(exps: tuple[int, ...]):
     return (-sum(exps), tuple(-e for e in exps))
 
 
-@lru_cache(maxsize=None)
+# One basis (nvars, d) recurses through (k, e) for every k < nvars and e <= d,
+# so the bound keeps a whole recursion cached for any basis small enough to
+# enumerate.
+@lru_cache(maxsize=1024)
 def _exponent_basis(nvars: int, d: int) -> tuple[tuple[int, ...], ...]:
     if nvars == 1:
         return ((d,),)
@@ -67,7 +70,7 @@ def mono_basis(nvars: int, d: int) -> list[Monomial]:
     return [Monomial(e) for e in _exponent_basis(nvars, d)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _basis_index(nvars: int, d: int) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(_exponent_basis(nvars, d))}
 

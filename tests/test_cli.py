@@ -219,6 +219,31 @@ def test_cyclic_module_of_size_one_is_valid(capsys):
     assert json.loads(out)["module"] == "cyclic:p=2,k=1"
 
 
+def test_oversized_cyclic_sigma_is_refused_before_the_group_is_built(capsys, monkeypatch):
+    from nullcone_lab.groups import MatrixGroup
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the group was closed before the refusal")
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
+    code, out, err = run_cli(capsys, "compute", "sigma", "--module", "cyclic:p=2,k=30",
+                             "--dmax", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: TooManyPoints: 2^30 points exceeds the cap 1000000\n"
+    code, _, err = run_cli(capsys, "compute", "sigma", "--module", "cyclic:p=2,k=8",
+                           "--pointfield", "2,3", "--dmax", "2")
+    assert code == 2
+    assert err == "error: TooManyPoints: 8^8 points exceeds the cap 1000000\n"
+
+
+def test_sigma_over_the_rationals_exits_2(capsys):
+    code, out, err = run_cli(capsys, "compute", "sigma", "--gens", "1", "--field", "0",
+                             "--dmax", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: RationalContext: sigma enumerates the points of a finite field\n"
+
+
 def test_verify_budget_skips_instead_of_dying(capsys):
     code, out, _ = run_cli(capsys, "verify", "gl2-delta", "--p", "2", "--n", "2",
                            "--budget", "0")

@@ -4,10 +4,12 @@ implementation under test."""
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nullcone_lab.errors import (
     ContextMismatch,
@@ -102,7 +104,7 @@ def test_f4_z_squared():
     z = f4.generator()
     # oracle: z*z = z^2, reduced mod z^2+z+1
     assert poly_mod_oracle((0, 0, 1), (1, 1, 1), 2) == (1, 1)
-    assert (z * z).val == (1, 1)
+    assert (z * z).coeffs() == (1, 1)
     assert str(z * z) == "z+1"
 
 
@@ -222,3 +224,103 @@ def test_lift_prime_into_extension():
     assert lift(f2.one, f4) == f4.one
     with pytest.raises(ContextMismatch):
         lift(ff_make(3).one, f4)
+
+
+# -- the raw-value core against the schoolbook oracle ---------------------------------
+
+# F_4, F_8, F_9, F_25, F_27, F_729, F_4096 run on exp/log tables; F_{2^17}
+# is past the table bound and multiplies by shift-and-reduce.
+_ORACLE_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (3, 6), (2, 12), (2, 17)]
+
+
+def _oracle_mul(a, b, modulus, p):
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _padded(poly_mod_oracle(prod, modulus, p), len(modulus) - 1)
+
+
+def _oracle_pow(a, k, modulus, p):
+    result, base = _padded((1,), len(a)), a
+    while k:
+        if k & 1:
+            result = _oracle_mul(result, base, modulus, p)
+        base = _oracle_mul(base, base, modulus, p)
+        k >>= 1
+    return result
+
+
+def _padded(coeffs, n):
+    return tuple(coeffs) + (0,) * (n - len(coeffs))
+
+
+@st.composite
+def _field_and_elements(draw):
+    p, n = draw(st.sampled_from(_ORACLE_FIELDS))
+    ctx = ff_make(p, n)
+    coeffs = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return ctx, ctx.from_coeffs(draw(coeffs)), ctx.from_coeffs(draw(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_field_and_elements(), k=st.integers(0, 40), iterations=st.integers(0, 3))
+def test_arithmetic_matches_schoolbook_oracle(case, k, iterations):
+    ctx, a, b = case
+    p, n, mod = ctx.p, ctx.n, ctx.modulus
+    ca, cb = a.coeffs(), b.coeffs()
+    assert len(ca) == n and ctx.from_coeffs(ca) == a
+    assert (a + b).coeffs() == tuple((x + y) % p for x, y in zip(ca, cb))
+    assert (a - b).coeffs() == tuple((x - y) % p for x, y in zip(ca, cb))
+    assert (-a).coeffs() == tuple(-x % p for x in ca)
+    assert (a * b).coeffs() == _oracle_mul(ca, cb, mod, p)
+    assert (a ** k).coeffs() == _oracle_pow(ca, k, mod, p)
+    assert frobenius(a, iterations).coeffs() == _oracle_pow(ca, p**iterations, mod, p)
+    if b.is_zero():
+        with pytest.raises(DivisionByZero):
+            a / b
+    else:
+        assert _oracle_mul((a / b).coeffs(), cb, mod, p) == ca
+        assert (b ** -1).coeffs() == (b.inverse()).coeffs()
+
+
+def test_fields_are_interned():
+    assert ff_make(2, 2) is ff_make(2, 2)
+    assert ff_make(2, 2, modulus=(1, 1, 1)) is ff_make(2, 2)
+    assert ff_make(5) is FieldCtx.prime(5)
+
+
+def test_a_field_nobody_holds_is_freed_with_its_tables():
+    # interning must not keep every field ever made alive, nor may a field
+    # wait for the cycle collector
+    field = ff_make(3, 7)
+    ref = weakref.ref(field)
+    gc.disable()
+    try:
+        del field
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_different_fields_do_not_mix():
+    # F_2 is not F_4, though F_2 embeds in it
+    with pytest.raises(ContextMismatch):
+        ff_make(2).one + ff_make(2, 2).one
+    with pytest.raises(ContextMismatch):
+        ff_make(2, 2).one * ff_make(2).one
+    # F_4 has one irreducible modulus, z^2+z+1; F_8 has two, so its fields
+    # under z^3+z+1 and z^3+z^2+1 are the same size but different contexts
+    f8a, f8b = ff_make(2, 3, modulus=(1, 1, 0, 1)), ff_make(2, 3, modulus=(1, 0, 1, 1))
+    assert f8a is not f8b and f8a.cardinality == f8b.cardinality
+    with pytest.raises(ContextMismatch):
+        f8a.generator() - f8b.generator()
+    assert f8a.generator() != f8b.generator()
+
+
+def test_epsilon_over_a_field_past_the_table_bound(capsys):
+    from nullcone_lab import cli
+    code = cli.main(["compute", "epsilon", "--gens", "1,1;0,1", "--field", "2,20",
+                     "--point", "1,0", "--dmax", "2"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "epsilon(gens:1,1;0,1) = 2"

@@ -356,3 +356,25 @@ def test_sparse_product_and_apply_match_dense_oracle(field, data):
         a * data.draw(_matrices(ctx, k + 1, m))
     with pytest.raises(DimensionMismatch):
         a.apply(vec + [ctx.zero])
+
+
+_INVERSE_FIELDS = {**_FIELDS, "F9": lambda: ff_make(3, 2), "F25": lambda: ff_make(5, 2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(_INVERSE_FIELDS)), data=st.data())
+def test_inverse_on_raw_values_is_the_two_sided_inverse(field, data):
+    """The inverse is unique, so a two-sided check against the dense product
+    oracle pins the sparse Gauss-Jordan result entry for entry."""
+    ctx = _INVERSE_FIELDS[field]()
+    n = data.draw(st.integers(1, 5))
+    a = data.draw(_matrices(ctx, n, n))
+    if a.det().is_zero():
+        with pytest.raises(NotInvertible):
+            a.inverse()
+        return
+    inv = a.inverse()
+    identity = Matrix.identity(ctx, n).key()
+    assert _dense_product(a, inv) == identity
+    assert _dense_product(inv, a) == identity
+    assert all(s.ctx is ctx for row in inv.rows for s in row)
