@@ -91,6 +91,10 @@ class TooManyPoints(NullconeLabError, RuntimeError):
     pass
 
 
+class TooManyColumns(NullconeLabError, RuntimeError):
+    """An invariant space has more monomial columns than the cap."""
+
+
 # -- constructions ------------------------------------------------------------
 
 class WeightCollision(NullconeLabError, ValueError):

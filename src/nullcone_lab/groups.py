@@ -10,7 +10,7 @@ elements are read off these by index.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CapExceeded,
@@ -325,18 +325,23 @@ def vectorized_identity(r: Representation) -> list[Scalar]:
     return out
 
 
-def regular_rep(group: MatrixGroup) -> Representation:
-    """Permutation matrices of left multiplication on the element list."""
+def permutation_rep(group: MatrixGroup,
+                    perms: Iterable[Sequence[int]]) -> Representation:
+    """The matrices P_g with P_g e_k = e_{pi[k]}, one per pi in element order."""
     ctx = group.ctx
     zero, one = ctx.zero, ctx.one
-    n = group.order
     mats = []
-    for g in range(n):
-        rows = [[zero] * n for _ in range(n)]
-        for j, gj in enumerate(group.left_translation(g)):
-            rows[gj][j] = one
+    for pi in perms:
+        rows = [[zero] * len(pi) for _ in pi]
+        for k, t in enumerate(pi):
+            rows[t][k] = one
         mats.append(Matrix(ctx, rows))
     return Representation(group, mats)
+
+
+def regular_rep(group: MatrixGroup) -> Representation:
+    """Permutation matrices of left multiplication on the element list."""
+    return permutation_rep(group, map(group.left_translation, range(group.order)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +352,8 @@ class PermutationBasis:
     """A change of basis making every representing matrix a permutation.
 
     Slots are grouped orbit by orbit; `perms[g]` maps slot k to the slot of
-    rho(g) applied to basis vector k.
+    rho(g) applied to basis vector k.  `perm_rep` caches g -> P_g built from
+    `perms` (see invariants._permutation_rep).
     """
 
     def __init__(self, rep: Representation, basis_matrix: Matrix,
@@ -360,6 +366,7 @@ class PermutationBasis:
         self.basis_inverse = basis_matrix.inverse()
         self.perms = perms
         self.orbit_slices = orbit_slices
+        self.perm_rep: Representation | None = None
 
     @property
     def orbit_sizes(self) -> list[int]:
@@ -378,7 +385,12 @@ class PermutationBasis:
                    for k in range(len(pi)))
 
     def coordinates(self, v: Sequence[Scalar]) -> list[Scalar]:
-        return self.basis_inverse.apply(v)
+        """w = B^-1 v, checked by B w = v (an explicit check: it must survive
+        python -O)."""
+        w = self.basis_inverse.apply(v)
+        if self.basis_matrix.apply(w) != list(v):
+            raise AssertionError("permutation coordinates do not map back to the point")
+        return w
 
     def slot_coordinate_form(self, k: int, nvars: int) -> Polynomial:
         """The k-th permutation coordinate as a polynomial in the originals."""

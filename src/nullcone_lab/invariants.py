@@ -12,6 +12,7 @@ built straight from the eliminator's sparse kernel vector.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Sequence
@@ -24,17 +25,22 @@ from .errors import (
     NotFixedPoint,
     NotInvariantCandidate,
     NotInvariantGenerator,
+    NotPermutationAction,
     RationalContext,
+    TooManyColumns,
     TooManyPoints,
     VanishesAtPoint,
 )
 from .fields import FieldCtx, Scalar, lift
-from .groups import Representation
+from .groups import PermutationBasis, Representation, permutation_rep
 from .linalg import Matrix, _make_eliminator, kernel, rank
 from .poly import (Monomial, Polynomial, mono_basis, substitution_images,
                    _basis_index, _exponent_basis)
 
 DEFAULT_POINT_CAP = 10**6
+# monomial columns of one invariant space; the largest that the tests, the
+# suites and the benchmark workloads build has 3432 (degree 7 in 8 variables)
+COLUMN_CAP = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +70,15 @@ def substitution_constraint_rows(matrix: Matrix, d: int) -> Iterator[dict[int, S
             else:
                 rows[col][col] = val
     return iter(rows)
+
+
+def check_column_count(nvars: int, d: int) -> None:
+    """Refuse a degree-d space in nvars variables, C(nvars+d-1, d) columns,
+    above COLUMN_CAP before any work starts."""
+    count = math.comb(nvars + d - 1, d)
+    if count > COLUMN_CAP:
+        raise TooManyColumns(f"degree {d} in {nvars} variables has {count} "
+                             f"monomial columns, above the cap {COLUMN_CAP}")
 
 
 def _constraint_rows(rep: Representation, g: int, d: int) -> Iterator[dict[int, Scalar]]:
@@ -96,6 +111,7 @@ def invariant_space(rep: Representation, d: int) -> InvariantSpace:
     if cached is not None:
         return cached
     ctx, nvars = rep.ctx, rep.dim
+    check_column_count(nvars, d)
     exponents = _exponent_basis(nvars, d)
     elim = _make_eliminator(ctx, len(exponents))
     group = rep.group
@@ -234,6 +250,12 @@ def _orbit_product_invariant(rep: Representation,
     return all(Counter((factors * m).key()) == wanted for m in rep.matrices)
 
 
+def _nonvanishing_orbit(pb: PermutationBasis, w: Sequence[Scalar]) -> range | None:
+    """The first shortest orbit of slots on which w has no zero coordinate."""
+    hits = [slc for slc in pb.orbit_slices if all(not w[k].is_zero() for k in slc)]
+    return min(hits, key=len, default=None)
+
+
 def _fast_path_epsilon(rep: Representation, v: list[Scalar]):
     """Minimal degree of an invariant monomial in permutation coordinates.
 
@@ -246,19 +268,76 @@ def _fast_path_epsilon(rep: Representation, v: list[Scalar]):
     nonzero (the point lies in the nullcone).
     """
     pb = rep.permutation_basis()
-    w = pb.coordinates(v)
-    best: tuple[int, range] | None = None
-    for slc in pb.orbit_slices:
-        if all(not w[k].is_zero() for k in slc):
-            if best is None or len(slc) < best[0]:
-                best = (len(slc), slc)
-    if best is None:
+    slc = _nonvanishing_orbit(pb, pb.coordinates(v))
+    if slc is None:
         return None
-    degree, slc = best
     witness = Polynomial.one(rep.ctx, rep.dim)
     for k in slc:
         witness = witness * pb.slot_coordinate_form(k, rep.dim)
-    return degree, witness, [pb.basis_inverse.rows[k] for k in slc]
+    return len(slc), witness, [pb.basis_inverse.rows[k] for k in slc]
+
+
+def _permutation_rep(rep: Representation) -> Representation:
+    """pi: g -> P_g, the action in the coordinates of rep's permutation basis.
+
+    Built once from the verified `perms` and cached on the basis; it holds
+    the group but not rep, so no reference cycle forms.  When the basis is
+    the standard one, pi is rep itself and shares its space cache.
+    """
+    pb = rep.permutation_basis()
+    if pb.basis_matrix.is_identity():
+        return rep
+    if pb.perm_rep is None:
+        pb.perm_rep = permutation_rep(rep.group, pb.perms)
+    return pb.perm_rep
+
+
+def _lower_degrees_vanish(rep: Representation, v: Sequence[Scalar], value: int) -> bool:
+    """Every invariant of degree < value vanishes at v, checked on pi.
+
+    With rho(g) B = B P_g, f -> f(Bx) maps the rho-invariants of each degree
+    onto the pi-invariants, and f(Bw) = f(v) at w = B^-1 v; so pi's spaces
+    at w decide the claim, and pi's constraint rows have at most two
+    nonzeros each.
+    """
+    w = rep.permutation_basis().coordinates(v)
+    pi = _permutation_rep(rep)
+    return all(s.is_zero() for d in range(1, value)
+               for s in invariant_space(pi, d).evaluate_all(w))
+
+
+def orbit_sums_vanish(rep: Representation, v: Sequence[Scalar], value: int) -> bool:
+    """Every invariant of degree < value vanishes at v, by orbit sums.
+
+    A second method beside the kernel engine, with no elimination: the
+    orbit sums of the monomials under the slot permutations span the
+    invariants of the permutation module in every characteristic
+    (Derksen-Kemper; Goebel, J. Symbolic Comput. 19, 1995), and f -> f(Bx)
+    carries them to rho's, so each must vanish at w = B^-1 v.
+    """
+    pb = rep.permutation_basis()
+    if pb is None:
+        raise NotPermutationAction("no permutation basis was found")
+    check_column_count(rep.dim, value - 1)
+    w = pb.coordinates(v)
+    one = rep.ctx.one
+    for d in range(1, value):
+        seen: set[tuple[int, ...]] = set()
+        for e in _exponent_basis(rep.dim, d):
+            if e in seen:
+                continue
+            orbit = {tuple(e[k] for k in pi) for pi in pb.perms}
+            seen |= orbit
+            total = rep.ctx.zero
+            for m in orbit:
+                term = one
+                for k, x in enumerate(m):
+                    if x:
+                        term = term * w[k] ** x
+                total = total + term
+            if not total.is_zero():
+                return False
+    return True
 
 
 def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int,
@@ -269,22 +348,27 @@ def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int,
     point, the full invariant space of each lower degree vanishes there, and
     the witness is invariant.  A fast-path witness is a product of linear
     forms, certified by checking that every representing matrix permutes
-    them; any other witness is a basis vector of an invariant space.
+    them.  On the fast path the lower degrees (every degree up to dmax when
+    none separates) are checked in permutation coordinates.  Any other
+    witness is a basis vector of an invariant space.
     """
     v = _check_point(rep, point)
     ctx = rep.ctx
-    candidate: tuple[int, Polynomial] | None = None
     if (use_fast_path and ctx.is_finite and rep.group.is_p_group(ctx.p)
             and rep.permutation_basis() is not None and _is_fixed_point(rep, v)):
-        hit = _fast_path_epsilon(rep, v)
-        if hit is not None and hit[0] <= dmax:
-            candidate = hit
-
-    if candidate is not None:
-        value, witness, forms = candidate
-        for d in range(1, value):
-            if any(not s.is_zero() for s in invariant_space(rep, d).evaluate_all(v)):
+        pb = rep.permutation_basis()
+        slc = _nonvanishing_orbit(pb, pb.coordinates(v))
+        if slc is None or len(slc) > dmax:
+            # no invariant of degree <= dmax separates the point
+            check_column_count(rep.dim, dmax)
+            if not _lower_degrees_vanish(rep, v, dmax + 1):
                 raise AssertionError("fast path disagreed with the invariant spaces")
+            return SeparationReport("epsilon", None, None, [v], dmax, ctx)
+        # refuse before the witness or any lower degree is built
+        check_column_count(rep.dim, len(slc) - 1)
+        value, witness, forms = _fast_path_epsilon(rep, v)
+        if not _lower_degrees_vanish(rep, v, value):
+            raise AssertionError("fast path disagreed with the invariant spaces")
         if not _orbit_product_invariant(rep, forms):
             raise AssertionError("fast-path witness failed its orbit-product certificate")
         if witness.evaluate(v).is_zero():
@@ -392,6 +476,8 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     certified inside the nullcone by the declared generators; otherwise it
     is a lower bound and the unseparated points are listed.
     """
+    if not pointfield.is_finite:
+        raise RationalContext("delta enumerates the points of a finite field")
     rep = rep.lift(pointfield)
     basis = fixed_point_space(rep)
     points = _span_points(basis, pointfield, cap)

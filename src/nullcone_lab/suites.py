@@ -33,7 +33,7 @@ from .invariants import (
     degree_reduce,
     delta_bounded,
     epsilon,
-    invariant_space,
+    orbit_sums_vanish,
     sigma_bounded,
     weight_invariant_monomials,
 )
@@ -206,10 +206,9 @@ def suite_gl2_delta(p: int = 2, n: int = 1,
         f"gl2-epsilon-p{p}-n{n}",
         f"epsilon(U_{n}, id) = {q} on the {q * q}-dim endomorphism module",
         q, report.value))
-    vanish = all(
-        all(f.evaluate(module.identity_point).is_zero()
-            for f in invariant_space(module.rep, d).basis)
-        for d in range(1, q))
+    # orbit sums at w = B^-1 v: a second method, independent of the kernel
+    # spaces the fast path built
+    vanish = orbit_sums_vanish(module.rep, module.identity_point, q)
     claims.append(Claim(
         f"gl2-lower-degrees-p{p}-n{n}",
         f"every invariant of degree < {q} vanishes at the identity endomorphism",

@@ -244,6 +244,62 @@ def test_sigma_over_the_rationals_exits_2(capsys):
     assert err == "error: RationalContext: sigma enumerates the points of a finite field\n"
 
 
+def test_delta_over_the_rationals_exits_2(capsys):
+    code, out, err = run_cli(capsys, "compute", "delta", "--gens", "1", "--field", "0",
+                             "--dmax", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: RationalContext: delta enumerates the points of a finite field\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "epsilon", "--module", "gl2:p=2,n=3", "--dmax", "8"),
+    ("verify", "gl2-delta", "--p", "2", "--n", "3"),
+])
+def test_oversized_invariant_space_is_refused_before_any_is_built(capsys, monkeypatch,
+                                                                  argv):
+    """Degree 7 of the 64-dim gl2 module has C(70, 7) columns: the fast path
+    refuses it before it builds its witness or any degree."""
+    from nullcone_lab import invariants
+
+    def no_space(*args, **kwargs):
+        raise AssertionError("an invariant space was built before the refusal")
+    monkeypatch.setattr(invariants, "substitution_constraint_rows", no_space)
+    monkeypatch.setattr(invariants, "_fast_path_epsilon", no_space)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: TooManyColumns: degree 7 in 64 variables has 1198774720 "
+                   "monomial columns, above the cap 100000\n")
+
+
+def test_epsilon_on_gl2_builds_no_x_coordinate_space(capsys, monkeypatch):
+    """Every constraint row of gl2-epsilon comes from a permutation matrix
+    (the permutation representation pi), and the module's own space cache
+    stays empty."""
+    from nullcone_lab import cli, invariants
+    built, matrices = [], []
+    parse, rows = cli.parse_module_spec, invariants.substitution_constraint_rows
+
+    def keep_spec(text):
+        built.append(parse(text))
+        return built[-1]
+
+    def keep_matrix(matrix, d):
+        matrices.append(matrix)
+        return rows(matrix, d)
+    monkeypatch.setattr(cli, "parse_module_spec", keep_spec)
+    monkeypatch.setattr(invariants, "substitution_constraint_rows", keep_matrix)
+    code, out, _ = run_cli(capsys, "compute", "epsilon", "--module", "gl2:p=2,n=2",
+                           "--dmax", "4", "--json")
+    assert code == 0
+    assert json.loads(out)["value"] == 4
+    rep = built[0].rep
+    assert rep._inv_space_cache == {}
+    assert sorted(rep.permutation_basis().perm_rep._inv_space_cache) == [1, 2, 3]
+    assert matrices and all(m.permutation() is not None for m in matrices)
+
+
 def test_verify_budget_skips_instead_of_dying(capsys):
     code, out, _ = run_cli(capsys, "verify", "gl2-delta", "--p", "2", "--n", "2",
                            "--budget", "0")

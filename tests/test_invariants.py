@@ -18,6 +18,7 @@ from nullcone_lab.errors import (
     NotInvariantCandidate,
     NotInvariantGenerator,
     NotPermutationAction,
+    TooManyColumns,
     TooManyPoints,
     VanishesAtPoint,
 )
@@ -35,6 +36,7 @@ from nullcone_lab.invariants import (
     invariant_space,
     nullcone_status,
     orbit_sum,
+    orbit_sums_vanish,
     reynolds,
     sigma_bounded,
     weight_invariant_monomials,
@@ -246,6 +248,57 @@ def test_orbit_product_certificate_on_gl2():
     z = rep.ctx.generator()
     assert not _orbit_product_invariant(
         rep, [[z * s for s in forms[0]]] + forms[1:])
+
+
+def test_invariant_space_refuses_columns_above_the_cap(monkeypatch):
+    from nullcone_lab import invariants
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("constraint rows built before the refusal")
+    rep = trivial_group(ff_make(2), 3).natural_rep()
+    monkeypatch.setattr(invariants, "COLUMN_CAP", 14)
+    monkeypatch.setattr(invariants, "substitution_constraint_rows", no_rows)
+    with pytest.raises(TooManyColumns, match="degree 4 in 3 variables has 15"):
+        invariant_space(rep, 4)
+
+
+def test_fast_path_refuses_degree_below_the_value_before_building(monkeypatch):
+    """epsilon = 4 on gl2:p=2,n=2 needs degrees 1-3; degree 3 has 816
+    columns, so a cap of 815 refuses before degree 1 is built, and the
+    orbit-sum check refuses before it enumerates a monomial."""
+    from nullcone_lab import invariants
+    module = gl2_test_module(2, 2)
+    rep, v = module.rep, module.identity_point
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+    monkeypatch.setattr(invariants, "COLUMN_CAP", 815)
+    monkeypatch.setattr(invariants, "substitution_constraint_rows", refuse)
+    monkeypatch.setattr(invariants, "_exponent_basis", refuse)
+    with pytest.raises(TooManyColumns, match="degree 3 in 16 variables has 816"):
+        epsilon(rep, v, 4)
+    with pytest.raises(TooManyColumns, match="degree 3 in 16 variables has 816"):
+        orbit_sums_vanish(rep, v, 4)
+    monkeypatch.undo()
+    monkeypatch.setattr(invariants, "COLUMN_CAP", 816)
+    assert epsilon(rep, v, 4).value == 4
+    assert orbit_sums_vanish(rep, v, 4)
+
+
+def test_fast_path_certifies_undetermined_points_on_pi():
+    """Below the fast path's value, and at a fixed point in the nullcone,
+    epsilon is undetermined; pi's spaces certify it and the module's own
+    spaces are never built.  The kernel engine on x agrees."""
+    module = gl2_test_module(2, 1)
+    rep = module.rep
+    zero = [rep.ctx.zero] * rep.dim
+    for v, dmax in ((module.identity_point, 1), (zero, 3)):
+        fast = epsilon(rep, v, dmax)
+        assert fast.value is None and fast.witness is None
+        assert rep._inv_space_cache == {}
+        assert epsilon(rep, v, dmax, use_fast_path=False).to_dict() == fast.to_dict()
+        rep._inv_space_cache.clear()
+    assert epsilon(rep, module.identity_point, 2).value == 2
 
 
 def test_fast_path_witness_never_substituted(monkeypatch):

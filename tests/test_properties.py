@@ -9,13 +9,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from nullcone_lab.constructions import gl2_test_module, va_translation_matrix
+from nullcone_lab.constructions import gl2_test_module, gn_module, va_translation_matrix
 from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
-from nullcone_lab.groups import MatrixGroup, Representation, regular_rep, sym_power_rep
+from nullcone_lab.groups import (MatrixGroup, Representation, find_permutation_basis,
+                                 regular_rep, sym_power_rep)
 from nullcone_lab.invariants import (
+    _lower_degrees_vanish,
     _orbit_product_invariant,
+    _permutation_rep,
     _verify_invariant,
     degree_reduce,
     delta_bounded,
@@ -23,6 +26,7 @@ from nullcone_lab.invariants import (
     fixed_point_space,
     invariant_space,
     orbit_sum,
+    orbit_sums_vanish,
     reynolds,
 )
 from nullcone_lab.linalg import Matrix, rank
@@ -114,6 +118,88 @@ def test_epsilon_fast_slow_agreement_on_free_modules():
             fast = epsilon(rep, v, dmax, use_fast_path=True)
             slow = epsilon(rep, v, dmax, use_fast_path=False)
             assert fast.value == slow.value, (label, [str(s) for s in v])
+
+
+# -- lower degrees in permutation coordinates -------------------------------------------
+
+def _permutation_modules():
+    f4 = ff_make(2, 2)
+    return {
+        "gl2-2-1": gl2_test_module(2, 1).rep,
+        "gl2-3-1": gl2_test_module(3, 1).rep,
+        "gn-2-1": gn_module(2, 1)[1],
+        "Z4-regular-F4": regular_rep(cyclic_group(f4, 4)),
+    }
+
+
+PERMUTATION_MODULES = _permutation_modules()
+
+
+@st.composite
+def module_points(draw, fixed=None):
+    """A permutation-basis module and a point of it: a random combination of
+    the fixed space, or a random vector (rarely fixed)."""
+    label = draw(st.sampled_from(sorted(PERMUTATION_MODULES)))
+    rep = PERMUTATION_MODULES[label]
+    elems = rep.ctx.enumerate()
+    if fixed if fixed is not None else draw(st.booleans()):
+        basis = fixed_point_space(rep)
+        coeffs = draw(st.lists(st.sampled_from(elems), min_size=len(basis),
+                               max_size=len(basis)))
+        v = [rep.ctx.zero] * rep.dim
+        for c, b in zip(coeffs, basis):
+            v = [acc + c * x for acc, x in zip(v, b)]
+    else:
+        v = draw(st.lists(st.sampled_from(elems), min_size=rep.dim, max_size=rep.dim))
+    return label, rep, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=module_points(), value=st.integers(1, 4))
+def test_lower_degree_routes_agree(case, value):
+    """"Every invariant of degree < value vanishes at v" reads the same on the
+    x-coordinate spaces at v, on pi's spaces at w = B^-1 v, and on orbit
+    sums at w."""
+    label, rep, v = case
+    x_route = all(s.is_zero() for d in range(1, value)
+                  for s in invariant_space(rep, d).evaluate_all(v))
+    assert _lower_degrees_vanish(rep, v, value) == x_route, label
+    assert orbit_sums_vanish(rep, v, value) == x_route, label
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=module_points(fixed=True), data=st.data())
+def test_tampered_basis_inverse_trips_the_coordinate_check(case, data):
+    """Adding row j of B^-1 to row i changes w_i whenever w_j != 0, so B w
+    no longer gives v back; epsilon's fast path stops there."""
+    label, rep, v = case
+    pb = find_permutation_basis(rep)  # a fresh basis, not rep's cached one
+    w = pb.coordinates(v)
+    support = [k for k, s in enumerate(w) if not s.is_zero()]
+    assume(support)
+    j = data.draw(st.sampled_from(support))
+    i = data.draw(st.sampled_from([k for k in range(rep.dim) if k != j]))
+    rows = [list(r) for r in pb.basis_inverse.rows]
+    rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
+    pb.basis_inverse = Matrix(rep.ctx, rows)
+    with pytest.raises(AssertionError, match="do not map back"):
+        pb.coordinates(v)
+    fresh = Representation(rep.group, rep.matrices)
+    fresh._perm_basis = pb
+    with pytest.raises(AssertionError, match="do not map back"):
+        epsilon(fresh, v, rep.group.order)
+
+
+def test_permutation_rep_is_rep_for_the_standard_basis():
+    for label, rep in PERMUTATION_MODULES.items():
+        pb = rep.permutation_basis()
+        pi = _permutation_rep(rep)
+        assert (pi is rep) == pb.basis_matrix.is_identity(), label
+        assert _permutation_rep(rep) is pi, label
+        assert pi.group is rep.group
+        assert [m.permutation() for m in pi.matrices] == [list(p) for p in pb.perms]
+    assert _permutation_rep(PERMUTATION_MODULES["Z4-regular-F4"]) \
+        is PERMUTATION_MODULES["Z4-regular-F4"]
 
 
 # -- subgroup monotonicity ---------------------------------------------------------------
