@@ -204,17 +204,11 @@ class Representation:
                    for h, hs in enumerate(g.right[k]))
 
     def act_on_poly(self, i: int, f: Polynomial) -> Polynomial:
-        """(g.f)(v) = f(g^-1 v): substitute the inverse matrix."""
+        """(g.f)(v) = f(g^-1 v): substitute the inverse matrix (a permutation
+        or other monomial matrix moves each term on its own)."""
         if f.nvars != self.dim:
             raise DimensionMismatch(f"{f.nvars} variables vs dimension {self.dim}")
-        inv = self.inverse_matrix(i)
-        pi = inv.permutation()
-        if pi is not None:
-            # permutation shortcut: x_i -> x_{pi^-1(i)}, i.e. e'_j = e_{pi(j)}
-            terms = {tuple(e[pi[j]] for j in range(len(e))): c
-                     for e, c in f.terms.items()}
-            return Polynomial(f.ctx, f.nvars, terms, _trusted=True)
-        return f.substitute_linear(inv)
+        return f.substitute_linear(self.inverse_matrix(i))
 
     def variable_permutations(self) -> list[list[int]]:
         """pi per element with rho(g) e_j = e_{pi[j]}."""

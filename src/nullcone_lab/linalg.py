@@ -533,6 +533,36 @@ def rank(vectors: Iterable[Sequence[Scalar]], ncols: int, ctx: FieldCtx) -> int:
     return sum(elim.add_row(_sparse(vec)) for vec in vectors)
 
 
+def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCtx):
+    """A test of row . k = 0 for every one of the sparse vectors k.
+
+    When they are the kernel basis of some rows, a row passes exactly when
+    adding it would not raise their rank: their row space is the annihilator
+    of their kernel.  The sums run on raw values over the row's columns,
+    through a column -> [(vector, raw value)] index.
+    """
+    add, mul = ctx._add, ctx._mul
+    by_column: dict[int, list] = {}
+    for k, vec in enumerate(kernel_vectors):
+        for c, s in vec.items():
+            by_column.setdefault(c, []).append((k, s.val))
+
+    def annihilates(row: dict[int, Scalar]) -> bool:
+        acc: dict[int, object] = {}
+        for c, s in row.items():
+            hits = by_column.get(c)
+            if hits is None:
+                continue
+            a = s.val
+            unit = a == 1
+            for k, b in hits:
+                prod = b if unit else mul(a, b)
+                old = acc.get(k)
+                acc[k] = prod if old is None else add(old, prod)
+        return not any(acc.values())
+    return annihilates
+
+
 def lift_matrix(m: Matrix, target: FieldCtx) -> Matrix:
     from .fields import lift as lift_scalar
     if m.ctx == target:

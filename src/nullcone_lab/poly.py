@@ -80,20 +80,28 @@ def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
     """Yield (m, term dict of m(Mx)) for each exponent tuple m, where
     x_i -> sum_j M[i][j] x_j, in an order of the routine's choosing.
 
-    Each image extends a shared prefix, image(e) = image(e - e_i) * form_i,
-    so one call serves a whole degree-d basis or the sparse support of one
-    polynomial alike.  The peeled variable i is the sparsest form present
-    (ties by index; plain index order for permutation matrices), which
-    keeps the products small.  Monomials are visited in the order of their
-    prefix chains, so every shared prefix is built once and only the
-    current chain is held: memory stays at one image per degree.  The
-    yielded dicts are shared with later images and must not be mutated.
+    A monomial matrix (one nonzero c_i at column s(i) in every row) sends
+    x^e to the single term (prod c_i^e_i) x^f with f[s(i)] += e[i]; each
+    image is written down directly, in input order, with the coefficient
+    multiplied on raw values and only where some c_i is not one.
+
+    Any other matrix builds each image on a shared prefix,
+    image(e) = image(e - e_i) * form_i, so one call serves a whole degree-d
+    basis or the sparse support of one polynomial alike.  The peeled
+    variable i is the sparsest form present (ties by index), which keeps
+    the products small.  Monomials are visited in the order of their prefix
+    chains, so every shared prefix is built once and only the current chain
+    is held: memory stays at one image per degree.  The yielded dicts are
+    shared with later images and must not be mutated.
     """
     ctx, nvars = matrix.ctx, matrix.nrows
     one = ctx.one
     one_val = one.val
     forms = [[(j, c, c.val == one_val) for j, c in enumerate(row) if not c.is_zero()]
              for row in matrix.rows]
+    if all(len(form) == 1 for form in forms):
+        yield from _monomial_images(ctx, nvars, [form[0] for form in forms], monomials)
+        return
     # the chain of e adds the densest variables first, the sparsest last
     build_order = sorted(range(nvars), key=lambda i: (len(forms[i]), i))[::-1]
 
@@ -130,6 +138,31 @@ def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
             images.append(times_form(images[-1], forms[i]))
         chain = new_chain
         yield exps, images[-1]
+
+
+def _monomial_images(ctx: FieldCtx, nvars: int, entries: list,
+                     monomials: Iterable[tuple[int, ...]]
+                     ) -> Iterator[tuple[tuple[int, ...], dict]]:
+    """substitution_images for x_i -> c_i x_{s(i)}, entries[i] = (s(i), c_i, c_i == 1)."""
+    one = ctx.one
+    one_val = one.val
+    mul, power = ctx._mul, ctx._pow
+    targets = [j for j, _, _ in entries]
+    scaled = [(i, c.val) for i, (_, c, unit) in enumerate(entries) if not unit]
+    for exps in monomials:
+        f = [0] * nvars
+        for t, e in zip(targets, exps):
+            if e:
+                f[t] += e
+        coeff = one
+        if scaled:
+            val = one_val
+            for i, c in scaled:
+                if exps[i]:
+                    val = mul(val, power(c, exps[i]))
+            if val != one_val:
+                coeff = Scalar(ctx, val)
+        yield exps, {tuple(f): coeff}
 
 
 class Polynomial:

@@ -1,9 +1,10 @@
 """Benchmark reports stay byte-identical.
 
-Runs three of the benchmark's CLI workloads in a fresh interpreter, as the
-benchmark does (PYTHONHASHSEED=0), and compares the exit code and the stdout
-sha256 with perfbench/golden.json, which this test only reads.  `verify all`
-is left to the benchmark: its suites have their own tests.
+Runs each of the benchmark's four CLI workloads in a fresh interpreter, as
+the benchmark does (PYTHONHASHSEED=0), and compares the exit code and the
+stdout sha256 with perfbench/golden.json, which this test only reads.
+`verify all` is among them: every suite runs through the invariant-space
+core, so its report pins that core end to end.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
 
 
-@pytest.mark.parametrize("workload", ["gl2-epsilon", "va-sigma", "cyclic-sigma"])
+@pytest.mark.parametrize("workload", ["gl2-epsilon", "va-sigma", "cyclic-sigma",
+                                      "verify-all"])
 def test_report_matches_golden(workload):
     expected = GOLDEN[workload]
     env = dict(os.environ, PYTHONHASHSEED="0")

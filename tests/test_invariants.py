@@ -23,7 +23,7 @@ from nullcone_lab.errors import (
     VanishesAtPoint,
 )
 from nullcone_lab.constructions import gl2_test_module
-from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
+from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
 from nullcone_lab.groups import MatrixGroup, Representation, regular_rep
 from nullcone_lab.invariants import (
     _fast_path_epsilon,
@@ -41,7 +41,8 @@ from nullcone_lab.invariants import (
     sigma_bounded,
     weight_invariant_monomials,
 )
-from nullcone_lab.linalg import Matrix
+from nullcone_lab.linalg import (Matrix, _GenericEliminator, _PackedChar2Eliminator,
+                                 _make_eliminator)
 from nullcone_lab.poly import Monomial, Polynomial, mono_basis, poly_parse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +60,14 @@ def cyclic_group(ctx, k):
     rows = [[ctx.one if i == (j + 1) % k else ctx.zero for j in range(k)]
             for i in range(k)]
     return MatrixGroup.closure([Matrix(ctx, rows)])
+
+
+def klein_group(ctx):
+    a = Matrix.from_ints(ctx, [[0, 1, 0, 0], [1, 0, 0, 0],
+                               [0, 0, 0, 1], [0, 0, 1, 0]])
+    b = Matrix.from_ints(ctx, [[0, 0, 1, 0], [0, 0, 0, 1],
+                               [1, 0, 0, 0], [0, 1, 0, 0]])
+    return MatrixGroup.closure([a, b])
 
 
 def trivial_group(ctx, dim):
@@ -153,6 +162,99 @@ def test_u2_degree_two_space_shows_frobenius_wrap():
     assert space.dim == 3
     texts = [str(f) for f in space.basis]
     assert "x0*x1 + x2^2" in texts
+
+
+# -- the all-elements re-check ------------------------------------------------------
+
+RECHECK_FIELDS = [(ff_make(2), _PackedChar2Eliminator),
+                  (ff_make(2, 2), _PackedChar2Eliminator),
+                  (ff_make(3), _GenericEliminator),
+                  (FieldCtx.rationals(), _GenericEliminator)]
+
+
+def z4_with_swapped_powers(ctx, a, b):
+    """Z/4 = <g> on 4-cycle permutation matrices, with rho(g^a) and rho(g^b)
+    exchanged: not a homomorphism, though the identity acts as the identity."""
+    group = cyclic_group(ctx, 4)
+    g = group.generator_indices[0]
+    powers = [group.identity_index]
+    for _ in range(3):
+        powers.append(group.mul(powers[-1], g))
+    mats = list(group.elements)
+    i, j = powers[a], powers[b]
+    mats[i], mats[j] = mats[j], mats[i]
+    return Representation(group, mats)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("ctx,engine", RECHECK_FIELDS, ids=["F2", "F4", "F3", "QQ"])
+def test_recheck_refuses_an_inconsistent_representation(ctx, engine, d):
+    """The generator rows use rho(g^-1) = rho(g^3), which now holds P^2 and
+    fixes more than the group does; the rows of g^2 (now P^3) catch it."""
+    assert isinstance(_make_eliminator(ctx, 1), engine)
+    rep = z4_with_swapped_powers(ctx, 2, 3)
+    with pytest.raises(AssertionError, match="not fixed by the whole group"):
+        invariant_space(rep, d)
+
+
+@pytest.mark.parametrize("ctx", [ctx for ctx, _ in RECHECK_FIELDS],
+                         ids=["F2", "F4", "F3", "QQ"])
+def test_recheck_passes_a_swap_the_generator_rows_absorb(ctx):
+    """With rho(g) and rho(g^2) exchanged, rho(g^-1) = rho(g^3) still holds
+    P^3, which generates: the space is the true one and the re-check, which
+    sees P and P^2, has nothing to report."""
+    rep = z4_with_swapped_powers(ctx, 1, 2)
+    honest = cyclic_group(ctx, 4).natural_rep()
+    for d in (1, 2, 3):
+        assert invariant_space(rep, d).basis == invariant_space(honest, d).basis
+
+
+@pytest.mark.parametrize("make_rep", [
+    lambda: regular_rep(klein_group(ff_make(2))),
+    lambda: regular_rep(cyclic_group(ff_make(3), 3)),
+    lambda: cyclic_group(FieldCtx.rationals(), 4).natural_rep(),
+], ids=["klein-F2", "Z3-F3", "Z4-QQ"])
+def test_invariant_space_eliminates_only_generator_rows(make_rep, monkeypatch):
+    """Every element's rows are built, but only the generators' reach
+    add_row; the rest are checked against the kernel, read once."""
+    from nullcone_lab import invariants
+    rep = make_rep()
+    calls = {"add_row": 0, "kernel_basis": 0, "rows": 0}
+    for cls in (_PackedChar2Eliminator, _GenericEliminator):
+        for name in ("add_row", "kernel_basis"):
+            def counted(self, *args, _fn=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    real_rows = invariants.substitution_constraint_rows
+
+    def counted_rows(matrix, d):
+        rows = list(real_rows(matrix, d))
+        calls["rows"] += sum(1 for row in rows if row)
+        return iter(rows)
+    monkeypatch.setattr(invariants, "substitution_constraint_rows", counted_rows)
+    for d in (1, 2, 3):
+        calls.update(add_row=0, kernel_basis=0, rows=0)
+        invariant_space(rep, d)
+        generator_rows = sum(1 for g in rep.group.generator_indices
+                             for row in real_rows(rep.inverse_matrix(g), d) if row)
+        assert calls["add_row"] == generator_rows
+        assert calls["kernel_basis"] == 1
+        assert calls["rows"] > generator_rows  # the re-check rows were built
+
+
+def test_constraint_rows_negate_one_once(monkeypatch):
+    from nullcone_lab import invariants
+    f3 = ff_make(3)
+    perm = Matrix.from_ints(f3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    negations = []
+    real_neg = Scalar.__neg__
+    monkeypatch.setattr(Scalar, "__neg__", lambda s: negations.append(s) or real_neg(s))
+    rows = list(invariants.substitution_constraint_rows(perm, 3))
+    monkeypatch.undo()
+    assert len(negations) == 1
+    # of the ten cubic monomials the 3-cycle fixes only x0*x1*x2
+    assert sum(1 for row in rows if row) == 9
 
 
 # -- orbit sums and reynolds -------------------------------------------------------

@@ -4,6 +4,7 @@ the packed characteristic-2 engine is checked against the generic one."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from nullcone_lab.linalg import (
     _GenericEliminator,
     _make_eliminator,
     _PackedChar2Eliminator,
+    annihilation_check,
     kernel,
     lift_matrix,
     rank,
@@ -288,6 +290,34 @@ def test_lazy_clearing_survives_clones_and_midstream_reads(field, ncols, data):
             if data.draw(st.booleans()):
                 elim, rows = copy, rows + extra
     _check_against_oracle(ctx, ncols, elim, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(_FIELDS)), ncols=st.integers(1, 6), data=st.data())
+def test_annihilation_check_matches_rank_raising(field, ncols, data):
+    """A row fails to annihilate the kernel of some rows exactly when adding
+    it to them raises their rank; rows are drawn from their span and off it."""
+    ctx = _FIELDS[field]()
+    if ctx.is_finite:
+        entry = st.sampled_from(ff_enumerate(ctx))
+    else:
+        entry = st.sampled_from([ctx.scalar(Fraction(a, b))
+                                 for a in (-3, -1, 0, 1, 2) for b in (1, 3)])
+    row_st = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = [data.draw(row_st) for _ in range(data.draw(st.integers(0, ncols)))]
+    elim = _make_eliminator(ctx, ncols)
+    for row in rows:
+        elim.add_row(_sparse_scalars(row))
+    annihilates = annihilation_check(elim.clone().kernel_basis(), ctx)
+    for _ in range(4):
+        row = data.draw(row_st)
+        if rows and data.draw(st.booleans()):  # a combination of the rows
+            row = [ctx.zero] * ncols
+            for other in rows:
+                c = data.draw(entry)
+                row = [a + c * b for a, b in zip(row, other)]
+        raises = elim.clone().add_row(_sparse_scalars(row))
+        assert annihilates(_sparse_scalars(row)) == (not raises)
 
 
 # -- the sparse matrix kernel against a dense triple loop -------------------------------

@@ -8,9 +8,9 @@ import random
 import pytest
 
 from nullcone_lab.errors import ContextMismatch, DimensionMismatch
-from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
+from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
 from nullcone_lab.linalg import Matrix
-from nullcone_lab.poly import Polynomial, mono_basis, poly_parse
+from nullcone_lab.poly import Polynomial, mono_basis, poly_parse, substitution_images
 
 
 def P(ctx, nvars, text):
@@ -100,6 +100,32 @@ def test_substitute_dilation():
     f5 = ff_make(5)
     m = Matrix.from_ints(f5, [[2, 0], [0, 1]])
     assert P(f5, 2, "x0^2").substitute_linear(m) == P(f5, 2, "4*x0^2")
+
+
+def test_monomial_matrix_images_are_single_terms():
+    # x0 -> 2*x1, x1 -> x1, x2 -> 2*x0 over F_3: x0^2*x1*x2 -> 2^2*2 x0*x1^3 = 2*x0*x1^3
+    f3 = ff_make(3)
+    m = Matrix.from_ints(f3, [[0, 2, 0], [0, 1, 0], [2, 0, 0]])
+    images = dict(substitution_images(m, [(2, 1, 1), (0, 3, 0), (1, 0, 0)]))
+    assert images == {(2, 1, 1): {(1, 3, 0): f3.scalar(2)},
+                      (0, 3, 0): {(0, 3, 0): f3.one},
+                      (1, 0, 0): {(0, 1, 0): f3.scalar(2)}}
+
+
+def test_permutation_matrix_images_make_no_scalar_products(monkeypatch):
+    f4 = ff_make(2, 2)
+    m = Matrix.from_ints(f4, [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]])
+    basis = [e.exps for e in mono_basis(4, 3)]
+
+    def refuse(self, other):
+        raise AssertionError("Scalar product on the permutation path")
+    monkeypatch.setattr(Scalar, "__mul__", refuse)
+    images = dict(substitution_images(m, basis))
+    monkeypatch.undo()
+    assert images.keys() == set(basis)
+    for e, image in images.items():
+        f = tuple(e[j] for j in (1, 3, 0, 2))  # x_i -> x_pi(i), pi = (2, 0, 3, 1)
+        assert image == {f: f4.one}
 
 
 def test_substitution_composes():

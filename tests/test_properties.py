@@ -334,6 +334,52 @@ def test_sym_power_columns_are_products_of_column_forms(case, d):
                 product.coeff_vector(d)
 
 
+# scaled rows carry z in F_4, -1 in F_3 and QQ, 2/3 in QQ (_nonzero_elements)
+MONOMIAL_FIELDS = [ff_make(2), ff_make(2, 2), ff_make(3), FieldCtx.rationals()]
+
+
+@st.composite
+def monomial_matrix_poly(draw):
+    """A field, a matrix with exactly one nonzero per row (a permutation
+    matrix, a scaled one, or a singular one where two rows hit the same
+    column), and a random non-homogeneous polynomial."""
+    ctx = draw(st.sampled_from(MONOMIAL_FIELDS))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["permutation", "scaled", "singular"]))
+    targets = draw(st.permutations(range(n)))
+    if kind == "singular" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        targets[i] = targets[j]
+    scalars = [ctx.one] if kind == "permutation" else _nonzero_elements(ctx)
+    rows = []
+    for t in targets:
+        c = draw(st.sampled_from(scalars))
+        rows.append([c if j == t else ctx.zero for j in range(n)])
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                                 st.sampled_from([ctx.zero] + _nonzero_elements(ctx)),
+                                 max_size=6))
+    return ctx, Matrix(ctx, rows), Polynomial(ctx, n, terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=monomial_matrix_poly(), d=st.integers(0, 3))
+def test_monomial_matrix_shortcut_matches_substitute(case, d):
+    ctx, m, f = case
+    n = m.nrows
+    row_forms = [_linear_form(ctx, row) for row in m.rows]
+    assert f.substitute_linear(m) == f.substitute(row_forms)
+    # sym_power_rep substitutes the transpose of each matrix and reads no
+    # group law, so a group of order two carries m^T to its one non-identity
+    # element, and column k is basis monomial k under x_i -> sum_j m[i][j] x_j
+    group = MatrixGroup.closure([Matrix.from_ints(ctx, [[0, 1], [1, 0]])])
+    rep = Representation(group, [Matrix.identity(ctx, n), m.transpose()])
+    sym = sym_power_rep(rep, d).matrices[1]
+    basis = mono_basis(n, d)
+    for k, mono in enumerate(basis):
+        image = Polynomial.from_monomial(ctx, mono).substitute(row_forms)
+        assert [sym[r, k] for r in range(len(basis))] == image.coeff_vector(d)
+
+
 # -- the fast path's orbit-product certificate ----------------------------------------------
 
 # generators of a Sylow p-subgroup of S_4 (p = 2, order 8) and of S_3 (p = 3),
