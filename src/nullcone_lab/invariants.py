@@ -12,6 +12,7 @@ built straight from the eliminator's sparse kernel vector.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -445,10 +446,44 @@ def _lift_poly(f: Polynomial, target: FieldCtx) -> Polynomial:
                       _trusted=True)
 
 
+def _line_keys(ctx: FieldCtx, points: list[list[Scalar]]) -> Iterator[tuple]:
+    """Each point's raw values scaled so that its first nonzero one is 1.
+
+    x -> x/a is a table per lead value a while those tables hold no more
+    entries than there are points, and one multiplication otherwise.
+    """
+    q, scale = ctx.cardinality, {}
+    for v in points:
+        raw = [s.val for s in v]
+        a = next(filter(None, raw))
+        by = scale.get(a)
+        if by is None:
+            by = functools.partial(ctx._mul, ctx._inv(a))
+            if q * (q - 1) <= len(points):
+                by = scale[a] = [by(x) for x in range(q)].__getitem__
+        yield tuple(map(by, raw))
+
+
 def _sup_report(kind: str, rep: Representation, points: list[list[Scalar]],
                 dmax: int, declared: Sequence[Polynomial] | None) -> SeparationReport:
+    """Sup of epsilon over the points, with one epsilon call per F*-line.
+
+    Every invariant space is spanned by homogeneous polynomials, and
+    f(cv) = c^d f(v), so the basis vectors vanishing at v, the fixed-point
+    test and the zero pattern of the permutation coordinates are the same
+    at every point of the line F*v.  The first point of a line, in
+    enumeration order, is evaluated and the rest reuse its report: values,
+    witnesses, the point lists and the first error are those of evaluating
+    every point.  Declared generators need not be homogeneous, so they are
+    still evaluated at every undetermined point.
+    """
     gens = _checked_generators(rep, declared) if declared is not None else None
-    reports = [epsilon(rep, v, dmax) for v in points]
+    lines: dict[tuple, SeparationReport] = {}
+    reports = []
+    for v, key in zip(points, _line_keys(rep.ctx, points)):
+        if key not in lines:
+            lines[key] = epsilon(rep, v, dmax)
+        reports.append(lines[key])
 
     value = None
     achieving: list[list[Scalar]] = []
@@ -479,7 +514,9 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     """Sup of epsilon over the nonzero fixed points with coordinates in
     `pointfield`.  The value is exact when every unseparated point is
     certified inside the nullcone by the declared generators; otherwise it
-    is a lower bound and the unseparated points are listed.
+    is a lower bound and the unseparated points are listed.  The span of
+    fixed points is a union of F*-lines, and epsilon runs once per line
+    (see `_sup_report`); the moving-point check still runs per point.
     """
     if not pointfield.is_finite:
         raise RationalContext("delta enumerates the points of a finite field")
@@ -505,7 +542,11 @@ def check_point_count(pointfield: FieldCtx, dim: int,
 def sigma_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
                   declared_generators: Sequence[Polynomial] | None = None,
                   cap: int = DEFAULT_POINT_CAP) -> SeparationReport:
-    """Sup of epsilon over all nonzero points of the module over `pointfield`."""
+    """Sup of epsilon over all nonzero points of the module over `pointfield`.
+
+    Epsilon runs once per F*-line (see `_sup_report`); the point cap and the
+    reports still count and list every point.
+    """
     check_point_count(pointfield, rep.dim, cap)
     rep = rep.lift(pointfield)
     # enumerate() is ascending with zero first, so these are already sorted

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 import json
 from importlib import resources
 
@@ -10,6 +13,7 @@ import pytest
 
 from nullcone_lab.cli import main, parse_module_spec
 from nullcone_lab.errors import BadParameter
+from nullcone_lab.invariants import epsilon
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +132,24 @@ def test_compute_sigma_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "point,epsilon"
     assert len(lines) > 1
+
+
+def test_sigma_csv_gives_every_point_its_own_epsilon(capsys):
+    """Epsilon runs once per F_9*-line, yet the table still has one row per
+    point, each equal to that point's own epsilon."""
+    code, out, _ = run_cli(capsys, "compute", "sigma", "--module", "va:p=3,n=1,m=2",
+                           "--dmax", "3", "--generators", "auto", "--csv")
+    assert code == 0
+    rep = parse_module_spec("va:p=3,n=1,m=2").rep
+    points = [list(c) for c in itertools.product(rep.ctx.enumerate(), repeat=rep.dim)][1:]
+    expected = [["point", "epsilon"]]
+    for v in points:
+        value = epsilon(rep, v, 3).value
+        expected.append([",".join(str(s) for s in v),
+                         str(value) if value is not None else "undetermined above 3"])
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 1 + 728
+    assert rows == expected
 
 
 def test_compute_undetermined_exit_code(capsys):

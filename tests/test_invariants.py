@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import subprocess
 import sys
@@ -26,6 +27,9 @@ from nullcone_lab.constructions import gl2_test_module
 from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
 from nullcone_lab.groups import MatrixGroup, Representation, regular_rep
 from nullcone_lab.invariants import (
+    SeparationReport,
+    _lift_poly,
+    _span_points,
     _fast_path_epsilon,
     _orbit_product_invariant,
     check_generation,
@@ -537,6 +541,78 @@ def test_sigma_points_equal_the_span_of_the_standard_basis(p, n):
     points = [v for v, _ in report.point_values]
     assert points == invariants._span_points(standard, ctx, 10**6)
     assert len(points) == ctx.cardinality**3 - 1
+
+
+# -- one epsilon per F*-line against a per-point reference ----------------------------
+
+def _per_point_report(kind, rep, points, dmax, gens):
+    """sigma/delta assembled from one epsilon call per point."""
+    reports = [epsilon(rep, v, dmax) for v in points]
+    value, achieving, witness, undetermined = None, [], None, []
+    for v, rpt in zip(points, reports):
+        if not rpt.determined:
+            undetermined.append(v)
+        elif value is None or rpt.value > value:
+            value, achieving, witness = rpt.value, [v], rpt.witness
+        elif rpt.value == value:
+            achieving.append(v)
+    certified = None
+    if gens is not None:
+        certified = all(g.evaluate(v).is_zero() for g in gens for v in undetermined)
+    return SeparationReport(kind, value, witness, achieving, dmax, rep.ctx,
+                            undetermined_points=undetermined,
+                            certified_complete=certified,
+                            point_values=[(v, r.value) for v, r in zip(points, reports)])
+
+
+LINE_CASES = [  # kind, module spec, pointfield (p, n) or None, dmax, declared generators
+    ("sigma", "va:p=3,n=1,m=2", None, 3, True),
+    ("sigma", "torus:q=7,r=1,m=2", None, 4, False),
+    ("sigma", "gn:p=3,n=1", None, 3, False),
+    ("delta", "cyclic:p=2,k=4", (2, 2), 4, False),
+]
+
+
+@pytest.mark.parametrize("kind, module, pointfield, dmax, declared", LINE_CASES)
+def test_line_reports_equal_the_per_point_reference(kind, module, pointfield, dmax,
+                                                    declared):
+    from nullcone_lab.cli import parse_module_spec
+    spec = parse_module_spec(module)
+    pf = ff_make(*pointfield) if pointfield else spec.rep.ctx
+    rep = spec.rep.lift(pf)
+    gens = spec.candidates if declared else None
+    if kind == "sigma":
+        report = sigma_bounded(spec.rep, dmax, pf, declared_generators=gens)
+        points = [list(c) for c in itertools.product(pf.enumerate(), repeat=rep.dim)][1:]
+    else:
+        report = delta_bounded(spec.rep, dmax, pf, declared_generators=gens)
+        points = _span_points(fixed_point_space(rep), pf, 10**6)
+    lifted = [_lift_poly(g, pf) for g in gens] if declared else None
+    expected = _per_point_report(kind, rep, points, dmax, lifted)
+    assert report.to_dict() == expected.to_dict()
+    assert report.point_values == expected.point_values
+    if declared:
+        assert report.certified_complete is not None
+
+
+@pytest.mark.parametrize("module, calls, npoints", [
+    ("va:p=3,n=1,m=2", (9**3 - 1) // 8, 9**3 - 1),  # one call per F_9*-line
+    ("cyclic:p=2,k=3", 7, 7),                         # over F_2 a line is a point
+])
+def test_sigma_calls_epsilon_once_per_line(monkeypatch, module, calls, npoints):
+    from nullcone_lab import invariants
+    from nullcone_lab.cli import parse_module_spec
+    spec = parse_module_spec(module)
+    counted = []
+
+    def counting_epsilon(rep, point, dmax):
+        counted.append(point)
+        return epsilon(rep, point, dmax)
+
+    monkeypatch.setattr(invariants, "epsilon", counting_epsilon)
+    report = sigma_bounded(spec.rep, 3, spec.rep.ctx)
+    assert len(counted) == calls
+    assert len(report.point_values) == npoints
 
 
 def test_delta_report_determinism():

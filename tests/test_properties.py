@@ -31,7 +31,7 @@ from nullcone_lab.invariants import (
 )
 from nullcone_lab.linalg import Matrix, rank
 from nullcone_lab.poly import Polynomial, mono_basis
-from nullcone_lab.errors import VanishesAtPoint
+from nullcone_lab.errors import CapExceeded, VanishesAtPoint
 
 
 def cyclic_group(ctx, k):
@@ -464,6 +464,68 @@ def test_orbit_product_certificate_is_sound(group, data):
         forms.append(forms[pos])
     if forms and _orbit_product_invariant(rep, forms):
         assert _verify_invariant(rep, _form_product(ctx, forms))
+
+
+# -- epsilon is constant on F*-lines ---------------------------------------------------------
+
+@st.composite
+def small_modules(draw):
+    """The regular representation of a 2-group over F_4 (a permutation
+    module), or the natural module of a small group over F_3, F_4, F_5 or
+    F_9 generated by unitriangular, diagonal or monomial matrices."""
+    if draw(st.booleans()):
+        f4 = ff_make(2, 2)
+        make = draw(st.sampled_from([lambda: cyclic_group(f4, 2),
+                                     lambda: cyclic_group(f4, 4),
+                                     lambda: klein_group(f4)]))
+        return regular_rep(make())
+    ctx = draw(st.sampled_from([ff_make(3), ff_make(2, 2), ff_make(5), ff_make(3, 2)]))
+    dim = draw(st.integers(1, 3))
+    elems = ctx.enumerate()
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["unitriangular", "diagonal", "monomial"]))
+        perm = draw(st.permutations(range(dim))) if kind == "monomial" else range(dim)
+        rows = [[ctx.zero] * dim for _ in range(dim)]
+        for i, j in enumerate(perm):
+            rows[i][j] = (ctx.one if kind == "unitriangular"
+                          else draw(st.sampled_from(elems[1:])))
+            if kind == "unitriangular":
+                rows[i][i + 1:] = draw(st.lists(st.sampled_from(elems),
+                                                min_size=dim - i - 1, max_size=dim - i - 1))
+        gens.append(Matrix(ctx, rows))
+    try:
+        group = MatrixGroup.closure(gens, cap=64)
+    except CapExceeded:
+        assume(False)
+    return group.natural_rep()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep=small_modules(), data=st.data(), dmax=st.integers(1, 4))
+def test_epsilon_is_constant_on_lines(rep, data, dmax):
+    """epsilon(c v) = epsilon(v) with the same witness for every c in F*: the
+    lemma behind one epsilon call per line in sigma and delta.  Points are
+    drawn from the fixed space half the time, so the fast path runs on the
+    permutation modules."""
+    ctx = rep.ctx
+    elems = ctx.enumerate()
+    if data.draw(st.booleans()):
+        basis = fixed_point_space(rep)
+        assume(basis)
+        coeffs = data.draw(st.lists(st.sampled_from(elems), min_size=len(basis),
+                                    max_size=len(basis)))
+        v = [ctx.zero] * rep.dim
+        for c, b in zip(coeffs, basis):
+            v = [acc + c * x for acc, x in zip(v, b)]
+    else:
+        v = data.draw(st.lists(st.sampled_from(elems), min_size=rep.dim,
+                               max_size=rep.dim))
+    assume(any(not s.is_zero() for s in v))
+    c = data.draw(st.sampled_from(elems[2:]))  # a unit other than 1
+    base, scaled = epsilon(rep, v, dmax), epsilon(rep, [c * s for s in v], dmax)
+    assert scaled.value == base.value
+    assert str(scaled.witness) == str(base.witness)
 
 
 # -- degree reduction is verified on randomised instances ------------------------------------
