@@ -87,8 +87,23 @@ def _spec_args(text: str) -> tuple[str, dict[str, int]]:
     return name, args
 
 
+# the parameters each module builder accepts
+SPEC_KEYS = {"va": ("p", "n", "m"), "gl2": ("p", "n"), "torus": ("q", "r", "m"),
+             "gn": ("p", "n"), "cyclic": ("p", "k")}
+
+
 def parse_module_spec(text: str) -> ModuleSpec:
     name, args = _spec_args(text)
+    if name not in SPEC_KEYS:
+        raise BadParameter(f"unknown module builder {name!r}")
+    keys = SPEC_KEYS[name]
+    unknown = [key for key in args if key not in keys]
+    if unknown:
+        raise BadParameter(f"module spec {text!r}: unknown parameter {unknown[0]!r}; "
+                           f"{name} takes {', '.join(keys)}")
+    missing = [key for key in keys if key not in args]
+    if missing:
+        raise BadParameter(f"module spec {text!r} misses parameter {missing[0]!r}")
     try:
         if name == "va":
             module = va_module(args["p"], args["n"], args["m"])
@@ -113,11 +128,8 @@ def parse_module_spec(text: str) -> ModuleSpec:
                      for j in range(k)] for i in range(k)]
             group = MatrixGroup.closure([Matrix(ctx, rows)])
             return ModuleSpec(regular_rep(group), text)
-    except KeyError as exc:
-        raise BadParameter(f"module spec {text!r} misses parameter {exc}") from exc
     except NullconeLabError as exc:
         raise BadParameter(f"module spec {text!r}: {exc}") from exc
-    raise BadParameter(f"unknown module builder {name!r}")
 
 
 def _refuse_oversized_sigma(args) -> None:

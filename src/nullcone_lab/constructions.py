@@ -273,6 +273,8 @@ def va_module(p: int, n: int, m: int) -> VaModule:
     t*f(x0, x1, x2) = f(x0, x1 + t x0, x2 + t^(p^n) x0)."""
     if m < 1:
         raise DimensionMismatch("subgroup level m must be >= 1")
+    if n < 0:
+        raise DimensionMismatch(f"twist exponent n must be >= 0, got {n}")
     ctx = ff_make(p, m)
     q = p**n
     if ctx.kind == "extension":
@@ -402,6 +404,8 @@ def torus_module(q: int, r: int, m: int) -> TorusModule:
     degrees <= m (where the emptiness argument runs)."""
     if q < 3:
         raise DimensionMismatch("need q >= 3")
+    if m < 0:
+        raise DimensionMismatch(f"symmetric power m must be >= 0, got {m}")
     if r == 0:
         raise WeightCollision("the weight r must be nonzero")
     if abs(r) * m * m >= q - 1:

@@ -395,13 +395,11 @@ class PermutationBasis:
                           _trusted=True)
 
 
-def find_permutation_basis(rep: Representation,
-                           extra_seeds: Sequence[Sequence[Scalar]] = ()) -> PermutationBasis | None:
-    """Greedy orbit search over a deterministic seed pool.
+def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
+    """Greedy orbit search over the standard basis vectors as seeds.
 
-    Seeds are the standard basis vectors followed by any extra seeds (for
-    symmetric powers the designated seed, the pure power of the last
-    variable, is already the final standard vector).  A seed is accepted
+    For symmetric powers the designated seed, the pure power of the last
+    variable, is the final standard vector.  A seed is accepted
     when its distinct orbit vectors are linearly independent jointly with
     all previously accepted orbits; the search succeeds when the accepted
     orbits span.  Failure is a value, not an error: it does not certify
@@ -412,7 +410,6 @@ def find_permutation_basis(rep: Representation,
     seeds: list[list[Scalar]] = [
         [one if i == j else zero for i in range(dim)] for j in range(dim)
     ]
-    seeds.extend([list(s) for s in extra_seeds])
 
     orbits = []
     for pool_pos, seed in enumerate(seeds):

@@ -104,9 +104,6 @@ class InvariantSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def evaluate_all(self, point: Sequence[Scalar]) -> list[Scalar]:
-        return [f.evaluate(point) for f in self.basis]
-
 
 def invariant_space(rep: Representation, d: int) -> InvariantSpace:
     """Degree-d invariants: generator kernel K, verified against all elements.
@@ -149,23 +146,21 @@ def invariant_space(rep: Representation, d: int) -> InvariantSpace:
 # orbit sums and Reynolds averaging
 
 
+def _orbit_sum(perms: Sequence[Sequence[int]], ctx: FieldCtx,
+               e: tuple[int, ...]) -> Polynomial:
+    """Sum of the monomials in the orbit of x^e under a group of index
+    permutations."""
+    return Polynomial(ctx, len(e), {tuple(e[k] for k in pi): ctx.one for pi in perms},
+                      _trusted=True)
+
+
 def orbit_sum(rep: Representation, m: Monomial) -> tuple[Polynomial, int]:
     """Sum of the distinct images of a monomial under a permutation action.
 
     Returns the orbit sum and the orbit size (G : Stab(m)).
     """
-    rep.variable_permutations()  # raises NotPermutationAction if unsuitable
-    ctx = rep.ctx
-    mono = Polynomial.from_monomial(ctx, m)
-    seen: dict = {}
-    for g in range(rep.group.order):
-        image = rep.act_on_poly(g, mono)
-        key = next(iter(image.terms))
-        seen[key] = image
-    total = Polynomial.zero(ctx, rep.dim)
-    for image in seen.values():
-        total = total + image
-    return total, len(seen)
+    total = _orbit_sum(rep.variable_permutations(), rep.ctx, m.exps)
+    return total, len(total.terms)
 
 
 def reynolds(rep: Representation, f: Polynomial) -> Polynomial:
@@ -307,9 +302,7 @@ def _lower_degrees_vanish(rep: Representation, v: Sequence[Scalar], value: int) 
     nonzeros each.
     """
     w = rep.permutation_basis().coordinates(v)
-    pi = _permutation_rep(rep)
-    return all(s.is_zero() for d in range(1, value)
-               for s in invariant_space(pi, d).evaluate_all(w))
+    return not _epsilon_by_spaces(_permutation_rep(rep), w, value - 1).determined
 
 
 def orbit_sums_vanish(rep: Representation, v: Sequence[Scalar], value: int) -> bool:
@@ -326,28 +319,30 @@ def orbit_sums_vanish(rep: Representation, v: Sequence[Scalar], value: int) -> b
         raise NotPermutationAction("no permutation basis was found")
     check_column_count(rep.dim, value - 1)
     w = pb.coordinates(v)
-    one = rep.ctx.one
     for d in range(1, value):
         seen: set[tuple[int, ...]] = set()
         for e in _exponent_basis(rep.dim, d):
-            if e in seen:
-                continue
-            orbit = {tuple(e[k] for k in pi) for pi in pb.perms}
-            seen |= orbit
-            total = rep.ctx.zero
-            for m in orbit:
-                term = one
-                for k, x in enumerate(m):
-                    if x:
-                        term = term * w[k] ** x
-                total = total + term
-            if not total.is_zero():
-                return False
+            if e not in seen:
+                total = _orbit_sum(pb.perms, rep.ctx, e)
+                seen |= total.terms.keys()
+                if not total.evaluate(w).is_zero():
+                    return False
     return True
 
 
-def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int,
-            use_fast_path: bool = True) -> SeparationReport:
+def _epsilon_by_spaces(rep: Representation, v: list[Scalar],
+                       dmax: int) -> SeparationReport:
+    """The first basis vector of the invariant spaces of degree 1 to dmax
+    that does not vanish at v: the one scan behind epsilon's general path,
+    nullcone_status and the fast path's lower degrees."""
+    for d in range(1, dmax + 1):
+        for f in invariant_space(rep, d).basis:
+            if not f.evaluate(v).is_zero():
+                return SeparationReport("epsilon", d, f, [v], dmax, rep.ctx)
+    return SeparationReport("epsilon", None, None, [v], dmax, rep.ctx)
+
+
+def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int) -> SeparationReport:
     """Least positive degree d <= dmax of an invariant nonvanishing at the point.
 
     Every emitted value is machine-checked: the witness is nonzero at the
@@ -360,55 +355,43 @@ def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int,
     """
     v = _check_point(rep, point)
     ctx = rep.ctx
-    if (use_fast_path and ctx.is_finite and rep.group.is_p_group(ctx.p)
+    if (ctx.is_finite and rep.group.is_p_group(ctx.p)
             and rep.permutation_basis() is not None and _is_fixed_point(rep, v)):
         pb = rep.permutation_basis()
         slc = _nonvanishing_orbit(pb, pb.coordinates(v))
-        if slc is None or len(slc) > dmax:
-            # no invariant of degree <= dmax separates the point
-            check_column_count(rep.dim, dmax)
-            if not _lower_degrees_vanish(rep, v, dmax + 1):
-                raise AssertionError("fast path disagreed with the invariant spaces")
-            return SeparationReport("epsilon", None, None, [v], dmax, ctx)
+        # with no orbit short enough, no invariant of degree <= dmax separates
+        below = len(slc) if slc is not None and len(slc) <= dmax else dmax + 1
         # refuse before the witness or any lower degree is built
-        check_column_count(rep.dim, len(slc) - 1)
-        value, witness, forms = _fast_path_epsilon(rep, v)
-        if not _lower_degrees_vanish(rep, v, value):
+        check_column_count(rep.dim, below - 1)
+        if not _lower_degrees_vanish(rep, v, below):
             raise AssertionError("fast path disagreed with the invariant spaces")
+        if below > dmax:
+            return SeparationReport("epsilon", None, None, [v], dmax, ctx)
+        value, witness, forms = _fast_path_epsilon(rep, v)
         if not _orbit_product_invariant(rep, forms):
             raise AssertionError("fast-path witness failed its orbit-product certificate")
         if witness.evaluate(v).is_zero():
             raise AssertionError("fast-path witness vanishes at the point")
         return SeparationReport("epsilon", value, witness, [v], dmax, ctx)
-
-    for d in range(1, dmax + 1):
-        space = invariant_space(rep, d)
-        for f in space.basis:
-            if not f.evaluate(v).is_zero():
-                return SeparationReport("epsilon", d, f, [v], dmax, ctx)
-    return SeparationReport("epsilon", None, None, [v], dmax, ctx)
+    return _epsilon_by_spaces(rep, v, dmax)
 
 
 def fixed_point_space(rep: Representation) -> list[list[Scalar]]:
-    """Basis of the common fixed space of the representing matrices."""
-    ctx, dim = rep.ctx, rep.dim
-    rows: list[dict[int, Scalar]] = []
-    for g in rep.group.generator_indices:
-        m = rep.matrices[g]
-        for i in range(dim):
-            row = {}
-            for j in range(dim):
-                entry = m[i, j] - (ctx.one if i == j else ctx.zero)
-                if not entry.is_zero():
-                    row[j] = entry
-            if row:
-                rows.append(row)
-    return kernel(iter(rows), dim, ctx)
+    """Basis of the common fixed space of the representing matrices: the
+    kernel of the generators' rho(s) - I, the degree-1 constraint rows of
+    x -> rho(s)^T x."""
+    rows = (row for g in rep.group.generator_indices
+            for row in substitution_constraint_rows(rep.matrices[g].transpose(), 1)
+            if row)
+    return kernel(rows, rep.dim, rep.ctx)
 
 
 def _span_points(basis: list[list[Scalar]], ctx: FieldCtx,
                  cap: int) -> list[list[Scalar]]:
-    """All nonzero points of the span over a finite field, sorted."""
+    """All nonzero points of the span over a finite field, sorted: in the
+    reduced echelon basis from `kernel` (1 at its own free column, 0 at the
+    others, nonzero only at pivot columns above), points compare as their
+    coefficient tuples, which itertools.product yields in ascending order."""
     k = len(basis)
     if k == 0:
         return []
@@ -425,7 +408,6 @@ def _span_points(basis: list[list[Scalar]], ctx: FieldCtx,
             if not c.is_zero():
                 v = [acc + c * x for acc, x in zip(v, b)]
         points.append(v)
-    points.sort(key=lambda p: tuple(s.sort_key() for s in p))
     return points
 
 
@@ -587,10 +569,9 @@ def nullcone_status(rep: Representation, point: Sequence[Scalar], dmax: int = 0,
     v = _check_point(rep, point)
     gens = (_checked_generators(rep, declared_generators)
             if declared_generators is not None else None)
-    for d in range(1, dmax + 1):
-        for f in invariant_space(rep, d).basis:
-            if not f.evaluate(v).is_zero():
-                return NullconeStatus(v, "out", f, dmax, gens)
+    separated = _epsilon_by_spaces(rep, v, dmax)
+    if separated.determined:
+        return NullconeStatus(v, "out", separated.witness, dmax, gens)
     if gens is not None and all(g.evaluate(v).is_zero() for g in gens):
         return NullconeStatus(v, "in", None, dmax, gens)
     return NullconeStatus(v, "unknown", None, dmax, gens)

@@ -29,6 +29,7 @@ from .errors import BadParameter, CharDividesDegree, UnknownSuite
 from .fields import FieldCtx, ff_make
 from .groups import MatrixGroup, regular_rep
 from .invariants import (
+    check_column_count,
     check_generation,
     degree_reduce,
     delta_bounded,
@@ -200,6 +201,9 @@ def suite_gl2_delta(p: int = 2, n: int = 1,
         claims.append(Claim(f"gl2-epsilon-p{p}-n{n}", "epsilon at identity",
                             q, SKIPPED))
         return SuiteReport("gl2-delta", {"p": p, "n": n}, claims)
+    # both methods below build degree q-1 in the module's q*q coordinates;
+    # refuse an oversized one before the module is built
+    check_column_count(q * q, q - 1)
     module = gl2_test_module(p, n)
     report = epsilon(module.rep, module.identity_point, q)
     claims.append(Claim(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -10,6 +11,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nullcone_lab.cli import main, parse_module_spec
 from nullcone_lab.errors import BadParameter
@@ -207,6 +209,19 @@ def test_compute_bad_input_exits_2(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("va:p=2,n=-1,m=1", "twist exponent n must be >= 0, got -1"),
+    ("torus:q=7,r=1,m=-1", "symmetric power m must be >= 0, got -1"),
+    ("cyclic:p=2,k=2,z=3", "unknown parameter 'z'; cyclic takes p, k"),
+    ("gl2:p=2,n=1,m=1", "unknown parameter 'm'; gl2 takes p, n"),
+])
+def test_bad_module_spec_exits_2(capsys, spec, message):
+    code, out, err = run_cli(capsys, "compute", "sigma", "--module", spec, "--dmax", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: module spec {spec!r}: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "binomial", "--p", "2", "--nmax", "-1"),
     ("verify", "binomial", "--p", "2", "--nmax", "0"),
@@ -277,22 +292,31 @@ def test_delta_over_the_rationals_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ("compute", "epsilon", "--module", "gl2:p=2,n=3", "--dmax", "8"),
     ("verify", "gl2-delta", "--p", "2", "--n", "3"),
+    ("verify", "gl2-delta", "--p", "2", "--n", "4"),
 ])
 def test_oversized_invariant_space_is_refused_before_any_is_built(capsys, monkeypatch,
                                                                   argv):
     """Degree 7 of the 64-dim gl2 module has C(70, 7) columns: the fast path
-    refuses it before it builds its witness or any degree."""
-    from nullcone_lab import invariants
+    refuses it before it builds its witness or any degree.  gl2-delta
+    refuses degree q-1 of the q*q-dim module before it builds the module."""
+    from nullcone_lab import invariants, suites
 
     def no_space(*args, **kwargs):
         raise AssertionError("an invariant space was built before the refusal")
+
+    def no_module(*args, **kwargs):
+        raise AssertionError("the module was built before the refusal")
     monkeypatch.setattr(invariants, "substitution_constraint_rows", no_space)
     monkeypatch.setattr(invariants, "_fast_path_epsilon", no_space)
+    if argv[-1] == "4":
+        monkeypatch.setattr(suites, "gl2_test_module", no_module)
+        wanted = "degree 15 in 256 variables has 1520398315196482557890304"
+    else:
+        wanted = "degree 7 in 64 variables has 1198774720"
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == ("error: TooManyColumns: degree 7 in 64 variables has 1198774720 "
-                   "monomial columns, above the cap 100000\n")
+    assert err == f"error: TooManyColumns: {wanted} monomial columns, above the cap 100000\n"
 
 
 def test_epsilon_on_gl2_builds_no_x_coordinate_space(capsys, monkeypatch):
@@ -335,3 +359,55 @@ def test_verify_all_json_schema(capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema())
     assert code == 0
+
+
+# -- fuzzing the command line -------------------------------------------------------
+
+# valid values of each builder's keys, sized so that no module has more than
+# 9 coordinates and no example takes much over a second
+SPEC_VALUES = {
+    "va": {"p": [2, 3], "n": [1, 2, 0], "m": [1, 2]},
+    "gl2": {"p": [2, 3], "n": [1]},
+    "torus": {"q": [7, 5, 9, 4], "r": [1, -1, 2], "m": [1, 2, 0]},
+    "gn": {"p": [2, 3], "n": [1, 2]},
+    "cyclic": {"p": [2, 3], "k": [2, 3, 1]},
+}
+
+
+@st.composite
+def compute_argv(draw):
+    """A compute request on a valid module spec, or with one defect: a
+    small, zero or negative value in the spec, a stray key or dmax -1."""
+    name = draw(st.sampled_from(sorted(SPEC_VALUES)))
+    params = {key: draw(st.sampled_from(values))
+              for key, values in SPEC_VALUES[name].items()}
+    defect = draw(st.sampled_from([None, None, "value", "key", "dmax"]))
+    if defect == "value":
+        params[draw(st.sampled_from(sorted(params)))] = draw(st.integers(-2, 1))
+    elif defect == "key":
+        params["z"] = 1
+    spec = f"{name}:" + ",".join(f"{k}={v}" for k, v in params.items())
+    what = draw(st.sampled_from(["epsilon", "sigma", "delta"]))
+    dmax = -1 if defect == "dmax" else draw(st.integers(0, 3))
+    argv = ["compute", what, "--module", spec, "--dmax", str(dmax)]
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.sampled_from(["0", "1", "2", "z"]), min_size=1,
+                               max_size=4))
+        argv += ["--point", ",".join(coords)]
+    pointfield = draw(st.sampled_from([None, None, "2,2", "3", "0"]))
+    if pointfield is not None:
+        argv += ["--pointfield", pointfield]
+    if draw(st.booleans()):
+        argv += ["--generators", "auto"]
+    return argv + draw(st.sampled_from([[], ["--json"], ["--csv"]]))
+
+
+@settings(max_examples=60, deadline=None)
+@example(["compute", "sigma", "--module", "va:p=2,n=-1,m=1", "--dmax", "2"])
+@given(argv=compute_argv())
+def test_compute_never_raises(argv):
+    """Any compute request on a small module ends with exit 0, 1 or 2."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())

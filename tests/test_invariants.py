@@ -28,6 +28,7 @@ from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
 from nullcone_lab.groups import MatrixGroup, Representation, regular_rep
 from nullcone_lab.invariants import (
     SeparationReport,
+    _epsilon_by_spaces,
     _lift_poly,
     _span_points,
     _fast_path_epsilon,
@@ -280,6 +281,16 @@ def test_orbit_sum_three_cycle():
     assert total == P(f2, 3, "x0^2*x1 + x1^2*x2 + x2^2*x0")
 
 
+def test_orbit_sum_reads_the_variable_permutations(monkeypatch):
+    def no_action(*args):
+        raise AssertionError("orbit_sum acted on a polynomial")
+    monkeypatch.setattr(Representation, "act_on_poly", no_action)
+    f3 = ff_make(3)
+    total, size = orbit_sum(regular_rep(cyclic_group(f3, 3)), Monomial((2, 0, 1)))
+    assert size == 3
+    assert total == P(f3, 3, "x0^2*x2 + x1^2*x0 + x2^2*x1")
+
+
 def test_orbit_sum_rejects_non_permutation():
     f2 = ff_make(2)
     g = MatrixGroup.closure([Matrix.from_ints(f2, [[1, 1], [0, 1]])])
@@ -324,8 +335,8 @@ def test_epsilon_fast_and_slow_agree_small():
     f3 = ff_make(3)
     rep = regular_rep(cyclic_group(f3, 3))
     v = [f3.one, f3.one, f3.one]
-    fast = epsilon(rep, v, 4, use_fast_path=True)
-    slow = epsilon(rep, v, 4, use_fast_path=False)
+    fast = epsilon(rep, v, 4)
+    slow = _epsilon_by_spaces(rep, v, 4)
     assert fast.value == slow.value == 3
 
 
@@ -402,7 +413,7 @@ def test_fast_path_certifies_undetermined_points_on_pi():
         fast = epsilon(rep, v, dmax)
         assert fast.value is None and fast.witness is None
         assert rep._inv_space_cache == {}
-        assert epsilon(rep, v, dmax, use_fast_path=False).to_dict() == fast.to_dict()
+        assert _epsilon_by_spaces(rep, v, dmax).to_dict() == fast.to_dict()
         rep._inv_space_cache.clear()
     assert epsilon(rep, module.identity_point, 2).value == 2
 
@@ -517,7 +528,7 @@ def test_sigma_swap_over_f2_by_exhaustion():
         for b in ff_enumerate(f2):
             if a.is_zero() and b.is_zero():
                 continue
-            e = epsilon(rep, [a, b], 2, use_fast_path=False)
+            e = _epsilon_by_spaces(rep, [a, b], 2)
             per_point[(a.val, b.val)] = e.value
     assert per_point == {(1, 0): 1, (0, 1): 1, (1, 1): 2}
     report = sigma_bounded(rep, 2, f2)

@@ -16,6 +16,8 @@ from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
 from nullcone_lab.groups import (MatrixGroup, Representation, find_permutation_basis,
                                  regular_rep, sym_power_rep)
 from nullcone_lab.invariants import (
+    _epsilon_by_spaces,
+    _span_points,
     _lower_degrees_vanish,
     _orbit_product_invariant,
     _permutation_rep,
@@ -29,7 +31,7 @@ from nullcone_lab.invariants import (
     orbit_sums_vanish,
     reynolds,
 )
-from nullcone_lab.linalg import Matrix, rank
+from nullcone_lab.linalg import Matrix, kernel, rank
 from nullcone_lab.poly import Polynomial, mono_basis
 from nullcone_lab.errors import CapExceeded, VanishesAtPoint
 
@@ -115,8 +117,8 @@ def test_epsilon_fast_slow_agreement_on_free_modules():
             for c, b in zip(coeffs, basis):
                 v = [acc + c * x for acc, x in zip(v, b)]
             dmax = rep.group.order
-            fast = epsilon(rep, v, dmax, use_fast_path=True)
-            slow = epsilon(rep, v, dmax, use_fast_path=False)
+            fast = epsilon(rep, v, dmax)
+            slow = _epsilon_by_spaces(rep, v, dmax)
             assert fast.value == slow.value, (label, [str(s) for s in v])
 
 
@@ -161,8 +163,8 @@ def test_lower_degree_routes_agree(case, value):
     x-coordinate spaces at v, on pi's spaces at w = B^-1 v, and on orbit
     sums at w."""
     label, rep, v = case
-    x_route = all(s.is_zero() for d in range(1, value)
-                  for s in invariant_space(rep, d).evaluate_all(v))
+    x_route = all(f.evaluate(v).is_zero() for d in range(1, value)
+                  for f in invariant_space(rep, d).basis)
     assert _lower_degrees_vanish(rep, v, value) == x_route, label
     assert orbit_sums_vanish(rep, v, value) == x_route, label
 
@@ -526,6 +528,75 @@ def test_epsilon_is_constant_on_lines(rep, data, dmax):
     base, scaled = epsilon(rep, v, dmax), epsilon(rep, [c * s for s in v], dmax)
     assert scaled.value == base.value
     assert str(scaled.witness) == str(base.witness)
+
+
+# -- fixed-point spaces and their enumeration -------------------------------------------------
+
+@st.composite
+def fixed_space_groups(draw):
+    """A group over F_2, F_3 or F_4 in dimension 1-4 generated by one or two
+    matrices, each unitriangular or monomial after a random reordering of
+    the coordinates, so the fixed space's free columns fall anywhere."""
+    ctx = draw(st.sampled_from([ff_make(2), ff_make(3), ff_make(2, 2)]))
+    dim = draw(st.integers(1, 4))
+    elems = ctx.enumerate()
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        order = draw(st.permutations(range(dim)))
+        rows = [[ctx.zero] * dim for _ in range(dim)]
+        if draw(st.booleans()):
+            for i in range(dim):
+                rows[order[i]][order[i]] = ctx.one
+                for j in range(i + 1, dim):
+                    rows[order[i]][order[j]] = draw(st.sampled_from(elems))
+        else:
+            for i in range(dim):
+                rows[order[i]][i] = draw(st.sampled_from(elems[1:]))
+        gens.append(Matrix(ctx, rows))
+    try:
+        return MatrixGroup.closure(gens, cap=64)
+    except CapExceeded:
+        assume(False)
+
+
+def _fixed_space_by_hand(rep):
+    """Kernel of the generators' rho(s) - I, its rows built entry by entry."""
+    ctx, dim = rep.ctx, rep.dim
+    rows = []
+    for g in rep.group.generator_indices:
+        m = rep.matrices[g]
+        for i in range(dim):
+            row = {}
+            for j in range(dim):
+                entry = m[i, j] - (ctx.one if i == j else ctx.zero)
+                if not entry.is_zero():
+                    row[j] = entry
+            if row:
+                rows.append(row)
+    return kernel(iter(rows), dim, ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=fixed_space_groups())
+def test_fixed_point_space_is_the_kernel_of_rho_minus_identity(group):
+    rep = group.natural_rep()
+    basis = fixed_point_space(rep)
+    assert basis == _fixed_space_by_hand(rep)
+    for b in basis:
+        assert all(m.apply(b) == b for m in rep.matrices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=fixed_space_groups())
+def test_fixed_space_points_are_enumerated_in_sorted_order(group):
+    """The reduced echelon basis makes itertools.product order the sorted
+    order, which delta's reports rely on."""
+    rep = group.natural_rep()
+    basis = fixed_point_space(rep)
+    points = _span_points(basis, rep.ctx, 10**6)
+    keys = [tuple(s.sort_key() for s in v) for v in points]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys) == rep.ctx.cardinality**len(basis) - 1
 
 
 # -- degree reduction is verified on randomised instances ------------------------------------
