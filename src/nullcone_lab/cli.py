@@ -14,9 +14,10 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .constructions import gl2_test_module, gn_module, torus_module, va_module
+from .constructions import (cyclic_group, gl2_test_module, gn_module, torus_field_order,
+                            torus_module, va_module)
 from .errors import BadParameter, NullconeLabError, UnknownSuite
-from .fields import FieldCtx, ff_make
+from .fields import FieldCtx, _is_probable_prime, ff_make
 from .groups import MatrixGroup, Representation, regular_rep
 from .invariants import (
     check_point_count,
@@ -124,27 +125,35 @@ def parse_module_spec(text: str) -> ModuleSpec:
             k = args["k"]
             if k < 1:
                 raise BadParameter(f"cyclic module needs k >= 1, got {k}")
-            rows = [[ctx.one if i == (j + 1) % k else ctx.zero
-                     for j in range(k)] for i in range(k)]
-            group = MatrixGroup.closure([Matrix(ctx, rows)])
-            return ModuleSpec(regular_rep(group), text)
+            return ModuleSpec(regular_rep(cyclic_group(ctx, k)), text)
     except NullconeLabError as exc:
         raise BadParameter(f"module spec {text!r}: {exc}") from exc
 
 
+# per builder: the order p^e of its module's field as p, e and the module's
+# dimension, gl2's p^(2n) as the pair (p, 2n); None when the builder refuses
+# a parameter that ff_make(p, e) does not check
+SPEC_SIZES = {"va": lambda p, n, m: (p, m, 3) if n >= 0 else None,
+              "gl2": lambda p, n: (p, n, (p, 2 * n)),
+              "torus": lambda q, r, m: (*torus_field_order(q, r, m), 2),
+              "gn": lambda p, n: (p, n, 2),
+              "cyclic": lambda p, k: (p, 1, k) if k >= 1 else None}
+
+
 def _refuse_oversized_sigma(args) -> None:
     """Refuse a sigma request whose point count the argv already fixes, before
-    the module is built: the cyclic builder's dimension is its k.  Requests
-    this cannot size, or that are malformed, are left to the usual path."""
+    the module or its field is built.  A malformed spec or point field is left
+    to the usual path, which reports it."""
     name, params = _spec_args(args.module)
-    if name != "cyclic" or params.get("k", 0) < 1 or "p" not in params:
+    if set(params) != set(SPEC_KEYS.get(name, ())):
         return
     try:
-        pointfield = (_parse_field_arg(args.pointfield) if args.pointfield
-                      else ff_make(params["p"]))
+        size = SPEC_SIZES[name](**params)
+        pointfield = _parse_field_arg(args.pointfield) if args.pointfield else None
     except NullconeLabError:
         return
-    check_point_count(pointfield, params["k"])
+    if size is not None and size[1] >= 1 and _is_probable_prime(size[0]):
+        check_point_count(pointfield or size[:2], size[2])
 
 
 def _resolve_rep(args) -> ModuleSpec:

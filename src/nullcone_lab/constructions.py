@@ -119,6 +119,17 @@ class ParametricAction:
 
 
 # ---------------------------------------------------------------------------
+# cyclic shifts
+
+
+def cyclic_group(ctx: FieldCtx, k: int) -> MatrixGroup:
+    """The order-k group generated by the shift e_j -> e_(j+1 mod k)."""
+    rows = [[ctx.one if i == (j + 1) % k else ctx.zero for j in range(k)]
+            for i in range(k)]
+    return MatrixGroup.closure([Matrix(ctx, rows)])
+
+
+# ---------------------------------------------------------------------------
 # translation modules in dimension 2
 
 
@@ -398,22 +409,30 @@ def multiplicative_generator(ctx: FieldCtx) -> Scalar:
     raise AssertionError("no multiplicative generator found")
 
 
-def torus_module(q: int, r: int, m: int) -> TorusModule:
-    """Finite stage of the torus construction, with the collision guard
-    |r|*m^2 < q-1 making weight arithmetic mod q-1 collision-free at all
-    degrees <= m (where the emptiness argument runs)."""
+def torus_field_order(q: int, r: int, m: int) -> tuple[int, int]:
+    """The parameter checks of `torus_module`; returns q as (p, e) with
+    q = p^e."""
     if q < 3:
         raise DimensionMismatch("need q >= 3")
     if m < 0:
         raise DimensionMismatch(f"symmetric power m must be >= 0, got {m}")
     if r == 0:
         raise WeightCollision("the weight r must be nonzero")
-    if abs(r) * m * m >= q - 1:
+    weight = abs(r) * m * m
+    if weight >= q - 1:
+        # past the 4,300 digits that Python converts to text, write the product
+        shown = weight if weight.bit_length() < 14000 else f"{abs(r)}*{m}^2"
         raise WeightCollision(
-            f"|r|*m^2 = {abs(r) * m * m} >= q-1 = {q - 1}: weights of degree"
+            f"|r|*m^2 = {shown} >= q-1 = {q - 1}: weights of degree"
             " <= m monomials would wrap around the finite torus")
-    p, e = _prime_power(q)
-    ctx = ff_make(p, e)
+    return _prime_power(q)
+
+
+def torus_module(q: int, r: int, m: int) -> TorusModule:
+    """Finite stage of the torus construction, with the collision guard
+    |r|*m^2 < q-1 making weight arithmetic mod q-1 collision-free at all
+    degrees <= m (where the emptiness argument runs)."""
+    ctx = ff_make(*torus_field_order(q, r, m))
     g = multiplicative_generator(ctx)
     matrix = Matrix(ctx, [[g**r, ctx.zero], [ctx.zero, g**(-r * m)]])
     group = MatrixGroup.closure([matrix])

@@ -411,10 +411,6 @@ class FieldCtx:
         return self.kind != "rational"
 
     @property
-    def characteristic(self) -> int:
-        return self.p
-
-    @property
     def cardinality(self) -> int | None:
         return self.p**self.n if self.is_finite else None
 

@@ -4,8 +4,8 @@ Elements live in a deterministic closure order (breadth-first from the
 identity, generators in the given order), so every index-based artefact
 — permutation bases, reports — is reproducible.  Closure records the Cayley
 graph `right[k][i]` = elements[i] * generators[k] and the tree
-`parent[j] = (i, k)` (i < j) that first reached elements[j]; products of
-elements are read off these by index.
+`parent[j] = (i, k)` (i < j) that first reached elements[j]; products and
+inverses of elements are read off these by index.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class MatrixGroup:
 
     def __init__(self, ctx: FieldCtx, dim: int, generators: list[Matrix],
                  elements: list[Matrix], right: list[list[int]], parent: list,
-                 inverse_table: list[int] | None = None, *, _from_closure: bool = False):
+                 *, _from_closure: bool = False):
         if not _from_closure:
             raise TypeError("use MatrixGroup.closure() to build groups")
         self.ctx = ctx
@@ -54,8 +54,12 @@ class MatrixGroup:
         self.right, self.parent = right, parent
         self.index = {m.key(): i for i, m in enumerate(elements)}
         self.generator_indices = [self.index[g.key()] for g in generators]
-        self.inverse_table = (inverse_table if inverse_table is not None else
-                              [self.index[m.inverse().key()] for m in elements])
+        # elements[j] = elements[i] s_k gives inv[j] = s_k^-1 inv[i], a left
+        # translation by s_k^-1 = elements[right[k].index(0)]
+        back = [self.left_translation(r.index(0)) for r in right]
+        self.inverse_table = [0] * len(elements)
+        for j, (i, k) in enumerate(parent[1:], 1):
+            self.inverse_table[j] = back[k][self.inverse_table[i]]
 
     @staticmethod
     def closure(generators: Sequence[Matrix],
@@ -167,8 +171,7 @@ class MatrixGroup:
         return MatrixGroup(target, self.dim,
                            [lift_matrix(g, target) for g in self.generators],
                            [lift_matrix(m, target) for m in self.elements],
-                           self.right, self.parent, self.inverse_table,
-                           _from_closure=True)
+                           self.right, self.parent, _from_closure=True)
 
 
 class Representation:
@@ -188,9 +191,6 @@ class Representation:
             raise GroupMismatch("identity element must act as the identity matrix")
         self._perm_basis: "PermutationBasis | None | bool" = False  # unsearched
         self._inv_space_cache: dict[int, object] = {}
-
-    def matrix(self, i: int) -> Matrix:
-        return self.matrices[i]
 
     def inverse_matrix(self, i: int) -> Matrix:
         # rho(g)^-1 = rho(g^-1) since rho is a homomorphism
@@ -386,14 +386,6 @@ class PermutationBasis:
             raise AssertionError("permutation coordinates do not map back to the point")
         return w
 
-    def slot_coordinate_form(self, k: int, nvars: int) -> Polynomial:
-        """The k-th permutation coordinate as a polynomial in the originals."""
-        row = self.basis_inverse.rows[k]
-        return Polynomial(self.ctx, nvars,
-                          {tuple(1 if j == i else 0 for j in range(nvars)): c
-                           for i, c in enumerate(row) if not c.is_zero()},
-                          _trusted=True)
-
 
 def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
     """Greedy orbit search over the standard basis vectors as seeds.
@@ -406,19 +398,14 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
     that no permutation basis exists.
     """
     ctx, dim, group = rep.ctx, rep.dim, rep.group
-    zero, one = ctx.zero, ctx.one
-    seeds: list[list[Scalar]] = [
-        [one if i == j else zero for i in range(dim)] for j in range(dim)
-    ]
-
     orbits = []
-    for pool_pos, seed in enumerate(seeds):
-        images = [rep.matrices[g].apply(seed) for g in range(group.order)]
+    for j in range(dim):
         distinct: list[list[Scalar]] = []
         reps_for_slot: list[int] = []
         keyed: dict[tuple, int] = {}
         element_to_slot: dict[int, int] = {}
-        for g, vec in enumerate(images):
+        for g, m in enumerate(rep.matrices):
+            vec = [row[j] for row in m.rows]  # rho(g) e_j is column j of rho(g)
             key = tuple(s.val for s in vec)
             slot = keyed.get(key)
             if slot is None:
@@ -427,10 +414,10 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
                 distinct.append(vec)
                 reps_for_slot.append(g)
             element_to_slot[g] = slot
-        orbits.append((distinct, reps_for_slot, element_to_slot, pool_pos))
+        orbits.append((distinct, reps_for_slot, element_to_slot))
     # Larger orbits first: a stabilised seed (such as a fixed vector) must not
-    # swallow coordinates that a free orbit needs.  Ties keep pool order.
-    orbits.sort(key=lambda item: (-len(item[0]), item[3]))
+    # swallow coordinates that a free orbit needs.  Ties keep seed order.
+    orbits.sort(key=lambda item: -len(item[0]))
 
     elim = _make_eliminator(ctx, dim)
     accepted_vectors: list[list[Scalar]] = []
@@ -438,7 +425,7 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
     orbit_elements: list[list[int]] = []  # representative group element per slot
     slot_of_element: list[dict[int, int]] = []  # per orbit: element index -> slot
 
-    for distinct, reps_for_slot, element_to_slot, _ in orbits:
+    for distinct, reps_for_slot, element_to_slot in orbits:
         if len(accepted_vectors) == dim:
             break
         if len(accepted_vectors) + len(distinct) > dim:

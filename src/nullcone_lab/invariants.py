@@ -251,31 +251,21 @@ def _orbit_product_invariant(rep: Representation,
     return all(Counter((factors * m).key()) == wanted for m in rep.matrices)
 
 
-def _nonvanishing_orbit(pb: PermutationBasis, w: Sequence[Scalar]) -> range | None:
-    """The first shortest orbit of slots on which w has no zero coordinate."""
-    hits = [slc for slc in pb.orbit_slices if all(not w[k].is_zero() for k in slc)]
-    return min(hits, key=len, default=None)
-
-
-def _fast_path_epsilon(rep: Representation, v: list[Scalar]):
-    """Minimal degree of an invariant monomial in permutation coordinates.
+def _fast_path_epsilon(pb: PermutationBasis, slc: range, nvars: int):
+    """The fast path's witness for an orbit of slots with no zero coordinate.
 
     Valid for p-groups in their own characteristic at fixed points: orbit
     sums span the invariants and O(m)(v) = |orbit| * m(v), so only fully
     stabilised monomials survive, and those are products over whole
-    variable orbits.  Returns (degree, witness, forms), where the witness is
-    the product of the linear forms (rows of the inverse basis matrix, one
-    per slot of the orbit), or None when no orbit has all coordinates
-    nonzero (the point lies in the nullcone).
+    variable orbits.  Returns (witness, forms), where the witness is the
+    product of the linear forms, the rows of the inverse basis matrix, one
+    per slot of the orbit.
     """
-    pb = rep.permutation_basis()
-    slc = _nonvanishing_orbit(pb, pb.coordinates(v))
-    if slc is None:
-        return None
-    witness = Polynomial.one(rep.ctx, rep.dim)
-    for k in slc:
-        witness = witness * pb.slot_coordinate_form(k, rep.dim)
-    return len(slc), witness, [pb.basis_inverse.rows[k] for k in slc]
+    forms = [pb.basis_inverse.rows[k] for k in slc]
+    witness = Polynomial.one(pb.ctx, nvars)
+    for row in forms:
+        witness = witness * Polynomial.from_coeff_vector(pb.ctx, nvars, 1, row)
+    return witness, forms
 
 
 def _permutation_rep(rep: Representation) -> Representation:
@@ -291,18 +281,6 @@ def _permutation_rep(rep: Representation) -> Representation:
     if pb.perm_rep is None:
         pb.perm_rep = permutation_rep(rep.group, pb.perms)
     return pb.perm_rep
-
-
-def _lower_degrees_vanish(rep: Representation, v: Sequence[Scalar], value: int) -> bool:
-    """Every invariant of degree < value vanishes at v, checked on pi.
-
-    With rho(g) B = B P_g, f -> f(Bx) maps the rho-invariants of each degree
-    onto the pi-invariants, and f(Bw) = f(v) at w = B^-1 v; so pi's spaces
-    at w decide the claim, and pi's constraint rows have at most two
-    nonzeros each.
-    """
-    w = rep.permutation_basis().coordinates(v)
-    return not _epsilon_by_spaces(_permutation_rep(rep), w, value - 1).determined
 
 
 def orbit_sums_vanish(rep: Representation, v: Sequence[Scalar], value: int) -> bool:
@@ -358,21 +336,28 @@ def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int) -> Separati
     if (ctx.is_finite and rep.group.is_p_group(ctx.p)
             and rep.permutation_basis() is not None and _is_fixed_point(rep, v)):
         pb = rep.permutation_basis()
-        slc = _nonvanishing_orbit(pb, pb.coordinates(v))
-        # with no orbit short enough, no invariant of degree <= dmax separates
+        w = pb.coordinates(v)
+        # the first shortest orbit of slots on which w has no zero coordinate;
+        # with none short enough, no invariant of degree <= dmax separates
+        slc = min((s for s in pb.orbit_slices if all(not w[k].is_zero() for k in s)),
+                  key=len, default=None)
         below = len(slc) if slc is not None and len(slc) <= dmax else dmax + 1
         # refuse before the witness or any lower degree is built
         check_column_count(rep.dim, below - 1)
-        if not _lower_degrees_vanish(rep, v, below):
+        # every invariant of degree < below vanishes at v: with rho(g) B = B P_g,
+        # f -> f(Bx) maps the rho-invariants of each degree onto pi's, and
+        # f(Bw) = f(v), so pi's spaces at w decide it, and pi's constraint rows
+        # have at most two nonzeros each
+        if _epsilon_by_spaces(_permutation_rep(rep), w, below - 1).determined:
             raise AssertionError("fast path disagreed with the invariant spaces")
         if below > dmax:
             return SeparationReport("epsilon", None, None, [v], dmax, ctx)
-        value, witness, forms = _fast_path_epsilon(rep, v)
+        witness, forms = _fast_path_epsilon(pb, slc, rep.dim)
         if not _orbit_product_invariant(rep, forms):
             raise AssertionError("fast-path witness failed its orbit-product certificate")
         if witness.evaluate(v).is_zero():
             raise AssertionError("fast-path witness vanishes at the point")
-        return SeparationReport("epsilon", value, witness, [v], dmax, ctx)
+        return SeparationReport("epsilon", below, witness, [v], dmax, ctx)
     return _epsilon_by_spaces(rep, v, dmax)
 
 
@@ -395,9 +380,7 @@ def _span_points(basis: list[list[Scalar]], ctx: FieldCtx,
     k = len(basis)
     if k == 0:
         return []
-    count = ctx.cardinality**k
-    if count > cap:
-        raise TooManyPoints(f"{count} points exceeds the cap {cap}")
+    check_point_count(ctx, k, cap)
     elems = ctx.enumerate()
     points = []
     for coeffs in itertools.product(elems, repeat=k):
@@ -511,13 +494,31 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     return _sup_report("delta", rep, points, dmax, declared_generators)
 
 
-def check_point_count(pointfield: FieldCtx, dim: int,
-                      cap: int = DEFAULT_POINT_CAP) -> None:
-    """Refuse sigma's enumeration of pointfield^dim before any work starts."""
-    if not pointfield.is_finite:
-        raise RationalContext("sigma enumerates the points of a finite field")
-    if pointfield.cardinality**dim > cap:
-        raise TooManyPoints(f"{pointfield.cardinality}^{dim} points "
+def _power_text(base: int, exp: int) -> str:
+    """base^exp in decimal, or as the power itself where the decimal would
+    pass the 4,300 digits that Python converts an int to text."""
+    return str(base**exp) if exp == 1 or exp * math.log10(base) < 4299 else f"({base}^{exp})"
+
+
+def check_point_count(pointfield: FieldCtx | tuple[int, int],
+                      dim: int | tuple[int, int], cap: int = DEFAULT_POINT_CAP) -> None:
+    """Refuse the enumeration of pointfield^dim before any work starts.
+
+    A module spec fixes the field order and the dimension before its field
+    or module is built, so either may come as a pair (base, exponent).  No
+    exponent passes cap.bit_length(), by which a base >= 2 passes the cap,
+    so q^dim is never formed.
+    """
+    if isinstance(pointfield, FieldCtx):
+        if not pointfield.is_finite:
+            raise RationalContext("sigma enumerates the points of a finite field")
+        pointfield = (pointfield.p, pointfield.n)
+    q, dim = pointfield, dim if isinstance(dim, tuple) else (dim, 1)
+
+    def capped(base: int, exp: int) -> int:  # min(base^exp, cap + 1)
+        return min(base ** min(exp, cap.bit_length()), cap + 1)
+    if capped(capped(*q), capped(*dim)) > cap:
+        raise TooManyPoints(f"{_power_text(*q)}^{_power_text(*dim)} points "
                             f"exceeds the cap {cap}")
 
 

@@ -143,24 +143,19 @@ class Matrix:
         return True
 
     def is_permutation(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        seen = set()
-        for col in zip(*self.rows):
-            hits = [i for i, s in enumerate(col) if not s.is_zero()]
-            if len(hits) != 1 or not col[hits[0]].is_one():
-                return False
-            seen.add(hits[0])
-        return len(seen) == self.nrows
+        return self.permutation() is not None
 
     def permutation(self) -> list[int] | None:
         """pi with M e_j = e_{pi[j]}, or None if not a permutation matrix."""
-        if not self.is_permutation():
+        if self.nrows != self.ncols:
             return None
         pi = []
         for col in zip(*self.rows):
-            pi.append(next(i for i, s in enumerate(col) if not s.is_zero()))
-        return pi
+            hits = [i for i, s in enumerate(col) if not s.is_zero()]
+            if len(hits) != 1 or not col[hits[0]].is_one():
+                return None
+            pi.append(hits[0])
+        return pi if len(set(pi)) == self.nrows else None
 
     def inverse(self) -> "Matrix":
         """Gauss-Jordan on [A | I], rows held as {column: raw value} over

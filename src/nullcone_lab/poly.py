@@ -234,13 +234,6 @@ class Polynomial:
         picked = {e: c for e, c in self.terms.items() if sum(e) == d}
         return Polynomial(self.ctx, self.nvars, picked, _trusted=True)
 
-    def coefficient(self, m: Monomial | tuple[int, ...]) -> Scalar:
-        exps = m.exps if isinstance(m, Monomial) else tuple(m)
-        return self.terms.get(exps, self.ctx.zero)
-
-    def monomials(self) -> list[Monomial]:
-        return [Monomial(e) for e in sorted(self.terms, key=grlex_key)]
-
     def _check(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             raise ContextMismatch(f"expected Polynomial, got {type(other).__name__}")

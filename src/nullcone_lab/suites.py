@@ -16,6 +16,7 @@ from . import __version__
 from .constructions import (
     DEFAULT_GA2_SAMPLES,
     binomial_mod_p,
+    cyclic_group,
     ga2_example,
     gl2_test_module,
     sampled_fixed_space,
@@ -161,11 +162,8 @@ def suite_regular_rep(p: int | None = None, n: int | None = None,
 
 def _named_p_groups() -> list[tuple[str, int, MatrixGroup]]:
     out = []
-    for label, p, k in (("Z2", 2, 2), ("Z3", 3, 3), ("Z5", 5, 5)):
-        ctx = ff_make(p)
-        rows = [[ctx.one if i == (j + 1) % k else ctx.zero for j in range(k)]
-                for i in range(k)]
-        out.append((label, p, MatrixGroup.closure([Matrix(ctx, rows)])))
+    for label, p in (("Z2", 2), ("Z3", 3), ("Z5", 5)):
+        out.append((label, p, cyclic_group(ff_make(p), p)))
     f2 = ff_make(2)
     a = Matrix.from_ints(f2, [[0, 1, 0, 0], [1, 0, 0, 0],
                               [0, 0, 0, 1], [0, 0, 1, 0]])
@@ -320,9 +318,7 @@ def suite_normal_subgroup(budget: _Budget | None = None) -> SuiteReport:
     """delta(G) <= delta(N) * delta(G/N) on the order-4 cyclic instance,
     both sides computed on the regular module over F_2."""
     f2 = ff_make(2)
-    rows = [[f2.one if i == (j + 1) % 4 else f2.zero for j in range(4)]
-            for i in range(4)]
-    z4 = MatrixGroup.closure([Matrix(f2, rows)])
+    z4 = cyclic_group(f2, 4)
     reg = regular_rep(z4)
     delta_g = delta_bounded(reg, 4, f2).value
     square = z4.elements[z4.mul(1, 1)]

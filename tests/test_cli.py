@@ -256,21 +256,30 @@ def test_cyclic_module_of_size_one_is_valid(capsys):
     assert json.loads(out)["module"] == "cyclic:p=2,k=1"
 
 
-def test_oversized_cyclic_sigma_is_refused_before_the_group_is_built(capsys, monkeypatch):
+@pytest.mark.parametrize("module, extra, count", [
+    pytest.param("cyclic:p=2,k=30", (), "2^30", id="cyclic"),
+    pytest.param("cyclic:p=2,k=8", ("--pointfield", "2,3"), "8^8", id="cyclic-pointfield"),
+    pytest.param("va:p=2,n=1,m=16", (), "65536^3", id="va"),
+    pytest.param("gn:p=2,n=16", (), "65536^2", id="gn"),
+    pytest.param("gl2:p=2,n=2", (), "4^16", id="gl2"),
+    pytest.param("gl2:p=2,n=20000", (), "(2^20000)^(2^40000)", id="gl2-long"),
+    pytest.param("torus:q=65537,r=1,m=2", (), "65537^2", id="torus"),
+])
+def test_oversized_cyclic_sigma_is_refused_before_the_group_is_built(
+        capsys, monkeypatch, module, extra, count):
+    """Every builder's spec fixes the field order and the dimension, so an
+    oversized sigma is refused before any group is closed; a count whose
+    decimal is too long to print is written as a power."""
     from nullcone_lab.groups import MatrixGroup
 
     def no_closure(*args, **kwargs):
         raise AssertionError("the group was closed before the refusal")
     monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
-    code, out, err = run_cli(capsys, "compute", "sigma", "--module", "cyclic:p=2,k=30",
+    code, out, err = run_cli(capsys, "compute", "sigma", "--module", module, *extra,
                              "--dmax", "2")
     assert code == 2
     assert out == ""
-    assert err == "error: TooManyPoints: 2^30 points exceeds the cap 1000000\n"
-    code, _, err = run_cli(capsys, "compute", "sigma", "--module", "cyclic:p=2,k=8",
-                           "--pointfield", "2,3", "--dmax", "2")
-    assert code == 2
-    assert err == "error: TooManyPoints: 8^8 points exceeds the cap 1000000\n"
+    assert err == f"error: TooManyPoints: {count} points exceeds the cap 1000000\n"
 
 
 def test_sigma_over_the_rationals_exits_2(capsys):

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nullcone_lab.constructions import gl2_test_module, gn_module
 from nullcone_lab.errors import CapExceeded, GroupMismatch, NotInvertible, NotPermutationAction
 from nullcone_lab.fields import FieldCtx, ff_make
 from nullcone_lab.groups import (
@@ -160,17 +161,23 @@ def test_closure_alone_multiplies_matrices(monkeypatch):
     cycle = Matrix.from_ints(f3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     swap = Matrix.from_ints(f3, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     sign = Matrix.from_ints(f3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-    products = []
-    real_mul = Matrix.__mul__
+    products, inversions = [], []
+    real_mul, real_inverse = Matrix.__mul__, Matrix.inverse
 
     def counting_mul(a, b):
         products.append((a, b))
         return real_mul(a, b)
 
+    def counting_inverse(m):
+        inversions.append(m)
+        return real_inverse(m)
+
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
     group = MatrixGroup.closure([cycle, swap, sign])
     assert group.order == 48
     assert len(products) == group.order * 3
+    assert inversions == [cycle, swap, sign]  # only to reject a singular generator
     products.clear()
     regular_rep(group)
     group.lift(ff_make(3, 2))
@@ -396,6 +403,21 @@ def test_permutation_basis_check_rejects_a_tampered_permutation(p, degree):
     pb.perms[1] = tuple(pi)
     with pytest.raises(AssertionError):
         _verify_permutation_basis(rep, pb)
+
+
+@pytest.mark.parametrize("make_rep", [
+    lambda: gl2_test_module(2, 2).rep,
+    lambda: sym_power_rep(gn_module(3, 1)[1], 2),
+], ids=["gl2-2-2", "vandermonde-S2-p3"])
+def test_permutation_basis_reads_seed_orbits_from_columns(monkeypatch, make_rep):
+    """rho(g) e_j is column j of rho(g): the search applies no matrix."""
+    rep = make_rep()
+
+    def no_apply(*args):
+        raise AssertionError("a matrix was applied to a seed")
+    monkeypatch.setattr(Matrix, "apply", no_apply)
+    pb = find_permutation_basis(rep)
+    assert pb is not None and pb.is_free()
 
 
 def test_permutation_basis_absent_for_scaling_action():

@@ -354,10 +354,14 @@ def test_orbit_product_certificate_on_gl2():
     factor scaled by z does not, though each tampered set still has size 4."""
     module = gl2_test_module(2, 2)
     rep = module.rep
-    degree, witness, forms = _fast_path_epsilon(rep, module.identity_point)
-    assert degree == len(forms) == 4
-    assert _orbit_product_invariant(rep, forms)
     pb = rep.permutation_basis()
+    w = pb.coordinates(module.identity_point)
+    slc = min((s for s in pb.orbit_slices if all(not w[k].is_zero() for k in s)),
+              key=len)
+    witness, forms = _fast_path_epsilon(pb, slc, rep.dim)
+    assert len(forms) == 4
+    assert witness == epsilon(rep, module.identity_point, 4).witness
+    assert _orbit_product_invariant(rep, forms)
     chosen = pb.basis_inverse.rows.index(forms[0])
     other = next(s for s in pb.orbit_slices if chosen not in s)
     assert not _orbit_product_invariant(
@@ -365,6 +369,22 @@ def test_orbit_product_certificate_on_gl2():
     z = rep.ctx.generator()
     assert not _orbit_product_invariant(
         rep, [[z * s for s in forms[0]]] + forms[1:])
+
+
+def test_fast_path_computes_the_coordinates_once(monkeypatch):
+    """A separated fast-path point computes w = B^-1 v, and its B w check,
+    once."""
+    module = gl2_test_module(2, 2)
+    pb = module.rep.permutation_basis()
+    calls = []
+    real = type(pb).coordinates
+
+    def counting(self, v):
+        calls.append(v)
+        return real(self, v)
+    monkeypatch.setattr(type(pb), "coordinates", counting)
+    assert epsilon(module.rep, module.identity_point, 4).value == 4
+    assert calls == [module.identity_point]
 
 
 def test_invariant_space_refuses_columns_above_the_cap(monkeypatch):
@@ -444,10 +464,10 @@ if __debug__:
     sys.exit("run with python -O")
 real = invariants._fast_path_epsilon
 
-def tampered(rep, v):
-    degree, witness, forms = real(rep, v)
-    z = rep.ctx.generator()
-    return degree, witness, [[z * s for s in forms[0]]] + forms[1:]
+def tampered(pb, slc, nvars):
+    witness, forms = real(pb, slc, nvars)
+    z = pb.ctx.generator()
+    return witness, [[z * s for s in forms[0]]] + forms[1:]
 
 invariants._fast_path_epsilon = tampered
 f4 = ff_make(2, 2)
@@ -536,11 +556,12 @@ def test_sigma_swap_over_f2_by_exhaustion():
     assert [[s.val for s in p] for p in report.points] == [[1, 1]]
 
 
-def test_sigma_point_cap():
+@pytest.mark.parametrize("runner", [sigma_bounded, delta_bounded])
+def test_sigma_point_cap(runner):
     f5 = ff_make(5)
     rep = trivial_group(f5, 3).natural_rep()
-    with pytest.raises(TooManyPoints):
-        sigma_bounded(rep, 1, f5, cap=10)
+    with pytest.raises(TooManyPoints, match=r"^5\^3 points exceeds the cap 10$"):
+        runner(rep, 1, f5, cap=10)
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2)])

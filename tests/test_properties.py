@@ -18,7 +18,6 @@ from nullcone_lab.groups import (MatrixGroup, Representation, find_permutation_b
 from nullcone_lab.invariants import (
     _epsilon_by_spaces,
     _span_points,
-    _lower_degrees_vanish,
     _orbit_product_invariant,
     _permutation_rep,
     _verify_invariant,
@@ -165,7 +164,9 @@ def test_lower_degree_routes_agree(case, value):
     label, rep, v = case
     x_route = all(f.evaluate(v).is_zero() for d in range(1, value)
                   for f in invariant_space(rep, d).basis)
-    assert _lower_degrees_vanish(rep, v, value) == x_route, label
+    w = rep.permutation_basis().coordinates(v)
+    pi_route = not _epsilon_by_spaces(_permutation_rep(rep), w, value - 1).determined
+    assert pi_route == x_route, label
     assert orbit_sums_vanish(rep, v, value) == x_route, label
 
 
