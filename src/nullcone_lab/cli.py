@@ -17,7 +17,7 @@ from . import __version__
 from .constructions import (cyclic_group, gl2_test_module, gn_module, torus_field_order,
                             torus_module, va_module)
 from .errors import BadParameter, NullconeLabError, UnknownSuite
-from .fields import FieldCtx, _is_probable_prime, ff_make
+from .fields import FieldCtx, _is_probable_prime, check_lift, ff_make
 from .groups import MatrixGroup, Representation, regular_rep
 from .invariants import (
     check_point_count,
@@ -140,10 +140,12 @@ SPEC_SIZES = {"va": lambda p, n, m: (p, m, 3) if n >= 0 else None,
               "cyclic": lambda p, k: (p, 1, k) if k >= 1 else None}
 
 
-def _refuse_oversized_sigma(args) -> None:
-    """Refuse a sigma request whose point count the argv already fixes, before
-    the module or its field is built.  A malformed spec or point field is left
-    to the usual path, which reports it."""
+def _refuse_early(args) -> None:
+    """Refuse what the argv already decides, before the module is built: a
+    sigma point count past the cap, before the module's field is built too,
+    then, once --dmax is given (the usual path asks for it first), a point
+    field that the module's field does not lift into.  A malformed spec or
+    point field is left to the usual path, which reports it."""
     name, params = _spec_args(args.module)
     if set(params) != set(SPEC_KEYS.get(name, ())):
         return
@@ -152,8 +154,12 @@ def _refuse_oversized_sigma(args) -> None:
         pointfield = _parse_field_arg(args.pointfield) if args.pointfield else None
     except NullconeLabError:
         return
-    if size is not None and size[1] >= 1 and _is_probable_prime(size[0]):
+    if size is None or size[1] < 1 or not _is_probable_prime(size[0]):
+        return
+    if args.what == "sigma":
         check_point_count(pointfield or size[:2], size[2])
+    if pointfield is not None and args.dmax is not None:
+        check_lift(ff_make(*size[:2]), pointfield)
 
 
 def _resolve_rep(args) -> ModuleSpec:
@@ -236,8 +242,8 @@ def cmd_compute(args) -> int:
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise BadParameter(f"--{flag} must be >= 0, got {value}")
-    if args.what == "sigma" and args.module:
-        _refuse_oversized_sigma(args)
+    if args.what in ("delta", "sigma") and args.module:
+        _refuse_early(args)
     spec = _resolve_rep(args)
     rep = spec.rep
 

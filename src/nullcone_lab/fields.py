@@ -21,6 +21,7 @@ object.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 import weakref
@@ -109,14 +110,33 @@ def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
         yield tuple(_digits(k, p, degree)) + (1,)
 
 
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int):
+    """a * b mod f in F_p[z]."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_divmod([c % p for c in prod], f, p)[1]
+
+
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(modulus) - 1
-    for d in range(1, deg // 2 + 1):
-        for divisor in _monic_polys(p, d):
-            _, rem = _poly_divmod(modulus, divisor, p)
-            if not rem:
-                return False
+    """Ben-Or's test: a monic f of degree n is irreducible iff
+    gcd(f, z^(p^i) - z mod f) = 1 for 1 <= i <= n/2."""
+    z = _poly_divmod((0, 1), modulus, p)[1]
+    h = z
+    for _ in range((len(modulus) - 1) // 2):
+        base, k, h = h, p, (1,)  # h <- h^p mod f
+        while k:
+            if k & 1:
+                h = _poly_mulmod(h, base, modulus, p)
+            base, k = _poly_mulmod(base, base, modulus, p), k >> 1
+        a, b = tuple(modulus), _poly_trim([(x - y) % p for x, y in
+                                           itertools.zip_longest(h, z, fillvalue=0)])
+        while b:
+            a, b = b, _poly_divmod(a, b, p)[1]
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -662,10 +682,17 @@ def ff_enumerate(ctx: FieldCtx) -> list[Scalar]:
     return ctx.enumerate()
 
 
+def check_lift(source: FieldCtx, target: FieldCtx) -> None:
+    """Refuse a pair of fields with no canonical embedding: there is one of
+    a field into itself, and of a prime field into an extension of it."""
+    if not (source is target or (source.kind == "prime" and target.kind == "extension"
+                                 and source.p == target.p)):
+        raise ContextMismatch(f"no canonical map {source!r} -> {target!r}")
+
+
 def lift(a: Scalar, target: FieldCtx) -> Scalar:
     """Canonical embedding: identity, or prime field into an extension."""
     if a.ctx is target:
         return a
-    if a.ctx.kind == "prime" and target.kind == "extension" and a.ctx.p == target.p:
-        return target.from_coeffs((a.val,))
-    raise ContextMismatch(f"no canonical map {a.ctx!r} -> {target!r}")
+    check_lift(a.ctx, target)
+    return target.from_coeffs((a.val,))

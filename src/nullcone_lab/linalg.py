@@ -1,16 +1,17 @@
 """Exact linear algebra over a FieldCtx: dense matrices with sparse
 products, and streamed elimination.
 
-Two elimination engines sit behind one interface: a generic one holding rows
-as sparse {column: Scalar} dicts, and a characteristic-2 engine that packs
-each of the n coefficient planes of a row into one Python int, so row
-operations become big-int XORs.  Constraint rows are streamed into the
-eliminator one at a time; the full stacked matrix is never materialised.
-Both engines pivot on a row's highest column, which makes their kernel basis
-the canonical reduced row-echelon one without a second elimination, and both
-clear a pivot row of later pivots lazily: only when a new row uses it, and
-once for all rows when the kernel is read.  The kernel comes out as one
-sparse {column: Scalar} dict per free column; kernel() makes it dense.
+Two elimination engines sit behind one interface, both on raw field values:
+a generic one holding rows as sparse {column: value} dicts, and a
+characteristic-2 engine that packs each of the n coefficient planes of a row
+into one Python int, so row operations become big-int XORs.  Constraint rows
+are streamed into the eliminator one at a time; the full stacked matrix is
+never materialised.  Both engines pivot on a row's highest column, which
+makes their kernel basis the canonical reduced row-echelon one without a
+second elimination, and both clear a pivot row of later pivots lazily: only
+when a new row uses it, and once for all rows when the kernel is read.  The
+kernel comes out as one sparse {column: Scalar} dict per free column;
+kernel() makes it dense, and Matrix.inverse reads the inverse off it.
 """
 
 from __future__ import annotations
@@ -158,40 +159,20 @@ class Matrix:
         return pi if len(set(pi)) == self.nrows else None
 
     def inverse(self) -> "Matrix":
-        """Gauss-Jordan on [A | I], rows held as {column: raw value} over
-        their nonzeros, so each step touches only the pivot row's support."""
+        """Read off the canonical kernel of the rows {i: -1, n+j: a_ij}, which
+        is {(y, x) : Ax = y}.  A is invertible exactly when its free columns
+        are 0..n-1, and then the vector at free column j is (e_j, A^-1 e_j)."""
         if self.nrows != self.ncols:
             raise NotInvertible("not square")
         n, ctx = self.ncols, self.ctx
-        sub, mul, inv = ctx._sub, ctx._mul, ctx._inv
-        zero_val, one_val = ctx.zero.val, ctx.one.val
-        work = []
-        for i, row in enumerate(self.rows):
-            support = {j: s.val for j, s in enumerate(row) if s.val != zero_val}
-            support[n + i] = one_val
-            work.append(support)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if col in work[r]), None)
-            if pivot is None:
-                raise NotInvertible("singular matrix")
-            work[col], work[pivot] = work[pivot], work[col]
-            lead = work[col][col]
-            if lead != one_val:
-                scale = inv(lead)
-                work[col] = {c: mul(v, scale) for c, v in work[col].items()}
-            pivot_row = work[col]
-            for r, row in enumerate(work):
-                factor = row.get(col)
-                if r == col or factor is None:
-                    continue
-                for c, v in pivot_row.items():
-                    new = sub(row.get(c, zero_val), mul(factor, v))
-                    if new == zero_val:
-                        row.pop(c, None)
-                    else:
-                        row[c] = new
-        return Matrix(ctx, [[Scalar(ctx, row.get(n + j, zero_val)) for j in range(n)]
-                            for row in work])
+        minus_one = -ctx.one
+        rows = ({i: minus_one, **{n + j: a for j, a in enumerate(row) if not a.is_zero()}}
+                for i, row in enumerate(self.rows))
+        basis = _sparse_kernel(rows, 2 * n, ctx)
+        if [min(vec) for vec in basis] != list(range(n)):
+            raise NotInvertible("singular matrix")
+        zero = ctx.zero
+        return Matrix(ctx, [[vec.get(n + i, zero) for vec in basis] for i in range(n)])
 
     def det(self) -> Scalar:
         if self.nrows != self.ncols:
@@ -218,9 +199,9 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # row reduction engines
 #
-# Rows enter as sparse {column: Scalar} dicts.  A row's pivot is its highest
-# nonzero column.  A new row is reduced against the pivot rows it hits, then
-# joins them; the pivot rows are not cleared of its pivot column at once.
+# Rows enter as sparse {column: Scalar} dicts and are held as raw values.  A
+# row's pivot is its highest nonzero column.  A new row is reduced against the
+# pivot rows it hits, then joins them; they are not cleared of its pivot at once.
 # Instead each pivot row remembers which pivot columns it is already cleared
 # of, and is cleared of the rest only when an incoming row uses it or when
 # kernel_basis() is read.  A cleared pivot row vanishes at every other pivot
@@ -235,27 +216,28 @@ class Matrix:
 # {column: Scalar} dict per free column.
 
 
-def _subtract(row: dict[int, Scalar], factor: Scalar, pivot: dict[int, Scalar]) -> None:
-    """row -= factor * pivot, in place, keeping only nonzero entries."""
+def _subtract(row: dict, factor, pivot: dict, ctx: FieldCtx) -> None:
+    """row -= factor * pivot on raw values, in place, keeping nonzeros only."""
+    sub, mul, neg = ctx._sub, ctx._mul, ctx._neg
     for c, b in pivot.items():
         old = row.get(c)
         if old is None:
-            row[c] = -(factor * b)
+            row[c] = neg(mul(factor, b))
         else:
-            new = old - factor * b
-            if new.is_zero():
-                del row[c]
-            else:
+            new = sub(old, mul(factor, b))
+            if new:
                 row[c] = new
+            else:
+                del row[c]
 
 
 class _GenericEliminator:
-    """Rows as sparse {column: Scalar} dicts over any field."""
+    """Rows as sparse {column: raw value} dicts over any field."""
 
     def __init__(self, ctx: FieldCtx, ncols: int):
         self.ctx = ctx
         self.ncols = ncols
-        self.pivots: dict[int, dict[int, Scalar]] = {}
+        self.pivots: dict[int, dict] = {}
         # pivot column -> number of pivots, in the order they came, that its
         # row is cleared of (its own included)
         self._cleared: dict[int, int] = {}
@@ -291,22 +273,23 @@ class _GenericEliminator:
         for c in sorted(stale):
             row = self.pivots[c]
             for col in self._pending(c):
-                _subtract(row, row[col], self.pivots[col])
+                _subtract(row, row[col], self.pivots[col], self.ctx)
             self._cleared[c] = rank
 
     def add_row(self, row: dict[int, Scalar]) -> bool:
-        row = {c: s for c, s in row.items() if not s.is_zero()}
+        ctx = self.ctx
+        row = {c: s.val for c, s in row.items() if s.val}
         for c in [c for c in row if c in self.pivots]:
             # a cleared pivot row changes no other hit's coefficient
             if self._cleared[c] != len(self.pivots):
                 self._clean((c,))
-            _subtract(row, row[c], self.pivots[c])
+            _subtract(row, row[c], self.pivots[c], ctx)
         if not row:
             return False
         lead = max(row)
-        inv = row[lead].inverse()
-        if not inv.is_one():
-            row = {c: s * inv for c, s in row.items()}
+        if row[lead] != 1:
+            inv, mul = ctx._inv(row[lead]), ctx._mul
+            row = {c: mul(v, inv) for c, v in row.items()}
         self.pivots[lead] = row
         self._cleared[lead] = len(self.pivots)
         return True
@@ -317,12 +300,13 @@ class _GenericEliminator:
 
     def kernel_basis(self) -> list[dict[int, Scalar]]:
         self._clean(self.pivots)
-        one = self.ctx.one
+        ctx = self.ctx
+        one, neg = ctx.one, ctx._neg
         basis = {j: {j: one} for j in range(self.ncols) if j not in self.pivots}
         for c in sorted(self.pivots):
-            for j, s in self.pivots[c].items():
+            for j, v in self.pivots[c].items():
                 if j != c:
-                    basis[j][c] = -s
+                    basis[j][c] = Scalar(ctx, neg(v))
         return list(basis.values())
 
 

@@ -282,6 +282,47 @@ def test_oversized_cyclic_sigma_is_refused_before_the_group_is_built(
     assert err == f"error: TooManyPoints: {count} points exceeds the cap 1000000\n"
 
 
+GN16 = "GF(2^16, modulus=z^16+z^5+z^3+z+1)"
+
+
+@pytest.mark.parametrize("what, pointfield, target", [
+    pytest.param("sigma", "2", "GF(2)", id="sigma"),
+    pytest.param("delta", "2,3", "GF(2^3, modulus=z^3+z+1)", id="delta"),
+    pytest.param("delta", "0", "QQ", id="delta-rationals"),
+])
+def test_point_field_without_the_module_field_is_refused_before_the_group_is_built(
+        capsys, monkeypatch, what, pointfield, target):
+    """The spec fixes the module's field, so a point field it does not lift
+    into is refused with the lift's own error before any group is closed."""
+    from nullcone_lab.groups import MatrixGroup
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the group was closed before the refusal")
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
+    code, out, err = run_cli(capsys, "compute", what, "--module", "gn:p=2,n=16",
+                             "--pointfield", pointfield, "--dmax", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ContextMismatch: no canonical map {GN16} -> {target}\n"
+
+
+@pytest.mark.parametrize("spec", ["va:p=3,n=1,m=2", "gl2:p=2,n=1", "torus:q=7,r=1,m=2",
+                                  "torus:q=9,r=1,m=2", "gn:p=2,n=3", "cyclic:p=3,k=2"])
+def test_spec_sizes_name_the_field_the_builder_uses(spec):
+    """The early refusals build the module's field from SPEC_SIZES alone."""
+    from nullcone_lab.cli import SPEC_SIZES, _spec_args
+    from nullcone_lab.fields import ff_make
+    name, params = _spec_args(spec)
+    p, e, _ = SPEC_SIZES[name](**params)
+    assert parse_module_spec(spec).rep.ctx is ff_make(p, e)
+
+
+def test_point_field_check_waits_for_dmax(capsys):
+    code, out, err = run_cli(capsys, "compute", "delta", "--module", "gn:p=2,n=2",
+                             "--pointfield", "2")
+    assert (code, out, err) == (2, "", "error: delta needs --dmax\n")
+
+
 def test_sigma_over_the_rationals_exits_2(capsys):
     code, out, err = run_cli(capsys, "compute", "sigma", "--gens", "1", "--field", "0",
                              "--dmax", "1")

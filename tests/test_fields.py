@@ -5,6 +5,7 @@ implementation under test."""
 from __future__ import annotations
 
 import gc
+import itertools
 import weakref
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from nullcone_lab.errors import (
     RationalContext,
     ReducibleModulus,
 )
-from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make, frobenius, lift
+from nullcone_lab.fields import (FieldCtx, _is_irreducible, ff_enumerate, ff_make,
+                                 frobenius, lift)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -47,6 +49,19 @@ def irreducible_quadratics_oracle(p):
     return out
 
 
+def monic_polys_oracle(p, degree):
+    """All monic polynomials of the degree, little-endian, least encoding first."""
+    return sorted((tuple(c) + (1,) for c in itertools.product(range(p), repeat=degree)),
+                  key=lambda f: sum(c * p**i for i, c in enumerate(f)))
+
+
+def is_irreducible_oracle(f, p):
+    """Trial division by every monic polynomial of degree <= deg/2."""
+    deg = len(f) - 1
+    return not any(not any(poly_mod_oracle(f, d, p))
+                   for k in range(1, deg // 2 + 1) for d in monic_polys_oracle(p, k))
+
+
 # -- construction -------------------------------------------------------------
 
 def test_prime_field_cardinality():
@@ -69,6 +84,29 @@ def test_f9_modulus_is_least_irreducible():
     # ascending integer encoding c0 + 3*c1 picks the least
     least = min(irreducibles, key=lambda m: m[0] + 3 * m[1])
     assert ff_make(3, 2).modulus == least == (1, 0, 1)  # z^2 + 1
+
+
+@pytest.mark.parametrize("p, dmax", [(2, 6), (3, 6), (5, 4)])
+def test_irreducibility_test_agrees_with_trial_division(p, dmax):
+    for deg in range(1, dmax + 1):
+        for f in monic_polys_oracle(p, deg):
+            assert _is_irreducible(f, p) == is_irreducible_oracle(f, p), f
+
+
+@pytest.mark.parametrize("p, nmax", [(2, 8), (3, 5), (5, 3), (7, 2)])
+def test_default_modulus_is_the_least_irreducible(p, nmax):
+    for n in range(2, nmax + 1):
+        least = next(f for f in monic_polys_oracle(p, n) if is_irreducible_oracle(f, p))
+        assert ff_make(p, n).modulus == least
+
+
+def test_large_default_moduli_are_found():
+    """Trial division over all candidates took seconds for F_2^30 and did not
+    finish for F_3^40."""
+    assert ff_make(2, 30).modulus_text() == "z^30+z+1"
+    assert ff_make(3, 40).modulus_text() == "z^40+z+2"
+    with pytest.raises(ReducibleModulus):
+        ff_make(3, 40, modulus=(2,) + (0,) * 39 + (1,))  # z^40 + 2 vanishes at 1
 
 
 def test_not_prime_rejected():

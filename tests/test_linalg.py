@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nullcone_lab.errors import (ContextMismatch, DimensionMismatch, NotInvertible,
                                  ParseError)
-from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
+from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
 from nullcone_lab.linalg import (
     Matrix,
     _GenericEliminator,
@@ -395,7 +395,7 @@ _INVERSE_FIELDS = {**_FIELDS, "F9": lambda: ff_make(3, 2), "F25": lambda: ff_mak
 @given(field=st.sampled_from(sorted(_INVERSE_FIELDS)), data=st.data())
 def test_inverse_on_raw_values_is_the_two_sided_inverse(field, data):
     """The inverse is unique, so a two-sided check against the dense product
-    oracle pins the sparse Gauss-Jordan result entry for entry."""
+    oracle pins the kernel-read result entry for entry."""
     ctx = _INVERSE_FIELDS[field]()
     n = data.draw(st.integers(1, 5))
     a = data.draw(_matrices(ctx, n, n))
@@ -408,3 +408,65 @@ def test_inverse_on_raw_values_is_the_two_sided_inverse(field, data):
     assert _dense_product(a, inv) == identity
     assert _dense_product(inv, a) == identity
     assert all(s.ctx is ctx for row in inv.rows for s in row)
+
+
+_RAW_FIELDS = {"F3": lambda: ff_make(3), "F9": lambda: ff_make(3, 2),
+               "QQ": FieldCtx.rationals}
+
+
+def _random_rows(ctx, nrows, ncols, seed):
+    rng = random.Random(seed)
+    if ctx.is_finite:
+        elems = ff_enumerate(ctx)
+        pick = lambda: rng.choice(elems)
+    else:
+        pick = lambda: ctx.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return [_sparse_scalars([pick() for _ in range(ncols)]) for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("field", sorted(_RAW_FIELDS))
+def test_generic_engine_holds_raw_values(field):
+    ctx = _RAW_FIELDS[field]()
+    elim = _GenericEliminator(ctx, 7)
+    for row in _random_rows(ctx, 5, 7, 11):
+        elim.add_row(row)
+    assert elim.rank > 1
+    values = [v for row in elim.pivots.values() for v in row.values()]
+    assert values and not any(isinstance(v, Scalar) for v in values)
+    assert all(isinstance(s, Scalar) for vec in elim.kernel_basis() for s in vec.values())
+
+
+@pytest.mark.parametrize("field", sorted(_RAW_FIELDS))
+def test_generic_add_row_makes_no_scalar_arithmetic(field, monkeypatch):
+    ctx = _RAW_FIELDS[field]()
+    rows = _random_rows(ctx, 9, 6, 12)
+
+    def forbidden(self, other):
+        raise AssertionError("Scalar arithmetic inside the eliminator")
+    monkeypatch.setattr(Scalar, "__mul__", forbidden)
+    monkeypatch.setattr(Scalar, "__sub__", forbidden)
+    elim = _GenericEliminator(ctx, 6)
+    for row in rows:
+        elim.add_row(row)
+    assert elim.rank == 6
+
+
+def test_inverse_builds_one_eliminator_and_sees_a_last_column_deficiency(monkeypatch):
+    from nullcone_lab import linalg
+    calls = []
+
+    def counted(ctx, ncols):
+        calls.append(ncols)
+        return _make_eliminator(ctx, ncols)
+    monkeypatch.setattr(linalg, "_make_eliminator", counted)
+    f5 = ff_make(5)
+    a = Matrix.from_ints(f5, [[1, 0, 2], [0, 1, 3], [4, 2, 1]])
+    assert (a * a.inverse()).is_identity()
+    assert calls == [6]
+    # the last column is the first plus the second: rank 2, seen only there
+    singular = Matrix.from_ints(f5, [[1, 0, 1], [0, 1, 1], [2, 3, 0]])
+    with pytest.raises(NotInvertible, match="singular matrix"):
+        singular.inverse()
+    assert calls == [6, 6]
+    with pytest.raises(NotInvertible, match="not square"):
+        Matrix.from_ints(f5, [[1, 0]]).inverse()
