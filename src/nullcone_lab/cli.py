@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .constructions import (cyclic_group, gl2_test_module, gn_module, torus_field_order,
@@ -63,12 +63,16 @@ class ModuleSpec:
     """A named builder instance: e.g. va:p=2,n=1,m=2 or gl2:p=2,n=2."""
 
     def __init__(self, rep: Representation, label: str,
-                 candidates: list[Polynomial] | None = None,
+                 candidates: Callable[[], list[Polynomial]] | None = None,
                  default_point: list | None = None):
         self.rep = rep
         self.label = label
-        self.candidates = candidates
+        self._candidates = candidates  # built on each read of `candidates`
         self.default_point = default_point
+
+    @property
+    def candidates(self) -> list[Polynomial] | None:
+        return self._candidates() if self._candidates is not None else None
 
 
 def _spec_args(text: str) -> tuple[str, dict[str, int]]:
@@ -108,14 +112,14 @@ def parse_module_spec(text: str) -> ModuleSpec:
     try:
         if name == "va":
             module = va_module(args["p"], args["n"], args["m"])
-            return ModuleSpec(module.rep, text, candidates=module.candidates)
+            return ModuleSpec(module.rep, text, candidates=lambda: module.candidates)
         if name == "gl2":
             module = gl2_test_module(args["p"], args["n"])
             return ModuleSpec(module.rep, text,
                               default_point=module.identity_point)
         if name == "torus":
             module = torus_module(args["q"], args["r"], args["m"])
-            return ModuleSpec(module.rep, text, candidates=[module.witness],
+            return ModuleSpec(module.rep, text, candidates=lambda: [module.witness],
                               default_point=module.point)
         if name == "gn":
             _, rep = gn_module(args["p"], args["n"])

@@ -9,6 +9,7 @@ two-parameter example, and generic-parameter invariance checking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,7 +209,7 @@ def vandermonde_regular_check(p: int, n: int) -> VandermondeReport:
         if sym.matrices[gi].apply(seed) != expected:
             pattern_ok = False
     return VandermondeReport(p, n, True, pattern_ok,
-                             not pb.basis_matrix.det().is_zero(),
+                             (pb.basis_matrix * pb.basis_inverse).is_identity(),
                              pb.is_free(), pb.is_transitive(), pb.fixes_no_slot())
 
 
@@ -244,19 +245,26 @@ def va_translation_matrix(ctx: FieldCtx, t: Scalar, twist: int) -> Matrix:
 
 @dataclass
 class VaModule:
-    """Level-m finite stage of the twisted translation action on k^3."""
+    """Level-m finite stage of the twisted translation action on k^3; its
+    degree-p^n parametric action and candidates are built on first read."""
 
     p: int
     n: int
     m: int
     group: MatrixGroup
     rep: Representation
-    parametric: ParametricAction
-    candidates: list[Polynomial]
 
     @property
     def ctx(self) -> FieldCtx:
         return self.group.ctx
+
+    @functools.cached_property
+    def parametric(self) -> ParametricAction:
+        return va_parametric(self.p, self.n)
+
+    @functools.cached_property
+    def candidates(self) -> list[Polynomial]:
+        return va_candidates(self.p, self.n, self.ctx)
 
 
 def va_candidates(p: int, n: int, ctx: FieldCtx) -> list[Polynomial]:
@@ -287,16 +295,16 @@ def va_module(p: int, n: int, m: int) -> VaModule:
     if n < 0:
         raise DimensionMismatch(f"twist exponent n must be >= 0, got {n}")
     ctx = ff_make(p, m)
-    q = p**n
+    # frobenius has order m on F_(p^m), so t^(p^n) = t^(p^(n mod m)) there
+    twist = p**(n % m)
     if ctx.kind == "extension":
         ts = [ctx.from_coeffs(tuple(1 if i == k else 0 for i in range(m)))
               for k in range(m)]
     else:
         ts = [ctx.one]
-    group = MatrixGroup.closure([va_translation_matrix(ctx, t, q) for t in ts])
+    group = MatrixGroup.closure([va_translation_matrix(ctx, t, twist) for t in ts])
     assert group.order == p**m
-    return VaModule(p, n, m, group, group.natural_rep(), va_parametric(p, n),
-                    va_candidates(p, n, ctx))
+    return VaModule(p, n, m, group, group.natural_rep())
 
 
 def subfield_elements(ctx: FieldCtx, degree: int) -> list[Scalar]:

@@ -601,10 +601,6 @@ class Scalar:
     def __hash__(self):
         return hash((self.ctx, self.val))
 
-    def sort_key(self):
-        """Deterministic total order within one context."""
-        return self.val
-
     def coeffs(self) -> tuple[int, ...]:
         """The n little-endian F_p coefficients of a finite-field element."""
         ctx = self.ctx

@@ -133,22 +133,11 @@ class MatrixGroup:
     def inv(self, i: int) -> int:
         return self.inverse_table[i]
 
-    def element_order(self, i: int) -> int:
-        n, j = 1, i
-        while j != 0:
-            j = self.mul(j, i)
-            n += 1
-        return n
-
     def is_p_group(self, p: int) -> bool:
         n = self.order
         while n % p == 0:
             n //= p
         return n == 1
-
-    def is_abelian(self) -> bool:
-        gens = self.generator_indices  # commuting generators suffice
-        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
     def subgroup(self, generators: Sequence[Matrix],
                  cap: int = DEFAULT_CLOSURE_CAP) -> "MatrixGroup":
@@ -361,10 +350,6 @@ class PermutationBasis:
         self.perms = perms
         self.orbit_slices = orbit_slices
         self.perm_rep: Representation | None = None
-
-    @property
-    def orbit_sizes(self) -> list[int]:
-        return [len(s) for s in self.orbit_slices]
 
     def is_free(self) -> bool:
         return all(len(s) == self.group_order for s in self.orbit_slices)

@@ -311,8 +311,8 @@ def orbit_sums_vanish(rep: Representation, v: Sequence[Scalar], value: int) -> b
 def _epsilon_by_spaces(rep: Representation, v: list[Scalar],
                        dmax: int) -> SeparationReport:
     """The first basis vector of the invariant spaces of degree 1 to dmax
-    that does not vanish at v: the one scan behind epsilon's general path,
-    nullcone_status and the fast path's lower degrees."""
+    that does not vanish at v: the one scan behind epsilon's general path
+    and the fast path's lower degrees (nullcone_status asks epsilon)."""
     for d in range(1, dmax + 1):
         for f in invariant_space(rep, d).basis:
             if not f.evaluate(v).is_zero():
@@ -565,12 +565,13 @@ class NullconeStatus:
 
 def nullcone_status(rep: Representation, point: Sequence[Scalar], dmax: int = 0,
                     declared_generators: Sequence[Polynomial] | None = None) -> NullconeStatus:
-    """Out if an invariant of degree <= dmax separates the point; In only
-    when a declared-exhaustive generator list vanishes there entirely."""
+    """Out when `epsilon` finds an invariant of degree <= dmax that does not
+    vanish at the point, with its witness as the certificate; In only when a
+    declared-exhaustive generator list vanishes there entirely."""
     v = _check_point(rep, point)
     gens = (_checked_generators(rep, declared_generators)
             if declared_generators is not None else None)
-    separated = _epsilon_by_spaces(rep, v, dmax)
+    separated = epsilon(rep, v, dmax)
     if separated.determined:
         return NullconeStatus(v, "out", separated.witness, dmax, gens)
     if gens is not None and all(g.evaluate(v).is_zero() for g in gens):
@@ -585,9 +586,12 @@ def nullcone_status(rep: Representation, point: Sequence[Scalar], dmax: int = 0,
 def degree_reduce(rep: Representation, f: Polynomial,
                   point: Sequence[Scalar]) -> Polynomial:
     """From an invariant f with f(v) != 0 at a fixed point v, and with the
-    characteristic not dividing deg f, produce a degree-1 invariant that is
-    nonzero at v: complete v to a basis, normalise the pure power of the
-    first coordinate, and return x0 + deg^-1 * (coefficient of x0^(deg-1)).
+    characteristic not dividing d = deg f, produce a degree-1 invariant that
+    is nonzero at v: the gradient of f at v, scaled by 1/(d f(v)).
+
+    Differentiating f(rho(g) x) = f(x) at the fixed point v gives
+    grad f(v) rho(g) = grad f(v), so the form x -> grad f(v) . x is
+    invariant, and by Euler's identity its value at v is d f(v).
     """
     ctx = rep.ctx
     v = _check_point(rep, point)
@@ -604,33 +608,14 @@ def degree_reduce(rep: Representation, f: Polynomial,
     if ctx.is_finite and d % ctx.p == 0:
         raise CharDividesDegree(f"characteristic {ctx.p} divides degree {d}")
 
-    if d == 1:
-        result = f.scale(value.inverse())
-    else:
-        n = rep.dim
-        # complete v to a basis with standard vectors, deterministically
-        columns = [v]
-        elim = _make_eliminator(ctx, n)
-        elim.add_row({i: s for i, s in enumerate(v) if not s.is_zero()})
-        for j in range(n):
-            e_j = [ctx.one if i == j else ctx.zero for i in range(n)]
-            if elim.add_row({j: ctx.one}):
-                columns.append(e_j)
-            if len(columns) == n:
-                break
-        basis_matrix = Matrix(ctx, list(zip(*columns)))
-        f_new = f.substitute_linear(basis_matrix).scale(value.inverse())
-        # c1 = coefficient polynomial of y0^(d-1)
-        c1_terms = {}
-        for exps, coeff in f_new.terms.items():
-            if exps[0] == d - 1:
-                rest = (0,) + exps[1:]
-                if sum(rest) == 1:
-                    c1_terms[rest] = coeff
-        c1 = Polynomial(ctx, n, c1_terms, _trusted=True)
-        d_inv = ctx.scalar(d).inverse()
-        reduced_new = Polynomial.variable(ctx, n, 0) + c1.scale(d_inv)
-        result = reduced_new.substitute_linear(basis_matrix.inverse())
+    partials: list[dict] = [{} for _ in range(rep.dim)]
+    for exps, coeff in f.terms.items():
+        for i, e in enumerate(exps):
+            if e:
+                partials[i][exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * ctx.scalar(e)
+    gradient = [Polynomial(ctx, rep.dim, terms).evaluate(v) for terms in partials]
+    scale = (ctx.scalar(d) * value).inverse()
+    result = Polynomial.from_coeff_vector(ctx, rep.dim, 1, [g * scale for g in gradient])
 
     if result.degree() != 1:
         raise AssertionError("degree reduction did not reach degree 1")

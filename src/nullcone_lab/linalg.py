@@ -143,9 +143,6 @@ class Matrix:
                     return False
         return True
 
-    def is_permutation(self) -> bool:
-        return self.permutation() is not None
-
     def permutation(self) -> list[int] | None:
         """pi with M e_j = e_{pi[j]}, or None if not a permutation matrix."""
         if self.nrows != self.ncols:

@@ -213,10 +213,6 @@ class Polynomial:
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return Polynomial(ctx, nvars, {exps: ctx.one}, _trusted=True)
 
-    @staticmethod
-    def from_monomial(ctx: FieldCtx, m: Monomial) -> "Polynomial":
-        return Polynomial(ctx, m.nvars, {m.exps: ctx.one}, _trusted=True)
-
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -229,10 +225,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
-
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        picked = {e: c for e, c in self.terms.items() if sum(e) == d}
-        return Polynomial(self.ctx, self.nvars, picked, _trusted=True)
 
     def _check(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):

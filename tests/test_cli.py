@@ -7,6 +7,7 @@ import csv
 import io
 import itertools
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -152,6 +153,21 @@ def test_sigma_csv_gives_every_point_its_own_epsilon(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 1 + 728
     assert rows == expected
+
+
+def test_va_with_a_huge_twist_is_answered_as_its_twist_mod_m(capsys):
+    """t^(2^n) = t on F_2, so n = 10^8 gives the n = 1 report, quickly."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "compute", "epsilon", "--module", "va:p=2,n=100000000,m=1",
+                           "--point", "0,0,1", "--dmax", "1", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    _, small, _ = run_cli(capsys, "compute", "epsilon", "--module", "va:p=2,n=1,m=1",
+                          "--point", "0,0,1", "--dmax", "1", "--json")
+    payload, expected = json.loads(out), json.loads(small)
+    assert payload.pop("module") == "va:p=2,n=100000000,m=1"
+    expected.pop("module")
+    assert payload == expected
 
 
 def test_compute_undetermined_exit_code(capsys):
@@ -369,10 +385,9 @@ def test_oversized_invariant_space_is_refused_before_any_is_built(capsys, monkey
     assert err == f"error: TooManyColumns: {wanted} monomial columns, above the cap 100000\n"
 
 
-def test_epsilon_on_gl2_builds_no_x_coordinate_space(capsys, monkeypatch):
-    """Every constraint row of gl2-epsilon comes from a permutation matrix
-    (the permutation representation pi), and the module's own space cache
-    stays empty."""
+def _gl2_dmax4_run(capsys, monkeypatch, what):
+    """`compute <what>` on gl2:p=2,n=2 at dmax 4: its JSON, the module's
+    representation and every matrix that constraint rows were built from."""
     from nullcone_lab import cli, invariants
     built, matrices = [], []
     parse, rows = cli.parse_module_spec, invariants.substitution_constraint_rows
@@ -386,14 +401,32 @@ def test_epsilon_on_gl2_builds_no_x_coordinate_space(capsys, monkeypatch):
         return rows(matrix, d)
     monkeypatch.setattr(cli, "parse_module_spec", keep_spec)
     monkeypatch.setattr(invariants, "substitution_constraint_rows", keep_matrix)
-    code, out, _ = run_cli(capsys, "compute", "epsilon", "--module", "gl2:p=2,n=2",
+    code, out, _ = run_cli(capsys, "compute", what, "--module", "gl2:p=2,n=2",
                            "--dmax", "4", "--json")
     assert code == 0
-    assert json.loads(out)["value"] == 4
-    rep = built[0].rep
+    return json.loads(out), built[0].rep, matrices
+
+
+def test_epsilon_on_gl2_builds_no_x_coordinate_space(capsys, monkeypatch):
+    """Every constraint row of gl2-epsilon comes from a permutation matrix
+    (the permutation representation pi), and the module's own space cache
+    stays empty."""
+    payload, rep, matrices = _gl2_dmax4_run(capsys, monkeypatch, "epsilon")
+    assert payload["value"] == 4
     assert rep._inv_space_cache == {}
     assert sorted(rep.permutation_basis().perm_rep._inv_space_cache) == [1, 2, 3]
     assert matrices and all(m.permutation() is not None for m in matrices)
+
+
+def test_nullcone_on_gl2_builds_no_x_coordinate_space(capsys, monkeypatch):
+    """`compute nullcone` asks epsilon, so it too builds only pi's spaces,
+    and its certificate is epsilon's witness."""
+    payload, rep, matrices = _gl2_dmax4_run(capsys, monkeypatch, "nullcone")
+    assert payload["verdict"] == "out"
+    assert rep._inv_space_cache == {}
+    assert matrices and all(m.permutation() is not None for m in matrices)
+    point = [rep.ctx.parse(c) for c in payload["point"]]
+    assert payload["certificate"] == str(epsilon(rep, point, 4).witness)
 
 
 def test_verify_budget_skips_instead_of_dying(capsys):
@@ -437,7 +470,7 @@ def compute_argv(draw):
     elif defect == "key":
         params["z"] = 1
     spec = f"{name}:" + ",".join(f"{k}={v}" for k, v in params.items())
-    what = draw(st.sampled_from(["epsilon", "sigma", "delta"]))
+    what = draw(st.sampled_from(["epsilon", "sigma", "delta", "nullcone"]))
     dmax = -1 if defect == "dmax" else draw(st.integers(0, 3))
     argv = ["compute", what, "--module", spec, "--dmax", str(dmax)]
     if draw(st.booleans()):
@@ -452,7 +485,9 @@ def compute_argv(draw):
     return argv + draw(st.sampled_from([[], ["--json"], ["--csv"]]))
 
 
-@settings(max_examples=60, deadline=None)
+# the slowest of 3,000 examples measured took 0.94 s (sigma over the 3^9
+# points of gl2:p=3,n=1); the deadline leaves five times that
+@settings(max_examples=60, deadline=5000)
 @example(["compute", "sigma", "--module", "va:p=2,n=-1,m=1", "--dmax", "2"])
 @given(argv=compute_argv())
 def test_compute_never_raises(argv):

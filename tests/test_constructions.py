@@ -33,7 +33,7 @@ def test_gn_module_orders():
     assert gn_module(2, 1)[0].order == 2
     g22, _ = gn_module(2, 2)
     assert g22.order == 4
-    assert all(g22.element_order(i) == 2 for i in range(1, 4))
+    assert all(g22.mul(i, i) == g22.identity_index for i in range(1, 4))
 
 
 def test_gn_translations_add():
@@ -132,6 +132,19 @@ def test_va_parametric_rejects_non_invariant():
     vm = va_module(2, 1, 1)
     x1 = Polynomial.variable(ff_make(2), 3, 1)
     assert not vm.parametric.is_invariant(x1)
+
+
+def test_va_twist_is_read_mod_m_and_its_polynomials_wait_to_be_read():
+    """Frobenius has order m on F_(p^m), so twist n and n + m give the same
+    matrices, and a huge n costs nothing until the degree-p^n candidates or
+    parametric action are read."""
+    assert va_module(2, 1, 2).group.elements == va_module(2, 3, 2).group.elements
+    assert va_module(3, 0, 1).group.elements == va_module(3, 10**8, 1).group.elements
+    vm = va_module(2, 10**8, 1)
+    assert "candidates" not in vars(vm) and "parametric" not in vars(vm)
+    small = va_module(2, 1, 2)
+    assert [str(f) for f in small.candidates] == ["x0", "x0*x2 + x1^2"]
+    assert small.candidates is small.candidates
 
 
 def test_subfield_elements():

@@ -57,8 +57,8 @@ def test_closure_f4_translations():
     g = MatrixGroup.closure([unipotent(f4, f4.one), unipotent(f4, f4.generator())])
     assert g.order == 4
     # isomorphic to (F_4, +): every nonidentity element has order 2
-    assert all(g.element_order(i) == 2 for i in range(1, 4))
-    assert g.is_abelian()
+    assert all(g.mul(i, i) == g.identity_index for i in range(1, 4))
+    assert all(g.mul(i, j) == g.mul(j, i) for i in range(4) for j in range(4))
 
 
 def test_closure_cap_exceeded_over_q():
@@ -135,8 +135,6 @@ def assert_tables_match_products(group):
         for j in range(n):
             prod = group.index[(els[i] * els[j]).key()]
             assert left[j] == prod and group.mul(i, j) == prod
-    assert group.is_abelian() == all(group.mul(i, j) == group.mul(j, i)
-                                     for i in range(n) for j in range(n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,7 +353,7 @@ def test_regular_rep_columns_sum_to_one():
     f2 = ff_make(2)
     reg = regular_rep(klein_group(f2))
     for m in reg.matrices:
-        assert m.is_permutation()
+        assert m.permutation() is not None
 
 
 # -- permutation bases ---------------------------------------------------------------
@@ -365,7 +363,7 @@ def test_permutation_basis_of_permutation_rep_is_standard():
     reg = regular_rep(cyclic_group(f2, 4))
     pb = reg.permutation_basis()
     assert pb is not None
-    assert pb.basis_matrix.is_permutation()
+    assert pb.basis_matrix.permutation() is not None
     assert pb.is_free() and pb.is_transitive()
 
 
@@ -387,7 +385,7 @@ def test_permutation_basis_vandermonde_p3():
     pb = s2.permutation_basis()
     assert pb is not None
     assert pb.is_free() and pb.is_transitive()
-    assert pb.orbit_sizes == [3]
+    assert [len(s) for s in pb.orbit_slices] == [3]
 
 
 @pytest.mark.parametrize("p, degree", [(2, 1), (3, 2)])

@@ -189,15 +189,6 @@ def test_no_zero_coefficients_stored():
     assert f.is_zero() and f.terms == {}
 
 
-def test_homogeneous_components_sum_back():
-    qq = FieldCtx.rationals()
-    f = P(qq, 2, "x0^2 + x1 + 5")
-    total = Polynomial.zero(qq, 2)
-    for d in range(f.degree() + 1):
-        total = total + f.homogeneous_component(d)
-    assert total == f
-
-
 def test_context_and_dimension_guards():
     with pytest.raises(ContextMismatch):
         Polynomial.one(ff_make(2), 2) + Polynomial.one(ff_make(3), 2)

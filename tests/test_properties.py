@@ -26,11 +26,12 @@ from nullcone_lab.invariants import (
     epsilon,
     fixed_point_space,
     invariant_space,
+    nullcone_status,
     orbit_sum,
     orbit_sums_vanish,
     reynolds,
 )
-from nullcone_lab.linalg import Matrix, kernel, rank
+from nullcone_lab.linalg import Matrix, _make_eliminator, kernel, rank
 from nullcone_lab.poly import Polynomial, mono_basis
 from nullcone_lab.errors import CapExceeded, VanishesAtPoint
 
@@ -82,7 +83,7 @@ def test_fixed_point_evaluation_law():
     v = [f3.scalar(2)] * 3  # fixed
     for m in mono_basis(3, 3):
         total, size = orbit_sum(rep, m)
-        mono = Polynomial.from_monomial(f3, m)
+        mono = Polynomial(f3, m.nvars, {m.exps: f3.one})
         assert total.evaluate(v) == f3.scalar(size) * mono.evaluate(v)
 
 
@@ -258,7 +259,7 @@ def test_reynolds_images_span_invariant_space(ctx_maker, k):
     rep = regular_rep(cyclic_group(ctx, k))
     for d in (1, 2, 3):
         ncols = len(mono_basis(rep.dim, d))
-        vectors = [reynolds(rep, Polynomial.from_monomial(ctx, m)).coeff_vector(d)
+        vectors = [reynolds(rep, Polynomial(ctx, m.nvars, {m.exps: ctx.one})).coeff_vector(d)
                    for m in mono_basis(rep.dim, d)]
         assert rank(vectors, ncols, ctx) == invariant_space(rep, d).dim
 
@@ -379,7 +380,7 @@ def test_monomial_matrix_shortcut_matches_substitute(case, d):
     sym = sym_power_rep(rep, d).matrices[1]
     basis = mono_basis(n, d)
     for k, mono in enumerate(basis):
-        image = Polynomial.from_monomial(ctx, mono).substitute(row_forms)
+        image = Polynomial(ctx, mono.nvars, {mono.exps: ctx.one}).substitute(row_forms)
         assert [sym[r, k] for r in range(len(basis))] == image.coeff_vector(d)
 
 
@@ -504,6 +505,28 @@ def small_modules(draw):
     return group.natural_rep()
 
 
+def _fixed_point(draw, rep, elems):
+    """A combination of the fixed-space basis with coefficients from elems."""
+    basis = fixed_point_space(rep)
+    assume(basis)
+    coeffs = draw(st.lists(st.sampled_from(elems), min_size=len(basis),
+                           max_size=len(basis)))
+    v = [rep.ctx.zero] * rep.dim
+    for c, b in zip(coeffs, basis):
+        v = [acc + c * x for acc, x in zip(v, b)]
+    return v
+
+
+def _fixed_or_any_point(data, rep):
+    """A point of the module, from its fixed space half the time, so that
+    the fast path runs on the permutation modules."""
+    elems = rep.ctx.enumerate()
+    if data.draw(st.booleans()):
+        return _fixed_point(data.draw, rep, elems)
+    return data.draw(st.lists(st.sampled_from(elems), min_size=rep.dim,
+                              max_size=rep.dim))
+
+
 @settings(max_examples=60, deadline=None)
 @given(rep=small_modules(), data=st.data(), dmax=st.integers(1, 4))
 def test_epsilon_is_constant_on_lines(rep, data, dmax):
@@ -511,21 +534,9 @@ def test_epsilon_is_constant_on_lines(rep, data, dmax):
     lemma behind one epsilon call per line in sigma and delta.  Points are
     drawn from the fixed space half the time, so the fast path runs on the
     permutation modules."""
-    ctx = rep.ctx
-    elems = ctx.enumerate()
-    if data.draw(st.booleans()):
-        basis = fixed_point_space(rep)
-        assume(basis)
-        coeffs = data.draw(st.lists(st.sampled_from(elems), min_size=len(basis),
-                                    max_size=len(basis)))
-        v = [ctx.zero] * rep.dim
-        for c, b in zip(coeffs, basis):
-            v = [acc + c * x for acc, x in zip(v, b)]
-    else:
-        v = data.draw(st.lists(st.sampled_from(elems), min_size=rep.dim,
-                               max_size=rep.dim))
+    v = _fixed_or_any_point(data, rep)
     assume(any(not s.is_zero() for s in v))
-    c = data.draw(st.sampled_from(elems[2:]))  # a unit other than 1
+    c = data.draw(st.sampled_from(rep.ctx.enumerate()[2:]))  # a unit other than 1
     base, scaled = epsilon(rep, v, dmax), epsilon(rep, [c * s for s in v], dmax)
     assert scaled.value == base.value
     assert str(scaled.witness) == str(base.witness)
@@ -595,12 +606,144 @@ def test_fixed_space_points_are_enumerated_in_sorted_order(group):
     rep = group.natural_rep()
     basis = fixed_point_space(rep)
     points = _span_points(basis, rep.ctx, 10**6)
-    keys = [tuple(s.sort_key() for s in v) for v in points]
+    keys = [tuple(s.val for s in v) for v in points]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys) == rep.ctx.cardinality**len(basis) - 1
 
 
+# -- nullcone_status asks epsilon -----------------------------------------------------------
+
+@st.composite
+def nullcone_modules(draw):
+    """The natural module of a fixed_space_groups group, or the regular
+    representation of a small p-group over F_2, F_3 or F_4, whose fixed
+    points take epsilon's fast path."""
+    if draw(st.booleans()):
+        return draw(fixed_space_groups()).natural_rep()
+    ctx = draw(st.sampled_from([ff_make(2), ff_make(3), ff_make(2, 2)]))
+    kind = draw(st.sampled_from(["cyclic-p", "cyclic-4", "klein"] if ctx.p == 2
+                                else ["cyclic-p"]))
+    group = {"cyclic-p": lambda: cyclic_group(ctx, ctx.p),
+             "cyclic-4": lambda: cyclic_group(ctx, 4),
+             "klein": lambda: klein_group(ctx)}[kind]()
+    return regular_rep(group)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rep=nullcone_modules(), data=st.data(), dmax=st.integers(0, 4))
+def test_nullcone_status_is_out_exactly_when_epsilon_is_determined(rep, data, dmax):
+    v = _fixed_or_any_point(data, rep)
+    status, report = nullcone_status(rep, v, dmax), epsilon(rep, v, dmax)
+    assert (status.verdict == "out") == report.determined
+    if report.determined:
+        assert status.certificate == report.witness
+    else:
+        assert status.verdict == "unknown" and status.certificate is None
+
+
 # -- degree reduction is verified on randomised instances ------------------------------------
+
+def _reduce_by_basis_completion(rep, f, v):
+    """The reference construction: complete v to a basis B with standard
+    vectors, normalise g(y) = f(By)/f(v), and return y0 + (1/d) times the
+    coefficient form of y0^(d-1) in g, written back in x by y = B^-1 x."""
+    ctx, n, d = rep.ctx, rep.dim, f.degree()
+    value = f.evaluate(v)
+    if d == 1:
+        return f.scale(value.inverse())
+    columns = [v]
+    elim = _make_eliminator(ctx, n)
+    elim.add_row({i: s for i, s in enumerate(v) if not s.is_zero()})
+    for j in range(n):
+        if elim.add_row({j: ctx.one}):
+            columns.append([ctx.one if i == j else ctx.zero for i in range(n)])
+        if len(columns) == n:
+            break
+    basis_matrix = Matrix(ctx, list(zip(*columns)))
+    g = f.substitute_linear(basis_matrix).scale(value.inverse())
+    c1 = Polynomial(ctx, n, {(0,) + e[1:]: c for e, c in g.terms.items() if e[0] == d - 1})
+    reduced = Polynomial.variable(ctx, n, 0) + c1.scale(ctx.scalar(d).inverse())
+    return reduced.substitute_linear(basis_matrix.inverse())
+
+
+@st.composite
+def degree_reduce_cases(draw):
+    """(rep, f, v): a group over F_3, F_5, F_9 or Q generated by monomial
+    matrices (entries +-1 over Q) or, over a finite field, unitriangular
+    ones; a fixed point v; and an invariant f of a degree 1-3 prime to the
+    characteristic with f(v) != 0."""
+    ctx = draw(st.sampled_from([ff_make(3), ff_make(5), ff_make(3, 2),
+                                FieldCtx.rationals()]))
+    elems = ctx.enumerate() if ctx.is_finite else [ctx.scalar(c) for c in range(-2, 3)]
+    units = [ctx.one, ctx.one] + (elems[1:] if ctx.is_finite else [-ctx.one])
+    dim = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        rows = [[ctx.zero] * dim for _ in range(dim)]
+        if ctx.is_finite and draw(st.booleans()):
+            for i in range(dim):
+                rows[i][i:] = [ctx.one] + draw(st.lists(st.sampled_from(elems),
+                                                        min_size=dim - i - 1,
+                                                        max_size=dim - i - 1))
+        else:
+            for i, j in enumerate(draw(st.permutations(range(dim)))):
+                rows[i][j] = draw(st.sampled_from(units))
+        gens.append(Matrix(ctx, rows))
+    try:
+        rep = MatrixGroup.closure(gens, cap=64).natural_rep()
+    except CapExceeded:
+        assume(False)
+    v = _fixed_point(draw, rep, elems)
+    assume(any(not s.is_zero() for s in v))
+    d = draw(st.sampled_from([d for d in (1, 2, 3) if not ctx.is_finite or d % ctx.p]))
+    basis = invariant_space(rep, d).basis
+    coeffs = draw(st.lists(st.sampled_from(elems), min_size=len(basis),
+                           max_size=len(basis)))
+    f = Polynomial.zero(ctx, rep.dim)
+    for c, b in zip(coeffs, basis):
+        f = f + b.scale(c)
+    if f.evaluate(v).is_zero():
+        # adding a basis vector nonzero at v makes f nonzero there
+        f = f + next((b for b in basis if not b.evaluate(v).is_zero()), f)
+    assume(not f.evaluate(v).is_zero())
+    return rep, f, v
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=degree_reduce_cases())
+def test_degree_reduce_matches_the_basis_completion(case):
+    rep, f, v = case
+    assert degree_reduce(rep, f, v) == _reduce_by_basis_completion(rep, f, v)
+
+
+@pytest.mark.parametrize("ctx_maker", [FieldCtx.rationals, lambda: ff_make(5)],
+                         ids=["QQ", "F5"])
+def test_degree_reduce_needs_no_eliminator_inverse_or_substitution(ctx_maker, monkeypatch):
+    """The gradient is read off f's terms.  Group elements act through the
+    general composition `substitute`, so the invariance checks call none of
+    the patched routines either."""
+    from nullcone_lab import invariants, linalg
+    ctx = ctx_maker()
+    rep = cyclic_group(ctx, 3).natural_rep()
+    f = Polynomial(ctx, 3, {e: ctx.one for e in [(2, 0, 0), (0, 2, 0), (0, 0, 2)]}) + \
+        Polynomial(ctx, 3, {e: ctx.scalar(3) for e in [(1, 1, 0), (0, 1, 1), (1, 0, 1)]})
+    v = [ctx.scalar(2)] * 3
+    expected = _reduce_by_basis_completion(rep, f, v)
+
+    def act_by_composition(self, i, poly):
+        forms = [Polynomial.from_coeff_vector(ctx, 3, 1, row)
+                 for row in self.inverse_matrix(i).rows]
+        return poly.substitute(forms)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("degree_reduce used a routine it does not need")
+    monkeypatch.setattr(Representation, "act_on_poly", act_by_composition)
+    monkeypatch.setattr(invariants, "_make_eliminator", forbidden)
+    monkeypatch.setattr(linalg, "_make_eliminator", forbidden)
+    monkeypatch.setattr(Matrix, "inverse", forbidden)
+    monkeypatch.setattr(Polynomial, "substitute_linear", forbidden)
+    assert degree_reduce(rep, f, v) == expected
+
 
 @settings(max_examples=40, deadline=None)
 @given(coeffs=st.lists(st.integers(-4, 4), min_size=3, max_size=3),
