@@ -307,14 +307,38 @@ def va_module(p: int, n: int, m: int) -> VaModule:
     return VaModule(p, n, m, group, group.natural_rep())
 
 
-def subfield_elements(ctx: FieldCtx, degree: int) -> list[Scalar]:
-    """Elements of the degree-`degree` subfield: fixed points of frobenius^degree."""
-    return [a for a in ctx.enumerate() if frobenius(a, degree) == a]
+def subfield_sum_basis(ctx: FieldCtx, degrees: Sequence[int]) -> list[Scalar]:
+    """An F_p-basis of the sum of the subfields F_(p^l), l in `degrees`, of
+    ctx = F_(p^L), found without enumerating ctx.
+
+    The trace Tr_(L/l)(x) = sum of x^(p^(l*k)) for k < L/l is F_p-linear and
+    onto F_(p^l), so the traces of the power basis z^i, i < L, span that
+    subfield.  Each trace is kept while it raises the F_p-span, which is
+    held as a set of raw values no larger than the sum.
+    """
+    big = ctx.n
+    z = ctx.generator() if big > 1 else ctx.one
+    power_basis = [z**i for i in range(big)]
+    add = ctx._add
+    basis, span = [], {ctx._zero}
+    for level in degrees:
+        for x in power_basis:
+            trace = sum((frobenius(x, level * k) for k in range(big // level)),
+                        ctx.zero)
+            if trace.val not in span:
+                basis.append(trace)
+                for _ in range(ctx.p - 1):
+                    span |= {add(s, trace.val) for s in span}
+    return basis
 
 
 def va_joint_group(p: int, n: int, levels: tuple[int, int]) -> tuple[MatrixGroup, Representation]:
     """The group generated by the level-l translations for both levels,
     inside F_p^lcm(levels).
+
+    t -> u_t is additive (u_s u_t = u_(s+t), as (s+t)^(p^n) = s^(p^n) +
+    t^(p^n)), so the u_t of an F_p-basis of F_(p^l1) + F_(p^l2) generate it
+    without redundancy.
 
     A degree-d polynomial is invariant here iff the defining identity holds
     for more parameter values than its t-degree d*p^n, which forces the
@@ -323,9 +347,8 @@ def va_joint_group(p: int, n: int, levels: tuple[int, int]) -> tuple[MatrixGroup
     """
     l1, l2 = levels
     big = ff_make(p, math.lcm(l1, l2))
-    ts = {a.val: a for a in subfield_elements(big, l1) if not a.is_zero()}
-    ts.update({a.val: a for a in subfield_elements(big, l2) if not a.is_zero()})
-    gens = [va_translation_matrix(big, t, p**n) for t in ts.values()]
+    gens = [va_translation_matrix(big, t, p**n)
+            for t in subfield_sum_basis(big, levels)]
     group = MatrixGroup.closure(gens)
     expected = p**(l1 + l2 - math.gcd(l1, l2))
     assert group.order == expected

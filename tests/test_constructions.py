@@ -10,19 +10,22 @@ from nullcone_lab.constructions import (
     DEFAULT_GA2_SAMPLES,
     ParametricAction,
     binomial_mod_p,
+    cyclic_group,
     ga2_example,
     gl2_test_module,
     gn_module,
     multiplicative_generator,
     sampled_fixed_space,
-    subfield_elements,
+    subfield_sum_basis,
     torus_module,
     va_joint_group,
     va_module,
+    va_translation_matrix,
     vandermonde_regular_check,
 )
 from nullcone_lab.errors import DimensionMismatch, SingularSpecialization, WeightCollision
-from nullcone_lab.fields import FieldCtx, ff_make
+from nullcone_lab.fields import FieldCtx, ff_make, frobenius
+from nullcone_lab.groups import MatrixGroup
 from nullcone_lab.invariants import check_generation, epsilon, invariant_space, weight_invariant_monomials
 from nullcone_lab.poly import Polynomial, poly_parse
 
@@ -147,12 +150,94 @@ def test_va_twist_is_read_mod_m_and_its_polynomials_wait_to_be_read():
     assert small.candidates is small.candidates
 
 
-def test_subfield_elements():
+def _subfield_elements(ctx, degree):
+    """Elements of the degree-`degree` subfield: fixed points of frobenius^degree."""
+    return [a for a in ctx.enumerate() if frobenius(a, degree) == a]
+
+
+def _additive_span(elements, ctx):
+    """The F_p-span of `elements`: in characteristic p, their closure under +."""
+    span = {ctx.zero}
+    for a in elements:
+        for _ in range(ctx.p - 1):
+            span |= {s + a for s in span}
+    return span
+
+
+def _is_irredundant(gens):
+    """No generator lies in the group the others generate."""
+    for k, g in enumerate(gens):
+        others = gens[:k] + gens[k + 1:]
+        if g.is_identity() or (others and g.key() in MatrixGroup.closure(others).index):
+            return False
+    return True
+
+
+SUITE_LEVELS = [(2, 1), (3, 1), (2, 2)]  # (p, n) of the va-ring suite cases
+
+
+def test_subfield_oracle_sizes():
     f64 = ff_make(2, 6)
-    assert len(subfield_elements(f64, 1)) == 2
-    assert len(subfield_elements(f64, 2)) == 4
-    assert len(subfield_elements(f64, 3)) == 8
-    assert len(subfield_elements(f64, 6)) == 64
+    assert [len(_subfield_elements(f64, l)) for l in (1, 2, 3, 6)] == [2, 4, 8, 64]
+
+
+@pytest.mark.parametrize("p,n", SUITE_LEVELS)
+def test_va_joint_group_has_one_generator_per_basis_vector(p, n):
+    l1, l2 = n + 1, n + 2
+    group, _ = va_joint_group(p, n, (l1, l2))
+    assert len(group.generators) == l1 + l2 - math.gcd(l1, l2)
+
+
+@pytest.mark.parametrize("p,levels", [(2, (2, 3)), (3, (2, 3)), (2, (3, 4)),
+                                      (2, (1, 1)), (3, (1, 2))])
+def test_va_joint_translations_are_the_span_of_both_subfields(p, levels):
+    group, _ = va_joint_group(p, 1, levels)
+    big = group.ctx
+    ts = {-g[1, 0] for g in group.elements}
+    both = [a for level in levels for a in _subfield_elements(big, level)]
+    assert ts == _additive_span(both, big)
+    basis = subfield_sum_basis(big, levels)
+    assert _additive_span(basis, big) == ts and len(basis) == len(group.generators)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1)])
+def test_va_joint_invariants_match_the_redundant_generator_list(p, n):
+    """The group once built from every nonzero element of both subfields
+    has the same invariant spaces as the one built from a basis."""
+    group, rep = va_joint_group(p, n, (n + 1, n + 2))
+    big = group.ctx
+    ts = {a for level in (n + 1, n + 2) for a in _subfield_elements(big, level)
+          if not a.is_zero()}
+    old = MatrixGroup.closure([va_translation_matrix(big, t, p**n)
+                               for t in sorted(ts, key=lambda a: a.val)])
+    assert len(old.generators) > len(group.generators)
+    assert {m.key() for m in old.elements} == {m.key() for m in group.elements}
+    old_rep = old.natural_rep()
+    for d in range(1, p**n + 3):
+        assert ([str(f) for f in invariant_space(old_rep, d).basis]
+                == [str(f) for f in invariant_space(rep, d).basis])
+
+
+def test_va_joint_group_large_field_builds_without_enumeration():
+    group, _ = va_joint_group(2, 3, (4, 5))
+    assert group.order == 256 and len(group.generators) == 8
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gn_module(2, 1)[0], lambda: gn_module(2, 3)[0], lambda: gn_module(3, 2)[0],
+    lambda: va_module(2, 1, 3).group, lambda: va_module(3, 2, 2).group,
+    lambda: torus_module(7, 1, 2).group, lambda: torus_module(31, 2, 3).group,
+    lambda: cyclic_group(ff_make(2), 4), lambda: cyclic_group(ff_make(3), 3),
+] + [lambda p=p, n=n: va_joint_group(p, n, (n + 1, n + 2))[0]
+      for p, n in SUITE_LEVELS],
+    ids=["gn-2-1", "gn-2-3", "gn-3-2", "va-2-1-3", "va-3-2-2", "torus-7-1-2",
+         "torus-31-2-3", "cyclic-2-4", "cyclic-3-3"]
+    + [f"joint-{p}-{n}" for p, n in SUITE_LEVELS])
+def test_builders_pass_irredundant_generators(build):
+    """Every builder that the CLI and the suites use passes a generator
+    list with no redundant member.  (The trivial group of `cyclic:k=1`
+    keeps its lone identity generator, as closure needs one.)"""
+    assert _is_irredundant(build().generators)
 
 
 def test_va_joint_group_order():
