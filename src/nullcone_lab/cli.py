@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from typing import Callable, Sequence
 
 from . import __version__
@@ -204,6 +205,8 @@ def _resolve_generators(spec: ModuleSpec, rep: Representation,
 
 
 def cmd_verify(args) -> int:
+    if args.budget is not None and not args.budget >= 0:  # NaN too
+        raise BadParameter(f"--budget must be >= 0, got {args.budget}")
     if args.suite == "all":
         runs = ALL_SUITE_RUNS
     else:
@@ -219,7 +222,9 @@ def cmd_verify(args) -> int:
                 params[key] = value
         runs = [(args.suite, params)]
 
-    reports = [run_suite(name, args.budget, **params) for name, params in runs]
+    # one deadline for every run
+    deadline = time.monotonic() + args.budget * 60 if args.budget is not None else None
+    reports = [run_suite(name, deadline, **params) for name, params in runs]
 
     if args.json:
         if len(reports) == 1:
@@ -337,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, default=None)
     verify.add_argument("--nmax", type=int, default=None)
     verify.add_argument("--budget", type=float, default=None,
-                        help="soft time budget in minutes; remaining claims "
-                             "are reported as skipped")
+                        help="time budget in minutes for the whole run; a suite "
+                             "run that would start after it is reported as skipped")
     verify.add_argument("--json", action="store_true")
     verify.add_argument("--csv", action="store_true")
     verify.set_defaults(func=cmd_verify)

@@ -125,9 +125,8 @@ class ParametricAction:
 
 def cyclic_group(ctx: FieldCtx, k: int) -> MatrixGroup:
     """The order-k group generated by the shift e_j -> e_(j+1 mod k)."""
-    rows = [[ctx.one if i == (j + 1) % k else ctx.zero for j in range(k)]
-            for i in range(k)]
-    return MatrixGroup.closure([Matrix(ctx, rows)])
+    return MatrixGroup.closure([Matrix.from_ints(
+        ctx, [[int(i == (j + 1) % k) for j in range(k)] for i in range(k)])])
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +141,9 @@ def gn_module(p: int, n: int) -> tuple[MatrixGroup, Representation]:
     """The order-p^n group of translations u_t = [[1,t],[0,1]], t in F_{p^n},
     on its natural 2-dimensional module (X fixed, Y moved to Y + tX)."""
     ctx = ff_make(p, n)
-    if ctx.kind == "extension":
-        gens = [translation_matrix(ctx, ctx.from_coeffs(tuple(
-            1 if i == k else 0 for i in range(n)))) for k in range(n)]
-    else:
-        gens = [translation_matrix(ctx, ctx.one)]
-    group = MatrixGroup.closure(gens)
+    # t runs over the power basis z^k, whose raw value is p^k
+    group = MatrixGroup.closure([translation_matrix(ctx, Scalar(ctx, p**k))
+                                 for k in range(n)])
     assert group.order == p**n
     return group, group.natural_rep()
 
@@ -297,12 +293,9 @@ def va_module(p: int, n: int, m: int) -> VaModule:
     ctx = ff_make(p, m)
     # frobenius has order m on F_(p^m), so t^(p^n) = t^(p^(n mod m)) there
     twist = p**(n % m)
-    if ctx.kind == "extension":
-        ts = [ctx.from_coeffs(tuple(1 if i == k else 0 for i in range(m)))
-              for k in range(m)]
-    else:
-        ts = [ctx.one]
-    group = MatrixGroup.closure([va_translation_matrix(ctx, t, twist) for t in ts])
+    # t runs over the power basis z^k, whose raw value is p^k
+    group = MatrixGroup.closure([va_translation_matrix(ctx, Scalar(ctx, p**k), twist)
+                                 for k in range(m)])
     assert group.order == p**m
     return VaModule(p, n, m, group, group.natural_rep())
 
@@ -317,8 +310,7 @@ def subfield_sum_basis(ctx: FieldCtx, degrees: Sequence[int]) -> list[Scalar]:
     held as a set of raw values no larger than the sum.
     """
     big = ctx.n
-    z = ctx.generator() if big > 1 else ctx.one
-    power_basis = [z**i for i in range(big)]
+    power_basis = [Scalar(ctx, ctx.p**i) for i in range(big)]  # z^i is p^i
     add = ctx._add
     basis, span = [], {ctx._zero}
     for level in degrees:

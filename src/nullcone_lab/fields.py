@@ -687,8 +687,8 @@ def check_lift(source: FieldCtx, target: FieldCtx) -> None:
 
 
 def lift(a: Scalar, target: FieldCtx) -> Scalar:
-    """Canonical embedding: identity, or prime field into an extension."""
-    if a.ctx is target:
-        return a
+    """Canonical embedding: identity, or prime field into an extension.  A
+    residue a is already the encoding of from_coeffs((a,)), so the value is
+    kept and only the context changes."""
     check_lift(a.ctx, target)
-    return target.from_coeffs((a.val,))
+    return a if a.ctx is target else Scalar(target, a.val)

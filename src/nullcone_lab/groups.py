@@ -52,8 +52,8 @@ class MatrixGroup:
         self.generators = generators
         self.elements = elements
         self.right, self.parent = right, parent
-        self.index = {m.key(): i for i, m in enumerate(elements)}
-        self.generator_indices = [self.index[g.key()] for g in generators]
+        self.index = {m.rows: i for i, m in enumerate(elements)}
+        self.generator_indices = [self.index[g.rows] for g in generators]
         # elements[j] = elements[i] s_k gives inv[j] = s_k^-1 inv[i], a left
         # translation by s_k^-1 = elements[right[k].index(0)]
         back = [self.left_translation(r.index(0)) for r in right]
@@ -86,12 +86,12 @@ class MatrixGroup:
         limit = cap if ctx.is_finite else min(cap, _minkowski_bound(dim))
         identity = Matrix.identity(ctx, dim)
         elements, parent = [identity], [None]
-        index = {identity.key(): 0}
+        index = {identity.rows: 0}
         right = [[] for _ in gens]
         for i, e in enumerate(elements):  # elements grows as a breadth-first queue
             for k, g in enumerate(gens):
                 m = e * g
-                j = index.setdefault(m.key(), len(elements))
+                j = index.setdefault(m.rows, len(elements))
                 if j == len(elements):
                     elements.append(m)
                     parent.append((i, k))
@@ -143,7 +143,7 @@ class MatrixGroup:
                  cap: int = DEFAULT_CLOSURE_CAP) -> "MatrixGroup":
         sub = MatrixGroup.closure(generators, cap)
         for m in sub.elements:
-            if m.key() not in self.index:
+            if m.rows not in self.index:
                 raise GroupMismatch("generators do not lie in this group")
         return sub
 
@@ -154,7 +154,8 @@ class MatrixGroup:
         """The same group with entries embedded into an extension field.
 
         An embedding is an injective ring map, so the element order, the
-        Cayley graph and the inverses carry over unchanged."""
+        Cayley graph and the inverses carry over unchanged; lift_matrix
+        re-tags each matrix and converts no entry."""
         if target == self.ctx:
             return self
         return MatrixGroup(target, self.dim,
@@ -213,7 +214,7 @@ class Representation:
         """Restriction along a subgroup built from this group's matrices."""
         mats = []
         for m in subgroup.elements:
-            idx = self.group.index.get(m.key())
+            idx = self.group.index.get(m.rows)
             if idx is None:
                 raise GroupMismatch("not a subgroup of this representation's group")
             mats.append(self.matrices[idx])
@@ -254,7 +255,7 @@ def sym_power_rep(r: Representation, m: int) -> Representation:
     ctx, dim = r.ctx, r.dim
     basis = _exponent_basis(dim, m)
     index = _basis_index(dim, m)
-    zero = ctx.zero
+    zero = ctx._zero
     out = []
     for g in range(r.group.order):
         # image of basis vector j is column j
@@ -262,8 +263,8 @@ def sym_power_rep(r: Representation, m: int) -> Representation:
         for mono, image in substitution_images(r.matrices[g].transpose(), basis):
             col = index[mono]
             for exps, coeff in image.items():
-                rows[index[exps]][col] = coeff
-        out.append(Matrix(ctx, rows))
+                rows[index[exps]][col] = coeff.val
+        out.append(Matrix._raw(ctx, tuple(map(tuple, rows))))
     return Representation(r.group, out)
 
 
@@ -279,23 +280,23 @@ def hom_rep(r: Representation, s: Representation) -> Representation:
     ctx = r.ctx
     dr, ds = r.dim, s.dim
     out = []
-    zero = ctx.zero
+    zero, mul = ctx._zero, ctx._mul
     for g in range(r.group.order):
-        sg = s.matrices[g]
-        rginv = r.inverse_matrix(g)
+        sg = s.matrices[g].rows
+        rginv = r.inverse_matrix(g).rows
         n = ds * dr
         rows = [[zero] * n for _ in range(n)]
         for k in range(ds):
             for a in range(ds):
-                ska = sg[k, a]
-                if ska.is_zero():
+                ska = sg[k][a]
+                if not ska:
                     continue
                 for l in range(dr):
                     for b in range(dr):
-                        coeff = ska * rginv[b, l]
-                        if not coeff.is_zero():
+                        coeff = mul(ska, rginv[b][l])
+                        if coeff:
                             rows[k * dr + l][a * dr + b] = coeff
-        out.append(Matrix(ctx, rows))
+        out.append(Matrix._raw(ctx, tuple(map(tuple, rows))))
     return Representation(r.group, out)
 
 
@@ -312,13 +313,13 @@ def permutation_rep(group: MatrixGroup,
                     perms: Iterable[Sequence[int]]) -> Representation:
     """The matrices P_g with P_g e_k = e_{pi[k]}, one per pi in element order."""
     ctx = group.ctx
-    zero, one = ctx.zero, ctx.one
+    zero, one = ctx._zero, ctx._one
     mats = []
     for pi in perms:
         rows = [[zero] * len(pi) for _ in pi]
         for k, t in enumerate(pi):
             rows[t][k] = one
-        mats.append(Matrix(ctx, rows))
+        mats.append(Matrix._raw(ctx, tuple(map(tuple, rows))))
     return Representation(group, mats)
 
 
@@ -385,30 +386,25 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
     ctx, dim, group = rep.ctx, rep.dim, rep.group
     orbits = []
     for j in range(dim):
-        distinct: list[list[Scalar]] = []
+        slots: dict[tuple, int] = {}  # the distinct raw vectors, in order
         reps_for_slot: list[int] = []
-        keyed: dict[tuple, int] = {}
-        element_to_slot: dict[int, int] = {}
+        element_to_slot: list[int] = []
         for g, m in enumerate(rep.matrices):
-            vec = [row[j] for row in m.rows]  # rho(g) e_j is column j of rho(g)
-            key = tuple(s.val for s in vec)
-            slot = keyed.get(key)
-            if slot is None:
-                slot = len(distinct)
-                keyed[key] = slot
-                distinct.append(vec)
+            # rho(g) e_j is column j of rho(g)
+            slot = slots.setdefault(tuple(row[j] for row in m.rows), len(slots))
+            if slot == len(reps_for_slot):
                 reps_for_slot.append(g)
-            element_to_slot[g] = slot
-        orbits.append((distinct, reps_for_slot, element_to_slot))
+            element_to_slot.append(slot)
+        orbits.append((list(slots), reps_for_slot, element_to_slot))
     # Larger orbits first: a stabilised seed (such as a fixed vector) must not
     # swallow coordinates that a free orbit needs.  Ties keep seed order.
     orbits.sort(key=lambda item: -len(item[0]))
 
     elim = _make_eliminator(ctx, dim)
-    accepted_vectors: list[list[Scalar]] = []
+    accepted_vectors: list[tuple] = []
     orbit_slices: list[range] = []
     orbit_elements: list[list[int]] = []  # representative group element per slot
-    slot_of_element: list[dict[int, int]] = []  # per orbit: element index -> slot
+    slot_of_element: list[list[int]] = []  # per orbit: element index -> slot
 
     for distinct, reps_for_slot, element_to_slot in orbits:
         if len(accepted_vectors) == dim:
@@ -417,7 +413,7 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
             continue
         # joint independence: try on a scratch copy of the eliminator state
         scratch = elim.clone()
-        if all(scratch.add_row({c: s for c, s in enumerate(vec) if not s.is_zero()})
+        if all(scratch.add_raw({c: v for c, v in enumerate(vec) if v})
                for vec in distinct):
             elim = scratch
             base = len(accepted_vectors)
@@ -429,7 +425,7 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
     if len(accepted_vectors) != dim:
         return None
 
-    basis_matrix = Matrix(ctx, list(zip(*accepted_vectors)))  # columns = vectors
+    basis_matrix = Matrix._raw(ctx, tuple(zip(*accepted_vectors)))  # columns = vectors
     perms = []
     for left in map(group.left_translation, range(group.order)):
         pi = [0] * dim
@@ -447,8 +443,8 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
 def _verify_permutation_basis(rep: Representation, pb: PermutationBasis) -> None:
     """rho(g) B = B P_g for every g, where B P_g is B with column j replaced
     by column perms[g][j].  B is invertible, so this is B^-1 rho(g) B = P_g."""
-    b = pb.basis_matrix.key()
+    b = pb.basis_matrix.rows
     for g, pi in enumerate(pb.perms):
         permuted = tuple(tuple(row[k] for k in pi) for row in b)
-        if (rep.matrices[g] * pb.basis_matrix).key() != permuted:
+        if (rep.matrices[g] * pb.basis_matrix).rows != permuted:
             raise AssertionError("permutation basis failed conjugation check")

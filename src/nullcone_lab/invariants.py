@@ -237,18 +237,17 @@ def _verify_invariant(rep: Representation, f: Polynomial) -> bool:
     return all(rep.act_on_poly(g, f) == f for g in range(rep.group.order))
 
 
-def _orbit_product_invariant(rep: Representation,
-                             forms: Sequence[Sequence[Scalar]]) -> bool:
+def _orbit_product_invariant(rep: Representation, forms: Sequence[tuple]) -> bool:
     """True when every representing matrix permutes the linear forms.
 
-    The forms are row vectors l_k, and g.l = l rho(g)^-1.  The inverses
+    The forms are raw row vectors l_k, and g.l = l rho(g)^-1.  The inverses
     rho(g)^-1 run over all of rep.matrices, so if every l_k rho lies in the
     multiset of the l_k, each g permutes the factors of their product, which
     is therefore invariant.  Reads only the matrices and the forms.
     """
-    factors = Matrix(rep.ctx, forms)
-    wanted = Counter(factors.key())
-    return all(Counter((factors * m).key()) == wanted for m in rep.matrices)
+    factors = Matrix._raw(rep.ctx, tuple(forms))
+    wanted = Counter(factors.rows)
+    return all(Counter((factors * m).rows) == wanted for m in rep.matrices)
 
 
 def _fast_path_epsilon(pb: PermutationBasis, slc: range, nvars: int):
@@ -259,12 +258,14 @@ def _fast_path_epsilon(pb: PermutationBasis, slc: range, nvars: int):
     stabilised monomials survive, and those are products over whole
     variable orbits.  Returns (witness, forms), where the witness is the
     product of the linear forms, the rows of the inverse basis matrix, one
-    per slot of the orbit.
+    per slot of the orbit, as raw rows.
     """
+    ctx = pb.ctx
     forms = [pb.basis_inverse.rows[k] for k in slc]
-    witness = Polynomial.one(pb.ctx, nvars)
+    witness = Polynomial.one(ctx, nvars)
     for row in forms:
-        witness = witness * Polynomial.from_coeff_vector(pb.ctx, nvars, 1, row)
+        witness = witness * Polynomial.from_coeff_vector(
+            ctx, nvars, 1, [Scalar(ctx, v) for v in row])
     return witness, forms
 
 

@@ -1,5 +1,5 @@
-"""Exact linear algebra over a FieldCtx: dense matrices with sparse
-products, and streamed elimination.
+"""Exact linear algebra over a FieldCtx: dense matrices of raw field values
+with sparse products, and streamed elimination.
 
 Two elimination engines sit behind one interface, both on raw field values:
 a generic one holding rows as sparse {column: value} dicts, and a
@@ -10,8 +10,8 @@ never materialised.  Both engines pivot on a row's highest column, which
 makes their kernel basis the canonical reduced row-echelon one without a
 second elimination, and both clear a pivot row of later pivots lazily: only
 when a new row uses it, and once for all rows when the kernel is read.  The
-kernel comes out as one sparse {column: Scalar} dict per free column;
-kernel() makes it dense, and Matrix.inverse reads the inverse off it.
+kernel comes out as one sparse {column: Scalar} dict per free column, and
+kernel() makes it dense; Matrix.inverse uses add_raw and raw_kernel_basis.
 """
 
 from __future__ import annotations
@@ -20,39 +20,53 @@ import functools
 from typing import Iterable, Sequence
 
 from .errors import ContextMismatch, DimensionMismatch, NotInvertible, ParseError
-from .fields import FieldCtx, Scalar
+from .fields import FieldCtx, Scalar, check_lift
 
 # ---------------------------------------------------------------------------
 # matrices
 
 
 class Matrix:
-    """An immutable matrix of Scalars over one context."""
+    """An immutable matrix over one context.
 
-    __slots__ = ("ctx", "rows", "nrows", "ncols", "_key")
+    `rows` holds raw field values (ints over F_q, Fractions over Q) and is
+    itself the hashable key of a group element.  Only the constructor takes
+    Scalars, and only m[i, j], apply() and format() hand them out.
+    """
+
+    __slots__ = ("ctx", "rows", "nrows", "ncols")
 
     def __init__(self, ctx: FieldCtx, rows: Sequence[Sequence[Scalar]]):
-        self.ctx = ctx
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
+        """Rows of Scalars over ctx; every entry's context is checked."""
+        raw = []
+        for r in rows:
+            if raw and len(r) != len(raw[0]):
                 raise DimensionMismatch("ragged rows")
             for s in r:
-                if s.ctx != ctx:
+                if not isinstance(s, Scalar) or s.ctx is not ctx:
                     raise ContextMismatch("matrix entry from a different context")
-        self._key = None
+            raw.append(tuple(s.val for s in r))
+        self.ctx, self.rows = ctx, tuple(raw)
+        self.nrows, self.ncols = len(raw), len(raw[0]) if raw else 0
+
+    @staticmethod
+    def _raw(ctx: FieldCtx, rows: tuple) -> "Matrix":
+        """A matrix on a tuple of equal-length tuples of raw values of ctx,
+        taken as they are: no entry is checked."""
+        m = Matrix.__new__(Matrix)
+        m.ctx, m.rows = ctx, rows
+        m.nrows, m.ncols = len(rows), len(rows[0]) if rows else 0
+        return m
 
     @staticmethod
     def identity(ctx: FieldCtx, n: int) -> "Matrix":
-        zero, one = ctx.zero, ctx.one
-        return Matrix(ctx, [[one if i == j else zero for j in range(n)]
-                            for i in range(n)])
+        zero, one = ctx._zero, ctx._one
+        return Matrix._raw(ctx, tuple(tuple(one if i == j else zero for j in range(n))
+                                      for i in range(n)))
 
     @staticmethod
     def from_ints(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> "Matrix":
-        return Matrix(ctx, [[ctx.scalar(v) for v in r] for r in rows])
+        return Matrix._raw(ctx, tuple(tuple(ctx.scalar(v).val for v in r) for r in rows))
 
     @staticmethod
     def parse(ctx: FieldCtx, text: str) -> "Matrix":
@@ -66,82 +80,71 @@ class Matrix:
         return Matrix(ctx, rows)
 
     def format(self) -> str:
-        return ";".join(",".join(str(s) for s in row) for row in self.rows)
-
-    def key(self):
-        """Hashable content key (used to index group elements)."""
-        if self._key is None:
-            self._key = tuple(tuple(s.val for s in row) for row in self.rows)
-        return self._key
+        ctx = self.ctx
+        return ";".join(",".join(str(Scalar(ctx, v)) for v in row) for row in self.rows)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and other.ctx == self.ctx
-                and other.key() == self.key())
+        return (isinstance(other, Matrix) and other.ctx is self.ctx
+                and other.rows == self.rows)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.rows)
 
     def __repr__(self):
         return f"Matrix({self.format()})"
 
     def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+        return Scalar(self.ctx, self.rows[ij[0]][ij[1]])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         """Row i of the product is the sum over the nonzero a_ik of
-        a_ik * (row k of other), accumulated over that row's nonzeros only.
-        The contexts are checked once; the sums run on raw field values."""
+        a_ik * (row k of other), accumulated over that row's nonzeros only."""
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.ncols} columns vs {other.nrows} rows")
         ctx = self.ctx
-        if other.ctx != ctx:
+        if other.ctx is not ctx:
             raise ContextMismatch(f"mixed contexts {ctx!r} and {other.ctx!r}")
-        add, mul = ctx._add, ctx._mul
-        zero_val, one_val = ctx.zero.val, ctx.one.val
-        supports = [[(j, b.val) for j, b in enumerate(row) if b.val != zero_val]
-                    for row in other.rows]
+        add, mul, zero = ctx._add, ctx._mul, ctx._zero
+        supports = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
         out = []
         for row in self.rows:
             acc: list = [None] * other.ncols
-            for k, s in enumerate(row):
-                a = s.val
-                if a == zero_val:
+            for k, a in enumerate(row):
+                if not a:
                     continue
-                unit = a == one_val
+                unit = a == 1
                 for j, b in supports[k]:
                     c = b if unit else mul(a, b)
                     old = acc[j]
                     acc[j] = c if old is None else add(old, c)
-            out.append([Scalar(ctx, zero_val if v is None else v) for v in acc])
-        return Matrix(ctx, out)
+            out.append(tuple(zero if v is None else v for v in acc))
+        return Matrix._raw(ctx, tuple(out))
 
     def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
-        zero = self.ctx.zero
-        zero_val = zero.val
-        support = [(k, b) for k, b in enumerate(vec) if not b.is_zero()]
+        ctx = self.ctx
+        if any(s.ctx is not ctx for s in vec):
+            raise ContextMismatch("vector entry from a different context")
+        add, mul = ctx._add, ctx._mul
+        support = [(k, s.val) for k, s in enumerate(vec) if s.val]
         out = []
         for row in self.rows:
-            acc = None
+            acc = ctx._zero
             for k, b in support:
                 a = row[k]
-                if a.val != zero_val:
-                    acc = a * b if acc is None else acc + a * b
-            out.append(zero if acc is None else acc)
+                if a:
+                    acc = add(acc, mul(a, b))
+            out.append(Scalar(ctx, acc))
         return out
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ctx, list(zip(*self.rows)))
+        return Matrix._raw(self.ctx, tuple(zip(*self.rows)))
 
     def is_identity(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        for i, row in enumerate(self.rows):
-            for j, s in enumerate(row):
-                if (i == j) != (not s.is_zero()) or (i == j and not s.is_one()):
-                    return False
-        return True
+        return self.nrows == self.ncols and all(v == (1 if i == j else 0)
+                                                for i, row in enumerate(self.rows)
+                                                for j, v in enumerate(row))
 
     def permutation(self) -> list[int] | None:
         """pi with M e_j = e_{pi[j]}, or None if not a permutation matrix."""
@@ -149,8 +152,8 @@ class Matrix:
             return None
         pi = []
         for col in zip(*self.rows):
-            hits = [i for i, s in enumerate(col) if not s.is_zero()]
-            if len(hits) != 1 or not col[hits[0]].is_one():
+            hits = [i for i, v in enumerate(col) if v]
+            if len(hits) != 1 or col[hits[0]] != 1:
                 return None
             pi.append(hits[0])
         return pi if len(set(pi)) == self.nrows else None
@@ -162,41 +165,45 @@ class Matrix:
         if self.nrows != self.ncols:
             raise NotInvertible("not square")
         n, ctx = self.ncols, self.ctx
-        minus_one = -ctx.one
-        rows = ({i: minus_one, **{n + j: a for j, a in enumerate(row) if not a.is_zero()}}
-                for i, row in enumerate(self.rows))
-        basis = _sparse_kernel(rows, 2 * n, ctx)
+        minus_one = ctx._neg(ctx._one)
+        elim = _make_eliminator(ctx, 2 * n)
+        for i, row in enumerate(self.rows):
+            elim.add_raw({i: minus_one, **{n + j: a for j, a in enumerate(row) if a}})
+        basis = elim.raw_kernel_basis()
         if [min(vec) for vec in basis] != list(range(n)):
             raise NotInvertible("singular matrix")
-        zero = ctx.zero
-        return Matrix(ctx, [[vec.get(n + i, zero) for vec in basis] for i in range(n)])
+        zero = ctx._zero
+        return Matrix._raw(ctx, tuple(tuple(vec.get(n + i, zero) for vec in basis)
+                                      for i in range(n)))
 
     def det(self) -> Scalar:
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.ncols
+        n, ctx = self.ncols, self.ctx
+        sub, mul = ctx._sub, ctx._mul
         work = [list(row) for row in self.rows]
-        det = self.ctx.one
+        det = ctx._one
         for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+            pivot = next((r for r in range(col, n) if work[r][col]), None)
             if pivot is None:
-                return self.ctx.zero
+                return ctx.zero
             if pivot != col:
                 work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det = det * work[col][col]
-            inv = work[col][col].inverse()
+                det = ctx._neg(det)
+            det = mul(det, work[col][col])
+            inv = ctx._inv(work[col][col])
             for r in range(col + 1, n):
-                if not work[r][col].is_zero():
-                    factor = work[r][col] * inv
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return det
+                if work[r][col]:
+                    factor = mul(work[r][col], inv)
+                    work[r] = [sub(a, mul(factor, b)) for a, b in zip(work[r], work[col])]
+        return Scalar(ctx, det)
 
 
 # ---------------------------------------------------------------------------
 # row reduction engines
 #
-# Rows enter as sparse {column: Scalar} dicts and are held as raw values.  A
+# Rows enter as sparse {column: Scalar} or raw-value dicts and are held as
+# raw values.  A
 # row's pivot is its highest nonzero column.  A new row is reduced against the
 # pivot rows it hits, then joins them; they are not cleared of its pivot at once.
 # Instead each pivot row remembers which pivot columns it is already cleared
@@ -210,7 +217,7 @@ class Matrix:
 # above j: kernel_basis() is the unique reduced row-echelon basis of the
 # kernel, in ascending column order, whatever order the rows came in.  It is
 # read off each pivot row's entries at free columns, one sparse
-# {column: Scalar} dict per free column.
+# {column: value} dict per free column.
 
 
 def _subtract(row: dict, factor, pivot: dict, ctx: FieldCtx) -> None:
@@ -274,8 +281,11 @@ class _GenericEliminator:
             self._cleared[c] = rank
 
     def add_row(self, row: dict[int, Scalar]) -> bool:
+        return self.add_raw({c: s.val for c, s in row.items() if s.val})
+
+    def add_raw(self, row: dict) -> bool:
+        """Add a fresh {column: nonzero raw value} dict, which is consumed."""
         ctx = self.ctx
-        row = {c: s.val for c, s in row.items() if s.val}
         for c in [c for c in row if c in self.pivots]:
             # a cleared pivot row changes no other hit's coefficient
             if self._cleared[c] != len(self.pivots):
@@ -296,14 +306,19 @@ class _GenericEliminator:
         return len(self.pivots)
 
     def kernel_basis(self) -> list[dict[int, Scalar]]:
+        """raw_kernel_basis() with one Scalar per distinct value."""
+        scalars: dict = {}
+        return [{c: scalars.get(v) or scalars.setdefault(v, Scalar(self.ctx, v))
+                 for c, v in vec.items()} for vec in self.raw_kernel_basis()]
+
+    def raw_kernel_basis(self) -> list[dict]:
         self._clean(self.pivots)
-        ctx = self.ctx
-        one, neg = ctx.one, ctx._neg
+        one, neg = self.ctx._one, self.ctx._neg
         basis = {j: {j: one} for j in range(self.ncols) if j not in self.pivots}
         for c in sorted(self.pivots):
             for j, v in self.pivots[c].items():
                 if j != c:
-                    basis[j][c] = Scalar(ctx, neg(v))
+                    basis[j][c] = neg(v)
         return list(basis.values())
 
 
@@ -368,10 +383,10 @@ class _PackedChar2Eliminator:
             bits |= ((pl >> col) & 1) << i
         return bits
 
-    def pack(self, row: dict[int, Scalar]) -> list[int]:
+    def pack(self, row: dict) -> list[int]:
         masks: dict = {}  # raw value -> columns holding it
-        for c, s in row.items():
-            masks[s.val] = masks.get(s.val, 0) | (1 << c)
+        for c, v in row.items():
+            masks[v] = masks.get(v, 0) | (1 << c)
         planes = [0] * self.nplanes
         for bits, mask in masks.items():
             for i in range(self.nplanes):
@@ -422,7 +437,12 @@ class _PackedChar2Eliminator:
             self.pivots[c] = self._reduce(planes, hits)
             self._cleared[c] = mask
 
-    def add_row(self, row: dict[int, Scalar]) -> bool:
+    # the {column: Scalar} interface over add_raw and raw_kernel_basis
+    add_row = _GenericEliminator.add_row
+    kernel_basis = _GenericEliminator.kernel_basis
+    rank = _GenericEliminator.rank
+
+    def add_raw(self, row: dict) -> bool:
         planes = self.pack(row)
         planes = self._reduce(planes, self._support(planes) & self._pivot_mask)
         support = self._support(planes)
@@ -438,16 +458,10 @@ class _PackedChar2Eliminator:
         self._cleared[lead] = self._pivot_mask
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def kernel_basis(self) -> list[dict[int, Scalar]]:
+    def raw_kernel_basis(self) -> list[dict]:
         self._clean(self._pivot_mask)
-        ctx = self.ctx
-        one = ctx.one
-        scalars = {1: one}  # -x = x in characteristic 2
-        basis = {j: {j: one} for j in range(self.ncols) if j not in self.pivots}
+        # -x = x in characteristic 2
+        basis = {j: {j: 1} for j in range(self.ncols) if j not in self.pivots}
         free = ~self._pivot_mask
         for c in sorted(self.pivots):
             planes = self.pivots[c]
@@ -455,11 +469,7 @@ class _PackedChar2Eliminator:
             while rest:
                 j = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                coeff = self._coeff_at(planes, j)
-                s = scalars.get(coeff)
-                if s is None:
-                    s = scalars[coeff] = Scalar(ctx, coeff)
-                basis[j][c] = s
+                basis[j][c] = self._coeff_at(planes, j)
         return list(basis.values())
 
 
@@ -540,7 +550,8 @@ def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCt
 
 
 def lift_matrix(m: Matrix, target: FieldCtx) -> Matrix:
-    from .fields import lift as lift_scalar
-    if m.ctx == target:
-        return m
-    return Matrix(target, [[lift_scalar(s, target) for s in row] for row in m.rows])
+    """The canonical embedding of check_lift: a prime-field value is already
+    its own encoding in every extension of that prime, so only the context
+    changes and the rows are shared."""
+    check_lift(m.ctx, target)
+    return m if m.ctx is target else Matrix._raw(target, m.rows)

@@ -95,13 +95,13 @@ def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
     shared with later images and must not be mutated.
     """
     ctx, nvars = matrix.ctx, matrix.nrows
-    one = ctx.one
-    one_val = one.val
-    forms = [[(j, c, c.val == one_val) for j, c in enumerate(row) if not c.is_zero()]
-             for row in matrix.rows]
+    forms = [[(j, c) for j, c in enumerate(row) if c] for row in matrix.rows]
     if all(len(form) == 1 for form in forms):
         yield from _monomial_images(ctx, nvars, [form[0] for form in forms], monomials)
         return
+    one = ctx.one
+    one_val = one.val
+    forms = [[(j, Scalar(ctx, c), c == one_val) for j, c in form] for form in forms]
     # the chain of e adds the densest variables first, the sparsest last
     build_order = sorted(range(nvars), key=lambda i: (len(forms[i]), i))[::-1]
 
@@ -143,12 +143,12 @@ def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
 def _monomial_images(ctx: FieldCtx, nvars: int, entries: list,
                      monomials: Iterable[tuple[int, ...]]
                      ) -> Iterator[tuple[tuple[int, ...], dict]]:
-    """substitution_images for x_i -> c_i x_{s(i)}, entries[i] = (s(i), c_i, c_i == 1)."""
+    """substitution_images for x_i -> c_i x_{s(i)}, entries[i] = (s(i), raw c_i)."""
     one = ctx.one
     one_val = one.val
     mul, power = ctx._mul, ctx._pow
-    targets = [j for j, _, _ in entries]
-    scaled = [(i, c.val) for i, (_, c, unit) in enumerate(entries) if not unit]
+    targets = [j for j, _ in entries]
+    scaled = [(i, c) for i, (_, c) in enumerate(entries) if c != one_val]
     for exps in monomials:
         f = [0] * nvars
         for t, e in zip(targets, exps):

@@ -27,7 +27,7 @@ from .constructions import (
     vandermonde_regular_check,
 )
 from .errors import BadParameter, CharDividesDegree, UnknownSuite
-from .fields import FieldCtx, ff_make
+from .fields import FieldCtx, _is_probable_prime, ff_make
 from .groups import MatrixGroup, regular_rep
 from .invariants import (
     check_column_count,
@@ -41,8 +41,6 @@ from .invariants import (
 )
 from .linalg import Matrix
 from .poly import poly_parse
-
-SKIPPED = "skipped (budget exhausted)"
 
 
 @dataclass
@@ -104,29 +102,12 @@ class SuiteReport:
         return rows
 
 
-class _Budget:
-    def __init__(self, minutes: float | None):
-        self.deadline = (time.monotonic() + minutes * 60
-                         if minutes is not None else None)
-
-    def exhausted(self) -> bool:
-        return self.deadline is not None and time.monotonic() >= self.deadline
-
-
-def _require_prime(p: int) -> int:
-    from .fields import _is_probable_prime
-    if not _is_probable_prime(p):
-        raise BadParameter(f"p = {p} is not prime")
-    return p
-
-
 # ---------------------------------------------------------------------------
 
 
-def suite_binomial(p: int | None = None, nmax: int | None = None,
-                   budget: _Budget | None = None) -> SuiteReport:
+def suite_binomial(p: int | None = None, nmax: int | None = None) -> SuiteReport:
     """Alternating binomial residues: C(p^n - 1, k) = (-1)^k mod p."""
-    primes = [_require_prime(p)] if p is not None else [2, 3, 5]
+    primes = [p] if p is not None else [2, 3, 5]
     claims = []
     for q in primes:
         n = 1
@@ -143,14 +124,17 @@ def suite_binomial(p: int | None = None, nmax: int | None = None,
     return SuiteReport("binomial", {"p": p, "nmax": nmax}, claims)
 
 
-def suite_regular_rep(p: int | None = None, n: int | None = None,
-                      budget: _Budget | None = None) -> SuiteReport:
-    """S^(q-1) of the 2-dim translation module is the regular module."""
+def suite_regular_rep(p: int | None = None, n: int | None = None) -> SuiteReport:
+    """S^(q-1) of the 2-dim translation module is the regular module; a lone
+    p or n restricts the default cases, p^n <= 25, to that prime or exponent."""
     cases = ([(p, n)] if p and n else
-             [(q, k) for q in (2, 3, 5) for k in range(1, 5) if q**k <= 25])
+             [(q, k) for q in (2, 3, 5) for k in range(1, 5)
+              if q**k <= 25 and p in (None, q) and n in (None, k)])
+    if not cases:
+        raise BadParameter("no default regular-rep case (p^n <= 25) has "
+                           + (f"p = {p}" if p else f"n = {n}"))
     claims = []
     for q, k in cases:
-        _require_prime(q)
         report = vandermonde_regular_check(q, k)
         claims.append(Claim(
             f"regular-rep-p{q}-n{k}",
@@ -173,7 +157,7 @@ def _named_p_groups() -> list[tuple[str, int, MatrixGroup]]:
     return out
 
 
-def suite_epsilon_free(budget: _Budget | None = None) -> SuiteReport:
+def suite_epsilon_free() -> SuiteReport:
     """epsilon(G, v) = |G| at every nonzero fixed point of the regular module."""
     claims = []
     for label, p, group in _named_p_groups():
@@ -189,16 +173,10 @@ def suite_epsilon_free(budget: _Budget | None = None) -> SuiteReport:
     return SuiteReport("epsilon-free", {}, claims)
 
 
-def suite_gl2_delta(p: int = 2, n: int = 1,
-                    budget: _Budget | None = None) -> SuiteReport:
+def suite_gl2_delta(p: int = 2, n: int = 1) -> SuiteReport:
     """epsilon at the identity endomorphism of Hom(S^(q-1)V, S^(q-1)V) is q."""
-    _require_prime(p)
     q = p**n
     claims = []
-    if budget and budget.exhausted():
-        claims.append(Claim(f"gl2-epsilon-p{p}-n{n}", "epsilon at identity",
-                            q, SKIPPED))
-        return SuiteReport("gl2-delta", {"p": p, "n": n}, claims)
     # both methods below build degree q-1 in the module's q*q coordinates;
     # refuse an oversized one before the module is built
     check_column_count(q * q, q - 1)
@@ -218,11 +196,9 @@ def suite_gl2_delta(p: int = 2, n: int = 1,
     return SuiteReport("gl2-delta", {"p": p, "n": n}, claims)
 
 
-def suite_va_ring(p: int = 2, n: int = 1,
-                  budget: _Budget | None = None) -> SuiteReport:
+def suite_va_ring(p: int = 2, n: int = 1) -> SuiteReport:
     """The twisted translation module: parametric generators, degreewise
     generation certificate at the joint finite level, and delta = sigma = q."""
-    _require_prime(p)
     q = p**n
     claims = []
 
@@ -256,7 +232,7 @@ def suite_va_ring(p: int = 2, n: int = 1,
     return SuiteReport("va-ring", {"p": p, "n": n}, claims)
 
 
-def suite_torus_sigma(budget: _Budget | None = None) -> SuiteReport:
+def suite_torus_sigma() -> SuiteReport:
     """The weight construction: epsilon(T, v0 + y0^m) = m + 1."""
     claims = []
     for (q, r, m) in ((7, 1, 2), (31, 1, 3), (31, 2, 3), (31, 1, 5)):
@@ -280,7 +256,7 @@ def suite_torus_sigma(budget: _Budget | None = None) -> SuiteReport:
     return SuiteReport("torus-sigma", {}, claims)
 
 
-def suite_ga2_example(budget: _Budget | None = None) -> SuiteReport:
+def suite_ga2_example() -> SuiteReport:
     """The two-parameter rational action with sigma value 3."""
     ex = ga2_example()
     claims = []
@@ -314,7 +290,7 @@ def suite_ga2_example(budget: _Budget | None = None) -> SuiteReport:
         "samples": [[str(s), str(t)] for s, t in DEFAULT_GA2_SAMPLES]})
 
 
-def suite_normal_subgroup(budget: _Budget | None = None) -> SuiteReport:
+def suite_normal_subgroup() -> SuiteReport:
     """delta(G) <= delta(N) * delta(G/N) on the order-4 cyclic instance,
     both sides computed on the regular module over F_2."""
     f2 = ff_make(2)
@@ -338,7 +314,7 @@ def suite_normal_subgroup(budget: _Budget | None = None) -> SuiteReport:
     return SuiteReport("normal-subgroup", {}, claims)
 
 
-def suite_nagata_miyata(budget: _Budget | None = None) -> SuiteReport:
+def suite_nagata_miyata() -> SuiteReport:
     """Constructive degree reduction at fixed points when char does not
     divide the degree, plus the divisibility failure mode."""
     qq = FieldCtx.rationals()
@@ -420,8 +396,10 @@ ALL_SUITE_RUNS: list[tuple[str, dict]] = [
 ]
 
 
-def run_suite(name: str, budget_minutes: float | None = None,
-              **params) -> SuiteReport:
+def run_suite(name: str, deadline: float | None = None, **params) -> SuiteReport:
+    """Run one suite, or report it skipped when the time.monotonic()
+    deadline has passed before it starts.  A p is checked prime first, so
+    that a bad request is refused either way."""
     runner = SUITES.get(name)
     if runner is None:
         raise UnknownSuite(f"unknown suite {name!r}; choose from "
@@ -431,8 +409,13 @@ def run_suite(name: str, budget_minutes: float | None = None,
     if unknown:
         raise BadParameter(f"suite {name!r} takes no "
                            + ", ".join(f"--{k}" for k in unknown))
-    budget = _Budget(budget_minutes)
+    if "p" in params and not _is_probable_prime(params["p"]):
+        raise BadParameter(f"p = {params['p']} is not prime")
+    if deadline is not None and time.monotonic() >= deadline:
+        return SuiteReport(name, params, [Claim(
+            f"{name}-skipped", f"suite {name} ran within the time budget",
+            "ran", "skipped (budget exhausted)")])
     start = time.monotonic()
-    report = runner(budget=budget, **params)
+    report = runner(**params)
     report.duration_s = time.monotonic() - start
     return report

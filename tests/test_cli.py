@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from nullcone_lab.cli import main, parse_module_spec
 from nullcone_lab.errors import BadParameter
 from nullcone_lab.invariants import epsilon
+from nullcone_lab.suites import ALL_SUITE_RUNS
 
 
 def run_cli(capsys, *argv):
@@ -436,6 +437,58 @@ def test_verify_budget_skips_instead_of_dying(capsys):
     assert "skipped (budget exhausted)" in out
 
 
+def test_verify_all_budget_is_one_deadline_for_every_run(capsys, monkeypatch):
+    """With the deadline passed before the first run, every run is skipped
+    before it builds anything."""
+    from nullcone_lab import suites
+
+    def no_module(*args, **kwargs):
+        raise AssertionError("a module was built after the deadline")
+    monkeypatch.setattr(suites, "gl2_test_module", no_module)
+    monkeypatch.setattr(suites, "vandermonde_regular_check", no_module)
+    code, out, _ = run_cli(capsys, "verify", "all", "--budget", "0", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema())
+    assert [run["suite"] for run in payload["runs"]] == [name for name, _ in ALL_SUITE_RUNS]
+    for run in payload["runs"]:
+        assert [(c["id"], c["computed"], c["pass"]) for c in run["claims"]] == \
+            [(f"{run['suite']}-skipped", "skipped (budget exhausted)", False)]
+
+
+@pytest.mark.parametrize("suite", ["binomial", "regular-rep", "gl2-delta", "va-ring"])
+def test_a_composite_p_is_refused_before_the_budget_is_read(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--p", "4", "--budget", "0")
+    assert code == 2 and out == ""
+    assert err == "error: p = 4 is not prime\n"
+
+
+@pytest.mark.parametrize("budget", ["-1", "nan"])
+def test_negative_budget_exits_2(capsys, budget):
+    code, out, err = run_cli(capsys, "verify", "binomial", "--budget", budget)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--budget" in err
+
+
+@pytest.mark.parametrize("flag, value, cases", [
+    ("--p", "3", ["p3-n1", "p3-n2"]),
+    ("--n", "2", ["p2-n2", "p3-n2", "p5-n2"]),
+])
+def test_regular_rep_with_one_of_p_and_n_restricts_the_default_cases(
+        capsys, flag, value, cases):
+    code, out, _ = run_cli(capsys, "verify", "regular-rep", flag, value, "--json")
+    assert code == 0
+    assert [c["id"] for c in json.loads(out)["claims"]] == \
+        [f"regular-rep-{case}" for case in cases]
+
+
+@pytest.mark.parametrize("argv", [("--p", "7"), ("--n", "5"), ("--p", "7", "--n", "2")])
+def test_regular_rep_request_with_no_case_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", "regular-rep", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_all_json_schema(capsys):
     # keep it fast: all suites but check only the shape of a subset run
     code, out, _ = run_cli(capsys, "verify", "torus-sigma", "--json")
@@ -502,12 +555,69 @@ def compute_argv(draw):
     return argv + draw(st.sampled_from([[], ["--json"], ["--csv"]]))
 
 
+# per --field: the units and all entries of its generator matrices, and the
+# largest size drawn; 3x3 keeps closure within |GL_3(2)| = 168 over F_2 and
+# Minkowski's bound 48 over Q
+GENS_FIELDS = {"2": (["1"], ["0", "1"], 3),
+               "3": (["1", "2"], ["0", "1", "2"], 2),
+               "2,2": (["1", "z", "z+1"], ["0", "1", "z", "z+1"], 2),
+               "0": (["1", "-1"], ["0", "1", "-1"], 3)}
+
+
+@st.composite
+def gens_argv(draw):
+    """A compute request on inline --gens matrices: units at the places of a
+    permutation and zeros, or any entries, after them in each row or
+    everywhere; or one defect: a ragged or non-square matrix, a singular or
+    (over Q) infinite-order generator, z over a prime field, or no --field."""
+    defect = draw(st.sampled_from([None] * 8 + ["ragged", "square", "singular",
+                                                "infinite", "z", "field"]))
+    field = ("0" if defect == "infinite" else
+             draw(st.sampled_from(["2", "3", "0"] if defect == "z" else sorted(GENS_FIELDS))))
+    units, entries, max_dim = GENS_FIELDS[field]
+    dim = draw(st.integers(1, max_dim))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["monomial", "triangular", "dense"]))
+        pi = draw(st.permutations(range(dim)))
+        rows = [[draw(st.sampled_from(units)) if j == pi[i] else
+                 draw(st.sampled_from(entries)) if kind == "dense" or
+                 (kind == "triangular" and j > pi[i]) else "0"
+                 for j in range(dim)] for i in range(dim)]
+        gens.append(rows)
+    rows = gens[0]
+    if defect == "ragged":
+        rows[draw(st.integers(0, dim - 1))].append("1")
+    elif defect == "square":
+        rows.append(["1"] * dim)
+    elif defect == "singular":
+        rows[0] = ["0"] * dim
+    elif defect == "infinite":
+        rows[0] = ["2"] + rows[0][1:]
+    elif defect == "z":
+        rows[0][0] = "z"
+    text = "|".join(";".join(",".join(r) for r in g) for g in gens)
+    what = draw(st.sampled_from(["epsilon", "sigma", "delta", "nullcone",
+                                 "invariant-space"]))
+    # --opt=value, as a value may start with "-1"
+    argv = ["compute", what, f"--gens={text}", "--dmax", str(draw(st.integers(0, 3))),
+            "--degree", str(draw(st.integers(0, 3)))]
+    if defect != "field":
+        argv += ["--field", field]
+    if draw(st.integers(0, 4)):
+        argv.append("--point=" + ",".join(draw(st.sampled_from(entries)) for _ in range(dim)))
+    pointfield = draw(st.sampled_from([None, None, "2,2", "3", "0"]))
+    if pointfield is not None:
+        argv += ["--pointfield", pointfield]
+    return argv + draw(st.sampled_from([[], ["--json"], ["--csv"]]))
+
+
 # the slowest of 3,000 examples measured took 1.2 s on a busy 2-vCPU host
 # (sigma over the 3^9 points of gl2:p=3,n=1); the deadline leaves four
 # times that
 @settings(max_examples=60, deadline=5000)
 @example(["compute", "sigma", "--module", "va:p=2,n=-1,m=1", "--dmax", "2"])
-@given(argv=compute_argv())
+@given(argv=st.one_of(compute_argv(), gens_argv()))
 def test_compute_never_raises(argv):
     """Any compute request on a small module ends with exit 0, 1 or 2."""
     with contextlib.redirect_stdout(io.StringIO()), \

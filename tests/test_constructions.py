@@ -168,7 +168,7 @@ def _is_irredundant(gens):
     """No generator lies in the group the others generate."""
     for k, g in enumerate(gens):
         others = gens[:k] + gens[k + 1:]
-        if g.is_identity() or (others and g.key() in MatrixGroup.closure(others).index):
+        if g.is_identity() or (others and g.rows in MatrixGroup.closure(others).index):
             return False
     return True
 
@@ -211,7 +211,7 @@ def test_va_joint_invariants_match_the_redundant_generator_list(p, n):
     old = MatrixGroup.closure([va_translation_matrix(big, t, p**n)
                                for t in sorted(ts, key=lambda a: a.val)])
     assert len(old.generators) > len(group.generators)
-    assert {m.key() for m in old.elements} == {m.key() for m in group.elements}
+    assert {m.rows for m in old.elements} == {m.rows for m in group.elements}
     old_rep = old.natural_rep()
     for d in range(1, p**n + 3):
         assert ([str(f) for f in invariant_space(old_rep, d).basis]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nullcone_lab.constructions import gl2_test_module, gn_module
 from nullcone_lab.errors import CapExceeded, GroupMismatch, NotInvertible, NotPermutationAction
-from nullcone_lab.fields import FieldCtx, ff_make
+from nullcone_lab.fields import FieldCtx, ff_make, lift
 from nullcone_lab.groups import (
     MatrixGroup,
     Representation,
@@ -22,8 +22,10 @@ from nullcone_lab.groups import (
     _minkowski_bound,
     _verify_permutation_basis,
 )
-from nullcone_lab.linalg import Matrix
+from nullcone_lab.linalg import Matrix, lift_matrix
 from nullcone_lab.poly import Polynomial, poly_parse
+
+from .test_linalg import count_scalars
 
 
 def unipotent(ctx, t):
@@ -95,11 +97,11 @@ def test_closure_is_group():
     for g in pools:
         keys = set(g.index)
         for i in range(g.order):
-            assert g.elements[g.inv(i)].key() in keys
+            assert g.elements[g.inv(i)].rows in keys
             for j in range(g.order):
-                assert (g.elements[i] * g.elements[j]).key() in keys
+                assert (g.elements[i] * g.elements[j]).rows in keys
         for gen in g.generators:
-            assert gen.key() in keys
+            assert gen.rows in keys
 
 
 def test_mul_table_matches_matrix_products():
@@ -131,9 +133,9 @@ def assert_tables_match_products(group):
     els, n = group.elements, group.order
     for i in range(n):
         left = group.left_translation(i)
-        assert group.inv(i) == group.index[els[i].inverse().key()]
+        assert group.inv(i) == group.index[els[i].inverse().rows]
         for j in range(n):
-            prod = group.index[(els[i] * els[j]).key()]
+            prod = group.index[(els[i] * els[j]).rows]
             assert left[j] == prod and group.mul(i, j) == prod
 
 
@@ -145,7 +147,7 @@ def test_cayley_graph_agrees_with_dense_products(data):
     reg = regular_rep(group)
     for g in range(group.order):
         assert reg.matrices[g].permutation() == [
-            group.index[(group.elements[g] * x).key()] for x in group.elements]
+            group.index[(group.elements[g] * x).rows] for x in group.elements]
     if ext is not None:
         lifted = group.lift(ext)
         assert lifted.ctx == ext and lifted.order == group.order
@@ -228,7 +230,7 @@ def test_act_dilation():
     f5 = ff_make(5)
     g = MatrixGroup.closure([Matrix.from_ints(f5, [[2]])])
     rep = g.natural_rep()
-    idx = g.index[Matrix.from_ints(f5, [[2]]).key()]
+    idx = g.index[Matrix.from_ints(f5, [[2]]).rows]
     assert rep.act_on_poly(idx, poly_parse(f5, 1, "x0^2")) == poly_parse(f5, 1, "4*x0^2")
 
 
@@ -264,7 +266,7 @@ def test_dual_rep():
     g = MatrixGroup.closure([Matrix.from_ints(f5, [[2]])])
     nat = g.natural_rep()
     dual = dual_rep(nat)
-    idx = g.index[Matrix.from_ints(f5, [[2]]).key()]
+    idx = g.index[Matrix.from_ints(f5, [[2]]).rows]
     assert dual.matrices[idx] == Matrix.from_ints(f5, [[3]])  # inverse of 1x1
     # dual of dual = original
     assert all(dual_rep(dual).matrices[i] == nat.matrices[i] for i in range(g.order))
@@ -289,7 +291,7 @@ def test_sym_power_binomial_column():
     f3 = ff_make(3)
     group = MatrixGroup.closure([unipotent(f3, f3.one)])
     s2 = sym_power_rep(group.natural_rep(), 2)
-    u1 = s2.matrices[group.index[unipotent(f3, f3.one).key()]]
+    u1 = s2.matrices[group.index[unipotent(f3, f3.one).rows]]
     # basis order (X^2, XY, Y^2); column of Y^2 is (1, 2, 1)
     col = [u1[i, 2] for i in range(3)]
     assert [s.val for s in col] == [1, 2, 1]
@@ -464,3 +466,33 @@ def test_lift_representation():
     lifted = rep.lift(f4)
     assert lifted.ctx == f4 and lifted.group.order == 2
     assert lifted.verify_homomorphism()
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 3)])
+def test_lifts_re_tag_to_the_coefficient_embedding(p, n):
+    """A lift equals the entrywise embedding a -> from_coeffs((a,)), for a
+    scalar, a matrix and a representation, and shares the source rows."""
+    small, big = ff_make(p), ff_make(p, n)
+    for a in small.enumerate():
+        assert lift(a, big) == big.from_coeffs((a.val,))
+    rep = MatrixGroup.closure([Matrix.from_ints(small, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                               Matrix.from_ints(small, [[1, 0, 2], [0, 1, 0], [0, 0, 1]])]
+                              ).natural_rep()
+    lifted = rep.lift(big)
+    for m, image in zip(rep.matrices + rep.group.elements,
+                        lifted.matrices + lifted.group.elements):
+        oracle = Matrix(big, [[big.from_coeffs((m[i, j].val,)) for j in range(m.ncols)]
+                              for i in range(m.nrows)])
+        assert lift_matrix(m, big) == image == oracle
+        assert image.rows is m.rows
+    assert lifted.group.index == rep.group.index
+    assert lifted.verify_homomorphism()
+
+
+def test_closure_makes_no_scalar(monkeypatch):
+    """Closure multiplies and indexes raw rows only."""
+    gens = gn_module(2, 4)[0].generators
+    made = count_scalars(monkeypatch)
+    group = MatrixGroup.closure(gens)
+    assert made[0] == 0
+    assert group.order == 16

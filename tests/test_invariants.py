@@ -368,7 +368,7 @@ def test_orbit_product_certificate_on_gl2():
         rep, forms[:-1] + [pb.basis_inverse.rows[other[0]]])
     z = rep.ctx.generator()
     assert not _orbit_product_invariant(
-        rep, [[z * s for s in forms[0]]] + forms[1:])
+        rep, [tuple((z * Scalar(rep.ctx, v)).val for v in forms[0])] + forms[1:])
 
 
 def test_fast_path_computes_the_coordinates_once(monkeypatch):
@@ -456,7 +456,7 @@ def test_fast_path_witness_never_substituted(monkeypatch):
 TAMPERED_FACTOR = """
 import sys
 from nullcone_lab import invariants
-from nullcone_lab.fields import ff_make
+from nullcone_lab.fields import Scalar, ff_make
 from nullcone_lab.groups import MatrixGroup, regular_rep
 from nullcone_lab.linalg import Matrix
 
@@ -467,7 +467,7 @@ real = invariants._fast_path_epsilon
 def tampered(pb, slc, nvars):
     witness, forms = real(pb, slc, nvars)
     z = pb.ctx.generator()
-    return witness, [[z * s for s in forms[0]]] + forms[1:]
+    return witness, [tuple((z * Scalar(pb.ctx, v)).val for v in forms[0])] + forms[1:]
 
 invariants._fast_path_epsilon = tampered
 f4 = ff_make(2, 2)

@@ -144,6 +144,43 @@ def test_lift_matrix():
     assert lifted.ctx == f4 and lifted[0, 1] == f4.one
 
 
+def count_scalars(monkeypatch):
+    """A one-item list that counts the Scalars made from now on."""
+    made = [0]
+    real = Scalar.__init__
+
+    def counted(self, ctx, val):
+        made[0] += 1
+        real(self, ctx, val)
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    return made
+
+
+def test_product_of_extension_matrices_makes_no_scalar(monkeypatch):
+    f4 = ff_make(2, 2)
+    z = f4.generator()
+    a = Matrix(f4, [[f4.one, z], [z * z, f4.zero]])
+    b = Matrix(f4, [[z, z], [f4.one, z * z]])
+    made = count_scalars(monkeypatch)
+    product = a * b
+    assert made[0] == 0
+    assert product.rows == _dense_product(a, b) == ((0, 3), (1, 1))
+
+
+def test_matrix_entries_and_vectors_must_share_its_field():
+    f2, f3 = ff_make(2), ff_make(3)
+    with pytest.raises(ContextMismatch):
+        Matrix(f2, [[f2.one, f3.one]])
+    with pytest.raises(ContextMismatch):
+        Matrix(f2, [[f2.one, 1]])
+    for m in (Matrix.identity(f2, 2), Matrix.from_ints(f2, [[0, 0], [0, 0]])):
+        with pytest.raises(ContextMismatch):
+            m.apply([f2.one, f3.one])
+        # a zero vector entry is checked too, though it multiplies nothing
+        with pytest.raises(ContextMismatch):
+            m.apply([f3.zero, f2.zero])
+
+
 def _lowest_pivot_rref(vectors, ncols, ctx):
     """Dense Gauss-Jordan pivoting on each row's lowest column: the reduced
     row-echelon rows, sorted by pivot, and their pivot columns."""
@@ -377,9 +414,10 @@ def test_sparse_product_and_apply_match_dense_oracle(field, data):
     b = data.draw(_matrices(ctx, k, m))
     product = a * b
     assert (product.nrows, product.ncols) == (n, m)
-    assert product.key() == _dense_product(a, b)
-    assert all(s.ctx == ctx for row in product.rows for s in row)
-    vec = list(data.draw(_matrices(ctx, k, 1)).transpose().rows[0])
+    assert product.rows == _dense_product(a, b)
+    assert all(type(v) is type(ctx.zero.val) for row in product.rows for v in row)
+    column = data.draw(_matrices(ctx, k, 1))
+    vec = [column[i, 0] for i in range(k)]
     assert tuple(s.val for s in a.apply(vec)) == \
         tuple(row[0] for row in _dense_product(a, Matrix(ctx, [[s] for s in vec])))
     with pytest.raises(DimensionMismatch):
@@ -404,10 +442,10 @@ def test_inverse_on_raw_values_is_the_two_sided_inverse(field, data):
             a.inverse()
         return
     inv = a.inverse()
-    identity = Matrix.identity(ctx, n).key()
+    identity = Matrix.identity(ctx, n).rows
     assert _dense_product(a, inv) == identity
     assert _dense_product(inv, a) == identity
-    assert all(s.ctx is ctx for row in inv.rows for s in row)
+    assert all(type(v) is type(ctx.zero.val) for row in inv.rows for v in row)
 
 
 _RAW_FIELDS = {"F3": lambda: ff_make(3), "F9": lambda: ff_make(3, 2),

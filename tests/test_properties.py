@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nullcone_lab.constructions import gl2_test_module, gn_module, va_translation_matrix
-from nullcone_lab.fields import FieldCtx, ff_enumerate, ff_make
+from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
 from nullcone_lab.groups import (MatrixGroup, Representation, find_permutation_basis,
                                  regular_rep, sym_power_rep)
 from nullcone_lab.invariants import (
@@ -183,7 +183,7 @@ def test_tampered_basis_inverse_trips_the_coordinate_check(case, data):
     assume(support)
     j = data.draw(st.sampled_from(support))
     i = data.draw(st.sampled_from([k for k in range(rep.dim) if k != j]))
-    rows = [list(r) for r in pb.basis_inverse.rows]
+    rows = [[Scalar(rep.ctx, a) for a in r] for r in pb.basis_inverse.rows]
     rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
     pb.basis_inverse = Matrix(rep.ctx, rows)
     with pytest.raises(AssertionError, match="do not map back"):
@@ -294,8 +294,9 @@ def field_matrix_poly(draw):
 
 
 def _linear_form(ctx, coeffs):
+    """The form sum c_j x_j of a row of raw matrix values."""
     n = len(coeffs)
-    return Polynomial(ctx, n, {tuple(int(k == j) for k in range(n)): c
+    return Polynomial(ctx, n, {tuple(int(k == j) for k in range(n)): Scalar(ctx, c)
                                for j, c in enumerate(coeffs)})
 
 
@@ -414,12 +415,9 @@ def monomial_p_groups(draw):
 
 
 def _form_product(ctx, forms):
-    n = len(forms[0])
-    product = Polynomial.one(ctx, n)
+    product = Polynomial.one(ctx, len(forms[0]))
     for row in forms:
-        product = product * Polynomial(
-            ctx, n, {tuple(int(i == j) for i in range(n)): c
-                     for j, c in enumerate(row) if not c.is_zero()})
+        product = product * _linear_form(ctx, row)
     return product
 
 
@@ -444,11 +442,7 @@ def test_orbit_product_certificate_is_sound(group, data):
     vec = data.draw(st.lists(st.sampled_from(elems), min_size=rep.dim,
                              max_size=rep.dim).filter(
                                  lambda v: any(not s.is_zero() for s in v)))
-    orbit = {}
-    for m in rep.matrices:
-        image = (Matrix(ctx, [vec]) * m).rows[0]
-        orbit.setdefault(tuple(s.val for s in image), image)
-    forms = list(orbit.values())
+    forms = list(dict.fromkeys((Matrix(ctx, [vec]) * m).rows[0] for m in rep.matrices))
     assert _orbit_product_invariant(rep, forms)
     assert _verify_invariant(rep, _form_product(ctx, forms))
     # tamper with one factor of a slot orbit
@@ -461,7 +455,7 @@ def test_orbit_product_certificate_is_sound(group, data):
     elif how == "scale":
         c = data.draw(st.sampled_from([c for c in elems[1:] if not c.is_one()]
                                       or [ctx.one]))
-        forms[pos] = tuple(c * s for s in forms[pos])
+        forms[pos] = tuple((c * Scalar(ctx, v)).val for v in forms[pos])
     elif how == "drop":
         del forms[pos]
     else:
@@ -731,8 +725,7 @@ def test_degree_reduce_needs_no_eliminator_inverse_or_substitution(ctx_maker, mo
     expected = _reduce_by_basis_completion(rep, f, v)
 
     def act_by_composition(self, i, poly):
-        forms = [Polynomial.from_coeff_vector(ctx, 3, 1, row)
-                 for row in self.inverse_matrix(i).rows]
+        forms = [_linear_form(ctx, row) for row in self.inverse_matrix(i).rows]
         return poly.substitute(forms)
 
     def forbidden(*args, **kwargs):
