@@ -10,22 +10,25 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from typing import Callable, Sequence
 
 from . import __version__
-from .constructions import (cyclic_group, gl2_test_module, gn_module, torus_field_order,
-                            torus_module, va_module)
-from .errors import BadParameter, NullconeLabError, UnknownSuite
-from .fields import FieldCtx, _is_probable_prime, check_lift, ff_make
-from .groups import MatrixGroup, Representation, regular_rep
+from .constructions import (cyclic_field_order, cyclic_group, gl2_test_module, gn_module,
+                            torus_field_order, torus_module, va_field_order, va_module)
+from .errors import BadParameter, CapExceeded, NullconeLabError, UnknownSuite
+from .fields import FieldCtx, check_lift, ff_make, field_order
+from .groups import DEFAULT_CLOSURE_CAP, MatrixGroup, Representation, regular_rep
 from .invariants import (
+    capped_power,
     check_point_count,
     delta_bounded,
     epsilon,
     invariant_space,
     nullcone_status,
+    power_text,
     sigma_bounded,
 )
 from .linalg import Matrix
@@ -76,95 +79,89 @@ class ModuleSpec:
         return self._candidates() if self._candidates is not None else None
 
 
-def _spec_args(text: str) -> tuple[str, dict[str, int]]:
-    """'name:k=v,...' -> (name, {k: v})."""
+def _va(p: int, n: int, m: int):
+    module = va_module(p, n, m)
+    return module.rep, lambda: module.candidates, None
+
+
+def _gl2(p: int, n: int):
+    module = gl2_test_module(p, n)
+    return module.rep, None, module.identity_point
+
+
+def _torus(q: int, r: int, m: int):
+    module = torus_module(q, r, m)
+    return module.rep, lambda: [module.witness], module.point
+
+
+# per builder: its keys; its sizes, which run the build's parameter checks and
+# return the field order (p, e), the dimension and the group order, a size
+# that may be huge as a pair (base, exp); and its build
+BUILDERS = {
+    "va": (("p", "n", "m"), lambda p, n, m: (va_field_order(p, n, m), 3, (p, m)), _va),
+    "gl2": (("p", "n"), lambda p, n: (field_order(p, n), (p, 2 * n), (p, n)), _gl2),
+    "torus": (("q", "r", "m"), lambda q, r, m: (torus_field_order(q, r, m), 2,
+                                                (q - 1) // math.gcd(q - 1, r)), _torus),
+    "gn": (("p", "n"), lambda p, n: (field_order(p, n), 2, (p, n)),
+           lambda p, n: (gn_module(p, n)[1], None, None)),
+    "cyclic": (("p", "k"), lambda p, k: (cyclic_field_order(p, k), k, k),
+               lambda p, k: (regular_rep(cyclic_group(ff_make(*cyclic_field_order(p, k)), k)),
+                             None, None)),
+}
+
+# The dense entries |G|*dim^2 of the matrices that a module spec may build.
+# Each takes 8 to 16 bytes, a slot in a row tuple, twice over for the regular
+# modules, whose group elements are as large: cyclic:p=2,k=300 (2.7e7
+# entries) peaks at 441 MB and gl2:p=2,n=5 (3.4e7) at 282 MB, while the next
+# sizes up, cyclic:p=2,k=600 (2.2e8) and gl2:p=2,n=6 (1.1e9), need gigabytes.
+ENTRY_CAP = 4 * 10**7
+
+
+def _checked_spec(text: str) -> tuple[str, dict[str, int], tuple]:
+    """'name:k=v,...' -> (name, {k: v}, sizes), checked with nothing built."""
     if ":" not in text:
         raise BadParameter(f"module spec {text!r} must look like name:k=v,...")
     name, _, arg_text = text.partition(":")
-    args: dict[str, int] = {}
+    params: dict[str, int] = {}
     for piece in arg_text.split(","):
         if not piece.strip():
             continue
         key, _, val = piece.partition("=")
         try:
-            args[key.strip()] = int(val)
+            params[key.strip()] = int(val)
         except ValueError as exc:
             raise BadParameter(f"bad integer in module spec: {piece!r}") from exc
-    return name, args
-
-
-# the parameters each module builder accepts
-SPEC_KEYS = {"va": ("p", "n", "m"), "gl2": ("p", "n"), "torus": ("q", "r", "m"),
-             "gn": ("p", "n"), "cyclic": ("p", "k")}
-
-
-def parse_module_spec(text: str) -> ModuleSpec:
-    name, args = _spec_args(text)
-    if name not in SPEC_KEYS:
+    if name not in BUILDERS:
         raise BadParameter(f"unknown module builder {name!r}")
-    keys = SPEC_KEYS[name]
-    unknown = [key for key in args if key not in keys]
+    keys, sizes, _ = BUILDERS[name]
+    unknown = [key for key in params if key not in keys]
     if unknown:
         raise BadParameter(f"module spec {text!r}: unknown parameter {unknown[0]!r}; "
                            f"{name} takes {', '.join(keys)}")
-    missing = [key for key in keys if key not in args]
+    missing = [key for key in keys if key not in params]
     if missing:
         raise BadParameter(f"module spec {text!r} misses parameter {missing[0]!r}")
     try:
-        if name == "va":
-            module = va_module(args["p"], args["n"], args["m"])
-            return ModuleSpec(module.rep, text, candidates=lambda: module.candidates)
-        if name == "gl2":
-            module = gl2_test_module(args["p"], args["n"])
-            return ModuleSpec(module.rep, text,
-                              default_point=module.identity_point)
-        if name == "torus":
-            module = torus_module(args["q"], args["r"], args["m"])
-            return ModuleSpec(module.rep, text, candidates=lambda: [module.witness],
-                              default_point=module.point)
-        if name == "gn":
-            _, rep = gn_module(args["p"], args["n"])
-            return ModuleSpec(rep, text)
-        if name == "cyclic":
-            ctx = ff_make(args["p"])
-            k = args["k"]
-            if k < 1:
-                raise BadParameter(f"cyclic module needs k >= 1, got {k}")
-            return ModuleSpec(regular_rep(cyclic_group(ctx, k)), text)
+        return name, params, sizes(**params)
     except NullconeLabError as exc:
         raise BadParameter(f"module spec {text!r}: {exc}") from exc
 
 
-# per builder: the order p^e of its module's field as p, e and the module's
-# dimension, gl2's p^(2n) as the pair (p, 2n); None when the builder refuses
-# a parameter that ff_make(p, e) does not check
-SPEC_SIZES = {"va": lambda p, n, m: (p, m, 3) if n >= 0 else None,
-              "gl2": lambda p, n: (p, n, (p, 2 * n)),
-              "torus": lambda q, r, m: (*torus_field_order(q, r, m), 2),
-              "gn": lambda p, n: (p, n, 2),
-              "cyclic": lambda p, k: (p, 1, k) if k >= 1 else None}
-
-
-def _refuse_early(args) -> None:
-    """Refuse what the argv already decides, before the module is built: a
-    sigma point count past the cap, before the module's field is built too,
-    then, once --dmax is given (the usual path asks for it first), a point
-    field that the module's field does not lift into.  A malformed spec or
-    point field is left to the usual path, which reports it."""
-    name, params = _spec_args(args.module)
-    if set(params) != set(SPEC_KEYS.get(name, ())):
-        return
-    try:
-        size = SPEC_SIZES[name](**params)
-        pointfield = _parse_field_arg(args.pointfield) if args.pointfield else None
-    except NullconeLabError:
-        return
-    if size is None or size[1] < 1 or not _is_probable_prime(size[0]):
-        return
-    if args.what == "sigma":
-        check_point_count(pointfield or size[:2], size[2])
-    if pointfield is not None and args.dmax is not None:
-        check_lift(ff_make(*size[:2]), pointfield)
+def parse_module_spec(text: str) -> ModuleSpec:
+    """Build a checked module spec, refusing from its sizes a group past the
+    closure cap or matrices past ENTRY_CAP before any closure."""
+    name, params, (_, dim, order) = _checked_spec(text)
+    base, exp = order if isinstance(order, tuple) else (order, 1)
+    if capped_power(base, exp, DEFAULT_CLOSURE_CAP) > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded(f"module spec {text!r}: group order {power_text(base, exp)} "
+                          f"exceeds the closure cap {DEFAULT_CLOSURE_CAP}")
+    # with |G| <= DEFAULT_CLOSURE_CAP, every size is small enough to form
+    order, dim = base**exp, dim[0] ** dim[1] if isinstance(dim, tuple) else dim
+    if order * dim * dim > ENTRY_CAP:
+        raise CapExceeded(f"module spec {text!r}: {order}*{dim}^2 dense matrix "
+                          f"entries exceed the cap {ENTRY_CAP}")
+    rep, candidates, point = BUILDERS[name][2](**params)
+    return ModuleSpec(rep, text, candidates, point)
 
 
 def _resolve_rep(args) -> ModuleSpec:
@@ -251,8 +248,16 @@ def cmd_compute(args) -> int:
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise BadParameter(f"--{flag} must be >= 0, got {value}")
-    if args.what in ("delta", "sigma") and args.module:
-        _refuse_early(args)
+    pointfield = None
+    if args.what in ("delta", "sigma"):
+        # refuse what the argv decides before the module is built; the lift
+        # check waits for --dmax, which the usual path asks for first
+        sizes = _checked_spec(args.module)[2] if args.module else None
+        pointfield = _parse_field_arg(args.pointfield) if args.pointfield else None
+        if sizes and args.what == "sigma":
+            check_point_count(pointfield or sizes[0], sizes[1])
+        if sizes and pointfield and args.dmax is not None:
+            check_lift(ff_make(*sizes[0]), pointfield)
     spec = _resolve_rep(args)
     rep = spec.rep
 
@@ -281,8 +286,7 @@ def cmd_compute(args) -> int:
     elif args.what in ("delta", "sigma"):
         if args.dmax is None:
             raise BadParameter(f"{args.what} needs --dmax")
-        pointfield = (_parse_field_arg(args.pointfield)
-                      if args.pointfield else rep.ctx)
+        pointfield = pointfield or rep.ctx
         gens = _resolve_generators(spec, rep.lift(pointfield), args.generators)
         runner = delta_bounded if args.what == "delta" else sigma_bounded
         report = runner(rep, args.dmax, pointfield, declared_generators=gens)
@@ -355,11 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="builder spec: va:p=2,n=1,m=2 | gl2:p=2,n=1 | "
                               "torus:q=7,r=1,m=2 | gn:p=2,n=1 | cyclic:p=2,k=4")
     compute.add_argument("--gens", default=None,
-                         help="inline generator matrices 'a,b;c,d|e,f;g,h'")
+                         help="inline generator matrices 'a,b;c,d|e,f;g,h'; write a "
+                              "value that starts with '-' as --gens=-1,0;0,1")
     compute.add_argument("--field", default=None,
                          help="field for --gens: 'p' or 'p,n' or '0' (rationals)")
     compute.add_argument("--point", default=None,
-                         help="comma-separated coordinates in scalar text form")
+                         help="comma-separated coordinates in scalar text form; write "
+                              "a value that starts with '-' as --point=-1,0")
     compute.add_argument("--dmax", type=int, default=None)
     compute.add_argument("--degree", type=int, default=None)
     compute.add_argument("--pointfield", default=None,

@@ -21,7 +21,7 @@ from .errors import (
     SingularSpecialization,
     WeightCollision,
 )
-from .fields import FieldCtx, Scalar, ff_make, frobenius
+from .fields import FieldCtx, Scalar, _is_probable_prime, ff_make, field_order, frobenius
 from .groups import (
     MatrixGroup,
     Representation,
@@ -121,6 +121,14 @@ class ParametricAction:
 
 # ---------------------------------------------------------------------------
 # cyclic shifts
+
+
+def cyclic_field_order(p: int, k: int) -> tuple[int, int]:
+    """The parameter checks of the regular module of Z_k over F_p; returns (p, 1)."""
+    order = field_order(p)
+    if k < 1:
+        raise DimensionMismatch(f"cyclic module needs k >= 1, got {k}")
+    return order
 
 
 def cyclic_group(ctx: FieldCtx, k: int) -> MatrixGroup:
@@ -283,14 +291,19 @@ def va_parametric(p: int, n: int) -> ParametricAction:
     return ParametricAction(ctx, 3, 1, entries, inverse)
 
 
-def va_module(p: int, n: int, m: int) -> VaModule:
-    """Finite subgroup level m: translations u_t for t in F_{p^m}, acting by
-    t*f(x0, x1, x2) = f(x0, x1 + t x0, x2 + t^(p^n) x0)."""
+def va_field_order(p: int, n: int, m: int) -> tuple[int, int]:
+    """The parameter checks of `va_module`; returns p^m as (p, m)."""
     if m < 1:
         raise DimensionMismatch("subgroup level m must be >= 1")
     if n < 0:
         raise DimensionMismatch(f"twist exponent n must be >= 0, got {n}")
-    ctx = ff_make(p, m)
+    return field_order(p, m)
+
+
+def va_module(p: int, n: int, m: int) -> VaModule:
+    """Finite subgroup level m: translations u_t for t in F_{p^m}, acting by
+    t*f(x0, x1, x2) = f(x0, x1 + t x0, x2 + t^(p^n) x0)."""
+    ctx = ff_make(*va_field_order(p, n, m))
     # frobenius has order m on F_(p^m), so t^(p^n) = t^(p^(n mod m)) there
     twist = p**(n % m)
     # t runs over the power basis z^k, whose raw value is p^k
@@ -405,16 +418,17 @@ class TorusModule:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            if q != 1:
-                raise NotPrime(f"{q * p**e} is not a prime power")
-            return p, e
-    raise NotPrime(f"{q} is not a prime power")
+    """q >= 2 as (p, e) with q = p^e.  A composite q has its least prime
+    factor p at most isqrt(q)."""
+    p = q if _is_probable_prime(q) else next(
+        d for d in range(2, math.isqrt(q) + 1) if q % d == 0)
+    e, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    if rest != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    return p, e
 
 
 def multiplicative_generator(ctx: FieldCtx) -> Scalar:

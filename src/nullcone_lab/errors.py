@@ -50,7 +50,8 @@ class ParseError(NullconeLabError, ValueError):
 # -- groups and representations ---------------------------------------------
 
 class CapExceeded(NullconeLabError, RuntimeError):
-    """Closure grew past the configured cap (group infinite or too large)."""
+    """Closure grew past the configured cap (group infinite or too large), or
+    a module spec's sizes show that its group or matrices would."""
 
 
 class GroupMismatch(NullconeLabError, ValueError):

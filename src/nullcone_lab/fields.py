@@ -637,6 +637,15 @@ def _interned(kind: str, p: int, n: int, modulus: tuple[int, ...] | None) -> Fie
     return ctx
 
 
+def field_order(p: int, n: int = 1) -> tuple[int, int]:
+    """The parameter checks of `ff_make`; returns the order p^n as (p, n)."""
+    if not isinstance(p, int) or not _is_probable_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if n < 1:
+        raise DegreeMismatch(f"extension degree must be >= 1, got {n}")
+    return p, n
+
+
 def ff_make(p: int, n: int = 1, modulus: Sequence[int] | None = None) -> FieldCtx:
     """Finite field F_{p^n}, one context per field.
 
@@ -645,10 +654,7 @@ def ff_make(p: int, n: int = 1, modulus: Sequence[int] | None = None) -> FieldCt
     non-leading coefficients).  An explicit modulus is the full ascending
     coefficient list of length n+1 and must be monic and irreducible.
     """
-    if not isinstance(p, int) or not _is_probable_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if n < 1:
-        raise DegreeMismatch(f"extension degree must be >= 1, got {n}")
+    field_order(p, n)
     if n == 1:
         if modulus is not None:
             raise DegreeMismatch("prime fields take no modulus")

@@ -495,10 +495,17 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     return _sup_report("delta", rep, points, dmax, declared_generators)
 
 
-def _power_text(base: int, exp: int) -> str:
+def power_text(base: int, exp: int) -> str:
     """base^exp in decimal, or as the power itself where the decimal would
     pass the 4,300 digits that Python converts an int to text."""
     return str(base**exp) if exp == 1 or exp * math.log10(base) < 4299 else f"({base}^{exp})"
+
+
+def capped_power(base: int, exp: int, cap: int) -> int:
+    """min(base^exp, cap + 1) for a base >= 1.  No exponent passes
+    cap.bit_length(), by which a base >= 2 passes the cap, so base^exp is
+    never formed."""
+    return min(base ** min(exp, cap.bit_length()), cap + 1)
 
 
 def check_point_count(pointfield: FieldCtx | tuple[int, int],
@@ -506,20 +513,15 @@ def check_point_count(pointfield: FieldCtx | tuple[int, int],
     """Refuse the enumeration of pointfield^dim before any work starts.
 
     A module spec fixes the field order and the dimension before its field
-    or module is built, so either may come as a pair (base, exponent).  No
-    exponent passes cap.bit_length(), by which a base >= 2 passes the cap,
-    so q^dim is never formed.
+    or module is built, so either may come as a pair (base, exponent).
     """
     if isinstance(pointfield, FieldCtx):
         if not pointfield.is_finite:
             raise RationalContext("sigma enumerates the points of a finite field")
         pointfield = (pointfield.p, pointfield.n)
     q, dim = pointfield, dim if isinstance(dim, tuple) else (dim, 1)
-
-    def capped(base: int, exp: int) -> int:  # min(base^exp, cap + 1)
-        return min(base ** min(exp, cap.bit_length()), cap + 1)
-    if capped(capped(*q), capped(*dim)) > cap:
-        raise TooManyPoints(f"{_power_text(*q)}^{_power_text(*dim)} points "
+    if capped_power(capped_power(*q, cap), capped_power(*dim, cap), cap) > cap:
+        raise TooManyPoints(f"{power_text(*q)}^{power_text(*dim)} points "
                             f"exceeds the cap {cap}")
 
 

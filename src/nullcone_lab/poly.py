@@ -49,17 +49,22 @@ def grlex_key(exps: tuple[int, ...]):
     return (-sum(exps), tuple(-e for e in exps))
 
 
-# One basis (nvars, d) recurses through (k, e) for every k < nvars and e <= d,
-# so the bound keeps a whole recursion cached for any basis small enough to
-# enumerate.
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=256)
 def _exponent_basis(nvars: int, d: int) -> tuple[tuple[int, ...], ...]:
-    if nvars == 1:
-        return ((d,),)
-    out = []
-    for first in range(d, -1, -1):
-        for rest in _exponent_basis(nvars - 1, d - first):
-            out.append((first,) + rest)
+    """The exponents of degree d in nvars >= 1 variables, graded-lex, built
+    without recursion: each follows from the one before as the rightmost
+    nonzero exponent short of the last moves one unit right, and the last
+    variable's exponent moves with it."""
+    e = [d] + [0] * (nvars - 1)
+    out = [tuple(e)]
+    last = nvars - 1
+    while e[last] != d:
+        i = last - 1
+        while not e[i]:
+            i -= 1
+        e[i] -= 1
+        e[last], e[i + 1] = 0, e[last] + 1  # in this order: i + 1 may be last
+        out.append(tuple(e))
     return tuple(out)
 
 

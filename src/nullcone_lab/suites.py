@@ -124,17 +124,22 @@ def suite_binomial(p: int | None = None, nmax: int | None = None) -> SuiteReport
     return SuiteReport("binomial", {"p": p, "nmax": nmax}, claims)
 
 
-def suite_regular_rep(p: int | None = None, n: int | None = None) -> SuiteReport:
-    """S^(q-1) of the 2-dim translation module is the regular module; a lone
-    p or n restricts the default cases, p^n <= 25, to that prime or exponent."""
+def _regular_rep_cases(p: int | None = None, n: int | None = None) -> list[tuple[int, int]]:
+    """The (p, n) cases of regular-rep: a lone p or n restricts the default
+    cases, p^n <= 25, to that prime or exponent."""
     cases = ([(p, n)] if p and n else
              [(q, k) for q in (2, 3, 5) for k in range(1, 5)
               if q**k <= 25 and p in (None, q) and n in (None, k)])
     if not cases:
         raise BadParameter("no default regular-rep case (p^n <= 25) has "
                            + (f"p = {p}" if p else f"n = {n}"))
+    return cases
+
+
+def suite_regular_rep(p: int | None = None, n: int | None = None) -> SuiteReport:
+    """S^(q-1) of the 2-dim translation module is the regular module."""
     claims = []
-    for q, k in cases:
+    for q, k in _regular_rep_cases(p, n):
         report = vandermonde_regular_check(q, k)
         claims.append(Claim(
             f"regular-rep-p{q}-n{k}",
@@ -173,13 +178,18 @@ def suite_epsilon_free() -> SuiteReport:
     return SuiteReport("epsilon-free", {}, claims)
 
 
+def _gl2_delta_columns(p: int = 2, n: int = 1) -> None:
+    """Both methods of gl2-delta build degree q-1 in the module's q*q
+    coordinates: refuse an oversized one before the module is built."""
+    q = p**n
+    check_column_count(q * q, q - 1)
+
+
 def suite_gl2_delta(p: int = 2, n: int = 1) -> SuiteReport:
     """epsilon at the identity endomorphism of Hom(S^(q-1)V, S^(q-1)V) is q."""
     q = p**n
     claims = []
-    # both methods below build degree q-1 in the module's q*q coordinates;
-    # refuse an oversized one before the module is built
-    check_column_count(q * q, q - 1)
+    _gl2_delta_columns(p, n)
     module = gl2_test_module(p, n)
     report = epsilon(module.rep, module.identity_point, q)
     claims.append(Claim(
@@ -378,6 +388,13 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
     "nagata-miyata": suite_nagata_miyata,
 }
 
+# the refusals a suite makes before any work, which run_suite also makes
+# before it reads the deadline
+SUITE_REFUSALS: dict[str, Callable[..., object]] = {
+    "regular-rep": _regular_rep_cases,
+    "gl2-delta": _gl2_delta_columns,
+}
+
 # parameter sets used by `verify all` (and the acceptance gate)
 ALL_SUITE_RUNS: list[tuple[str, dict]] = [
     ("binomial", {}),
@@ -398,8 +415,9 @@ ALL_SUITE_RUNS: list[tuple[str, dict]] = [
 
 def run_suite(name: str, deadline: float | None = None, **params) -> SuiteReport:
     """Run one suite, or report it skipped when the time.monotonic()
-    deadline has passed before it starts.  A p is checked prime first, so
-    that a bad request is refused either way."""
+    deadline has passed before it starts.  A p is checked prime, and the
+    suite's own refusals run, first, so that a bad request is refused
+    either way."""
     runner = SUITES.get(name)
     if runner is None:
         raise UnknownSuite(f"unknown suite {name!r}; choose from "
@@ -411,6 +429,8 @@ def run_suite(name: str, deadline: float | None = None, **params) -> SuiteReport
                            + ", ".join(f"--{k}" for k in unknown))
     if "p" in params and not _is_probable_prime(params["p"]):
         raise BadParameter(f"p = {params['p']} is not prime")
+    if name in SUITE_REFUSALS:
+        SUITE_REFUSALS[name](**params)
     if deadline is not None and time.monotonic() >= deadline:
         return SuiteReport(name, params, [Claim(
             f"{name}-skipped", f"suite {name} ran within the time budget",

@@ -7,8 +7,11 @@ import csv
 import io
 import itertools
 import json
+import re
+import shlex
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -95,6 +98,14 @@ def test_compute_invariant_space_inline_gens(capsys):
     assert code == 0
     assert "dimension 2" in out
     assert "x0^2 + x0*x1" in out and "x1^2" in out
+
+
+def test_values_starting_with_a_minus_are_given_with_an_equals_sign(capsys):
+    """As the --gens and --point help says: -1 alone would read as an option."""
+    code, out, _ = run_cli(capsys, "compute", "epsilon", "--gens=-1,0;0,1", "--field", "0",
+                           "--point=-1,0", "--dmax", "2")
+    assert code == 0
+    assert out.startswith("epsilon(gens:-1,0;0,1) = 2\n")
 
 
 def test_compute_nullcone_in(capsys):
@@ -299,6 +310,44 @@ def test_oversized_cyclic_sigma_is_refused_before_the_group_is_built(
     assert err == f"error: TooManyPoints: {count} points exceeds the cap 1000000\n"
 
 
+@pytest.mark.parametrize("module, wanted", [
+    ("gn:p=2,n=20", "group order 1048576 exceeds the closure cap 1000000"),
+    ("torus:q=1000003,r=1,m=2", "group order 1000002 exceeds the closure cap 1000000"),
+    ("torus:q=2147483647,r=1,m=2", "group order 2147483646 exceeds the closure cap 1000000"),
+    ("torus:q=2305843009213693951,r=1,m=2",
+     "group order 2305843009213693950 exceeds the closure cap 1000000"),
+    ("gl2:p=2,n=20000", "group order (2^20000) exceeds the closure cap 1000000"),
+    ("cyclic:p=2,k=600", "600*600^2 dense matrix entries exceed the cap 40000000"),
+    ("gl2:p=2,n=6", "64*4096^2 dense matrix entries exceed the cap 40000000"),
+])
+def test_oversized_module_is_refused_from_its_sizes_before_closure(
+        capsys, monkeypatch, module, wanted):
+    """The spec's group order and dimension decide, before any closure, a
+    group past the closure cap or matrices past the dense-entry cap."""
+    from nullcone_lab.groups import MatrixGroup
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the group was closed before the refusal")
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
+    code, out, err = run_cli(capsys, "compute", "epsilon", "--module", module, "--dmax", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: CapExceeded: module spec {module!r}: {wanted}\n"
+
+
+@pytest.mark.parametrize("module", ["cyclic:p=2,k=300", "gl2:p=2,n=5", "gn:p=2,n=19"])
+def test_module_within_the_caps_reaches_the_closure(monkeypatch, module):
+    from nullcone_lab.groups import MatrixGroup
+
+    class Closed(Exception):
+        pass
+
+    def closure(*args, **kwargs):
+        raise Closed
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(closure))
+    with pytest.raises(Closed):
+        parse_module_spec(module)
+
+
 GN16 = "GF(2^16, modulus=z^16+z^5+z^3+z+1)"
 
 
@@ -323,15 +372,27 @@ def test_point_field_without_the_module_field_is_refused_before_the_group_is_bui
     assert err == f"error: ContextMismatch: no canonical map {GN16} -> {target}\n"
 
 
-@pytest.mark.parametrize("spec", ["va:p=3,n=1,m=2", "gl2:p=2,n=1", "torus:q=7,r=1,m=2",
-                                  "torus:q=9,r=1,m=2", "gn:p=2,n=3", "cyclic:p=3,k=2"])
+# small valid specs of every builder, with several group orders and fields
+SIZED_SPECS = ["va:p=3,n=1,m=2", "va:p=2,n=0,m=1", "va:p=2,n=5,m=3",
+               "gl2:p=2,n=1", "gl2:p=3,n=1", "gl2:p=2,n=2",
+               "torus:q=7,r=1,m=2", "torus:q=9,r=1,m=2", "torus:q=8,r=-1,m=1",
+               "torus:q=13,r=2,m=1", "torus:q=5,r=2,m=0",
+               "gn:p=2,n=3", "gn:p=3,n=2", "gn:p=5,n=1",
+               "cyclic:p=3,k=2", "cyclic:p=2,k=1", "cyclic:p=2,k=6"]
+
+
+@pytest.mark.parametrize("spec", SIZED_SPECS)
 def test_spec_sizes_name_the_field_the_builder_uses(spec):
-    """The early refusals build the module's field from SPEC_SIZES alone."""
-    from nullcone_lab.cli import SPEC_SIZES, _spec_args
+    """A spec's sizes, found with nothing built, are the built module's
+    field, dimension and group order."""
+    from nullcone_lab.cli import BUILDERS, _checked_spec
     from nullcone_lab.fields import ff_make
-    name, params = _spec_args(spec)
-    p, e, _ = SPEC_SIZES[name](**params)
-    assert parse_module_spec(spec).rep.ctx is ff_make(p, e)
+    assert {text.partition(":")[0] for text in SIZED_SPECS} == set(BUILDERS)
+    _, _, (field, dim, order) = _checked_spec(spec)
+    rep = parse_module_spec(spec).rep
+    assert rep.ctx is ff_make(*field)
+    assert rep.dim == (dim[0] ** dim[1] if isinstance(dim, tuple) else dim)
+    assert rep.group.order == (order[0] ** order[1] if isinstance(order, tuple) else order)
 
 
 def test_point_field_check_waits_for_dmax(capsys):
@@ -461,6 +522,14 @@ def test_a_composite_p_is_refused_before_the_budget_is_read(capsys, suite):
     code, out, err = run_cli(capsys, "verify", suite, "--p", "4", "--budget", "0")
     assert code == 2 and out == ""
     assert err == "error: p = 4 is not prime\n"
+
+
+@pytest.mark.parametrize("argv", [("regular-rep", "--p", "7"),
+                                  ("gl2-delta", "--p", "2", "--n", "3")])
+def test_a_suites_own_refusal_comes_before_the_budget(capsys, argv):
+    refused = run_cli(capsys, "verify", *argv)
+    assert refused[0] == 2 and refused[1] == ""
+    assert run_cli(capsys, "verify", *argv, "--budget", "0") == refused
 
 
 @pytest.mark.parametrize("budget", ["-1", "nan"])
@@ -624,3 +693,34 @@ def test_compute_never_raises(argv):
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
+
+
+# -- the README ------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_section(title):
+    text = README.read_text()
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_commands():
+    block = _readme_section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in lines
+            if line.startswith("nullcone-lab ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+
+def test_readme_builder_table_names_every_builder_and_its_keys():
+    from nullcone_lab.cli import BUILDERS
+    specs = re.findall(r"^\| `(\w+):([^`]*)` ", _readme_section("Command line"), re.M)
+    assert {name: tuple(pair.split("=")[0] for pair in params.split(","))
+            for name, params in specs} == {name: keys for name, (keys, _, _) in BUILDERS.items()}
+    assert len(specs) == len(BUILDERS)

@@ -293,6 +293,21 @@ def test_multiplicative_generator():
     assert len(powers) == 6
 
 
+def test_prime_power_matches_a_full_factorisation():
+    from nullcone_lab.constructions import _prime_power
+    from nullcone_lab.errors import NotPrime
+    for q in range(2, 1000):
+        factors = {d for d in range(2, q + 1) if q % d == 0 and
+                   all(d % f for f in range(2, math.isqrt(d) + 1))}
+        if len(factors) == 1:
+            p = factors.pop()
+            assert _prime_power(q) == (p, round(math.log(q, p)))
+        else:
+            with pytest.raises(NotPrime):
+                _prime_power(q)
+    assert _prime_power(2**61 - 1) == (2**61 - 1, 1)
+
+
 def test_torus_epsilon_is_m_plus_one():
     tm = torus_module(7, 1, 2)
     report = epsilon(tm.rep, tm.point, tm.m + 1)

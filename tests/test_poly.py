@@ -10,7 +10,8 @@ import pytest
 from nullcone_lab.errors import ContextMismatch, DimensionMismatch
 from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
 from nullcone_lab.linalg import Matrix
-from nullcone_lab.poly import Polynomial, mono_basis, poly_parse, substitution_images
+from nullcone_lab.poly import (Polynomial, _exponent_basis, mono_basis, poly_parse,
+                              substitution_images)
 
 
 def P(ctx, nvars, text):
@@ -40,6 +41,27 @@ def test_mono_basis_is_graded_lex_sorted():
     assert len(set(m.exps for m in basis)) == len(basis)
     for a, b in zip(basis, basis[1:]):
         assert a.exps > b.exps  # same degree: descending lex
+
+
+def _recursive_exponent_basis(nvars, d):
+    """The graded-lex exponents by recursion on the first exponent."""
+    if nvars == 1:
+        return ((d,),)
+    return tuple((first,) + rest for first in range(d, -1, -1)
+                 for rest in _recursive_exponent_basis(nvars - 1, d - first))
+
+
+def test_exponent_basis_equals_the_recursive_order():
+    for nvars in range(1, 9):
+        for d in range(7):
+            assert _exponent_basis(nvars, d) == _recursive_exponent_basis(nvars, d)
+
+
+def test_exponent_basis_of_many_variables():
+    """Far past the recursion limit in the number of variables."""
+    basis = _exponent_basis(2000, 1)
+    assert len(basis) == 2000
+    assert basis[0] == (1,) + (0,) * 1999 and basis[-1] == (0,) * 1999 + (1,)
 
 
 # -- evaluation -------------------------------------------------------------------
