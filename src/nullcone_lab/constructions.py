@@ -417,18 +417,26 @@ class TorusModule:
         return self.group.ctx
 
 
+def _integer_root(q: int, e: int) -> int:
+    """floor(q^(1/e)) for q >= 1, by Newton's method from above.  It starts
+    just above the float estimate 2^(log2(q)/e), so it takes a few steps."""
+    whole, frac = divmod(math.log2(q) / e + 1e-9, 1.0)
+    r = ((int(2.0 ** (frac + 52)) + 1 << int(whole)) >> 52) + 1
+    while True:
+        s = ((e - 1) * r + q // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def _prime_power(q: int) -> tuple[int, int]:
-    """q >= 2 as (p, e) with q = p^e.  A composite q has its least prime
-    factor p at most isqrt(q)."""
-    p = q if _is_probable_prime(q) else next(
-        d for d in range(2, math.isqrt(q) + 1) if q % d == 0)
-    e, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
-        raise NotPrime(f"{q} is not a prime power")
-    return p, e
+    """q >= 2 as (p, e) with q = p^e: the one e <= log2 q whose integer
+    e-th root of q is exact and prime, so no factor is searched for."""
+    for e in range(1, q.bit_length()):
+        p = _integer_root(q, e)
+        if p**e == q and _is_probable_prime(p):
+            return p, e
+    raise NotPrime(f"{q} is not a prime power")
 
 
 def multiplicative_generator(ctx: FieldCtx) -> Scalar:

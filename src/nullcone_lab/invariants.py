@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
+from collections import Counter, abc
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Sequence
 
@@ -77,10 +77,15 @@ def substitution_constraint_rows(matrix: Matrix, d: int) -> Iterator[dict[int, S
 
 def check_column_count(nvars: int, d: int) -> None:
     """Refuse a degree-d space in nvars variables, C(nvars+d-1, d) columns,
-    above COLUMN_CAP before any work starts."""
-    count = math.comb(nvars + d - 1, d)
-    if count > COLUMN_CAP:
-        raise TooManyColumns(f"degree {d} in {nvars} variables has {count} "
+    above COLUMN_CAP before any work starts.  That is C(n, k) >= 2^k for
+    k = min(d, nvars-1): past k = 4000 it is not formed, nor written out
+    past 13,000 bits."""
+    k = min(d, nvars - 1)
+    count = math.comb(nvars + d - 1, k) if k <= 4000 else None
+    if count is None or count > COLUMN_CAP:
+        shown = (count if count is not None and count.bit_length() <= 13000 else
+                 f"at least 2^{k if count is None else count.bit_length() - 1}")
+        raise TooManyColumns(f"degree {d} in {nvars} variables has {shown} "
                              f"monomial columns, above the cap {COLUMN_CAP}")
 
 
@@ -191,9 +196,9 @@ class SeparationReport:
     field: FieldCtx
     undetermined_points: list[list[Scalar]] = dataclass_field(default_factory=list)
     certified_complete: bool | None = None
-    # every enumerated point with its epsilon (None = unseparated); kept for
-    # table exports, deliberately not serialised into the JSON report
-    point_values: list[tuple[list[Scalar], int | None]] = \
+    # every enumerated point with its epsilon (None = unseparated), built on
+    # first read; kept for table exports, not serialised into the JSON report
+    point_values: Sequence[tuple[list[Scalar], int | None]] = \
         dataclass_field(default_factory=list)
 
     @property
@@ -318,6 +323,12 @@ def _epsilon_by_spaces(rep: Representation, v: list[Scalar],
         for f in invariant_space(rep, d).basis:
             if not f.evaluate(v).is_zero():
                 return SeparationReport("epsilon", d, f, [v], dmax, rep.ctx)
+    # the norm bound sigma(G, V) <= |G| (Kohls-Kraft, Math. Res. Lett. 17,
+    # 2010): a product of |G| linear forms, one nonzero at each gv, is an
+    # invariant nonzero at v.  At fast-path points v is nonzero iff w is.
+    if dmax >= rep.group.order and any(not s.is_zero() for s in v):
+        raise AssertionError(f"a nonzero point is undetermined at degree {dmax} "
+                             f">= |G| = {rep.group.order}")
     return SeparationReport("epsilon", None, None, [v], dmax, rep.ctx)
 
 
@@ -412,66 +423,84 @@ def _lift_poly(f: Polynomial, target: FieldCtx) -> Polynomial:
                       _trusted=True)
 
 
-def _line_keys(ctx: FieldCtx, points: list[list[Scalar]]) -> Iterator[tuple]:
-    """Each point's raw values scaled so that its first nonzero one is 1.
-
-    x -> x/a is a table per lead value a while those tables hold no more
-    entries than there are points, and one multiplication otherwise.
-    """
-    q, scale = ctx.cardinality, {}
-    for v in points:
-        raw = [s.val for s in v]
-        a = next(filter(None, raw))
-        by = scale.get(a)
-        if by is None:
-            by = functools.partial(ctx._mul, ctx._inv(a))
-            if q * (q - 1) <= len(points):
-                by = scale[a] = [by(x) for x in range(q)].__getitem__
-        yield tuple(map(by, raw))
+def _line_reps(q: int, k: int) -> Iterator[tuple[int, ...]]:
+    """One raw tuple per F*-line of F_q^k, ascending: the lead-1 tuples.
+    1 is the least nonzero raw value, so each is its line's first point in
+    enumeration order."""
+    for lead in reversed(range(k)):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(range(q), repeat=k - 1 - lead):
+            yield head + tail
 
 
-def _sup_report(kind: str, rep: Representation, points: list[list[Scalar]],
-                dmax: int, declared: Sequence[Polynomial] | None) -> SeparationReport:
-    """Sup of epsilon over the points, with one epsilon call per F*-line.
+def _expand(ctx: FieldCtx, lines: Sequence[tuple[tuple[int, ...], int | None]],
+            to_point) -> list[tuple[list[Scalar], int | None]]:
+    """(point, value) for each point c*r, c in F*, of the lines (r, value),
+    sorted by coefficient tuple."""
+    mul, units = ctx._mul, range(1, ctx.cardinality)
+    pairs = sorted((tuple(mul(c, x) for x in r), value)
+                   for r, value in lines for c in units)
+    return [(to_point(t), value) for t, value in pairs]
+
+
+class _PointValues(abc.Sequence):
+    """Every enumerated point with its epsilon, expanded from the lines on
+    first read, so a JSON report never builds it."""
+
+    def __init__(self, ctx: FieldCtx, lines, to_point):
+        self._lines = (ctx, lines, to_point)
+
+    @functools.cached_property
+    def _pairs(self) -> list[tuple[list[Scalar], int | None]]:
+        return _expand(*self._lines)
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def __getitem__(self, i):
+        return self._pairs[i]
+
+    def __eq__(self, other):
+        return self._pairs == list(other)
+
+
+def _sup_report(kind: str, rep: Representation, k: int, to_point, dmax: int,
+                declared: Sequence[Polynomial] | None) -> SeparationReport:
+    """Sup of epsilon over the nonzero points of F_q^k, which to_point maps
+    from coefficient tuples in their order, with one epsilon call per F*-line.
 
     Every invariant space is spanned by homogeneous polynomials, and
     f(cv) = c^d f(v), so the basis vectors vanishing at v, the fixed-point
     test and the zero pattern of the permutation coordinates are the same
-    at every point of the line F*v.  The first point of a line, in
-    enumeration order, is evaluated and the rest reuse its report: values,
-    witnesses, the point lists and the first error are those of evaluating
-    every point.  Declared generators need not be homogeneous, so they are
-    still evaluated at every undetermined point.
+    at every point of the line F*v.  Each line is evaluated at its first
+    point, so values, witnesses, the point lists and the first error are
+    those of evaluating every point; only reported lines become points.
+    Declared generators need not be homogeneous, so they are still
+    evaluated at every undetermined point.
     """
     gens = _checked_generators(rep, declared) if declared is not None else None
-    lines: dict[tuple, SeparationReport] = {}
-    reports = []
-    for v, key in zip(points, _line_keys(rep.ctx, points)):
-        if key not in lines:
-            lines[key] = epsilon(rep, v, dmax)
-        reports.append(lines[key])
+    ctx = rep.ctx
+    reports = {r: epsilon(rep, to_point(r), dmax)
+               for r in _line_reps(ctx.cardinality, k)}
+    lines = [(r, rpt.value) for r, rpt in reports.items()]
+    # max keeps the first line of the highest value, so its witness
+    best = max((rpt for rpt in reports.values() if rpt.determined),
+               key=lambda rpt: rpt.value, default=None)
+    value, witness = (best.value, best.witness) if best else (None, None)
 
-    value = None
-    achieving: list[list[Scalar]] = []
-    witness = None
-    undetermined: list[list[Scalar]] = []
-    for v, rpt in zip(points, reports):
-        if not rpt.determined:
-            undetermined.append(v)
-            continue
-        if value is None or rpt.value > value:
-            value, achieving, witness = rpt.value, [v], rpt.witness
-        elif rpt.value == value:
-            achieving.append(v)
+    def points(value):
+        return [v for v, _ in _expand(ctx, [ln for ln in lines if ln[1] == value],
+                                      to_point)]
+    undetermined = points(None)
     certified = None
     if gens is not None:
         certified = all(all(g.evaluate(v).is_zero() for g in gens)
                         for v in undetermined)
-    return SeparationReport(kind, value, witness, achieving, dmax, rep.ctx,
+    return SeparationReport(kind, value, witness,
+                            points(value) if best else [], dmax, ctx,
                             undetermined_points=undetermined,
                             certified_complete=certified,
-                            point_values=[(v, rpt.value)
-                                          for v, rpt in zip(points, reports)])
+                            point_values=_PointValues(ctx, lines, to_point))
 
 
 def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
@@ -492,7 +521,10 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     for v in points:
         if not _is_fixed_point(rep, v):
             raise AssertionError("fixed-space enumeration produced a moving point")
-    return _sup_report("delta", rep, points, dmax, declared_generators)
+    q = pointfield.cardinality  # points[i - 1] has coefficients i in base q
+    return _sup_report("delta", rep, len(basis),
+                       lambda c: points[functools.reduce(lambda a, x: a * q + x, c) - 1],
+                       dmax, declared_generators)
 
 
 def power_text(base: int, exp: int) -> str:
@@ -531,14 +563,14 @@ def sigma_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     """Sup of epsilon over all nonzero points of the module over `pointfield`.
 
     Epsilon runs once per F*-line (see `_sup_report`); the point cap and the
-    reports still count and list every point.
+    reports still count and list every point.  A point's coefficient tuple
+    is its raw values.
     """
     check_point_count(pointfield, rep.dim, cap)
     rep = rep.lift(pointfield)
-    # enumerate() is ascending with zero first, so these are already sorted
-    points = [list(c) for c in itertools.product(pointfield.enumerate(),
-                                                 repeat=rep.dim)][1:]
-    return _sup_report("sigma", rep, points, dmax, declared_generators)
+    return _sup_report("sigma", rep, rep.dim,
+                       lambda c: [Scalar(pointfield, x) for x in c],
+                       dmax, declared_generators)
 
 
 # ---------------------------------------------------------------------------

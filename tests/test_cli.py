@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -15,12 +16,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nullcone_lab.cli import main, parse_module_spec
 from nullcone_lab.errors import BadParameter
 from nullcone_lab.invariants import epsilon
-from nullcone_lab.suites import ALL_SUITE_RUNS
+from nullcone_lab.suites import ALL_SUITE_RUNS, SUITES
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +230,9 @@ def test_module_spec_errors():
     ("compute", "sigma", "--module", "cyclic:p=2,k=-1", "--dmax", "2"),
     ("compute", "epsilon", "--gens", "1,1;0,1", "--field", "0", "--point", "1,0",
      "--dmax", "2"),
+    # column counts past the 4,300 digits that Python writes out
+    ("verify", "gl2-delta", "--p", "5", "--n", "5"),
+    ("verify", "gl2-delta", "--p", "3", "--n", "9"),
 ])
 def test_compute_bad_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -242,6 +246,8 @@ def test_compute_bad_input_exits_2(capsys, argv):
     ("torus:q=7,r=1,m=-1", "symmetric power m must be >= 0, got -1"),
     ("cyclic:p=2,k=2,z=3", "unknown parameter 'z'; cyclic takes p, k"),
     ("gl2:p=2,n=1,m=1", "unknown parameter 'm'; gl2 takes p, n"),
+    ("torus:q=1000000016000000063,r=1,m=2",  # (10^9 + 7)(10^9 + 9)
+     "1000000016000000063 is not a prime power"),
 ])
 def test_bad_module_spec_exits_2(capsys, spec, message):
     code, out, err = run_cli(capsys, "compute", "sigma", "--module", spec, "--dmax", "2")
@@ -316,6 +322,9 @@ def test_oversized_cyclic_sigma_is_refused_before_the_group_is_built(
     ("torus:q=2147483647,r=1,m=2", "group order 2147483646 exceeds the closure cap 1000000"),
     ("torus:q=2305843009213693951,r=1,m=2",
      "group order 2305843009213693950 exceeds the closure cap 1000000"),
+    # (10^9 + 7)^2: a prime power whose prime no trial division reaches fast
+    ("torus:q=1000000014000000049,r=1,m=2",
+     "group order 1000000014000000048 exceeds the closure cap 1000000"),
     ("gl2:p=2,n=20000", "group order (2^20000) exceeds the closure cap 1000000"),
     ("cyclic:p=2,k=600", "600*600^2 dense matrix entries exceed the cap 40000000"),
     ("gl2:p=2,n=6", "64*4096^2 dense matrix entries exceed the cap 40000000"),
@@ -693,6 +702,50 @@ def test_compute_never_raises(argv):
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
+
+
+def _heavy_verify(suite, p, n):
+    """va-ring past q = 4 takes seconds to minutes (q = 9: 89 s) and
+    gl2-delta at q = 5 about 3 s; every other drawn request ends in well
+    under a second.  Composite, zero and negative values are refused first."""
+    if suite not in ("va-ring", "gl2-delta") or p not in (None, 2, 3, 5) \
+            or n is not None and n < 1:
+        return False
+    q = (p or 2) ** (n or 1)
+    return q > 4 if suite == "va-ring" else q == 5
+
+
+@st.composite
+def verify_argv(draw):
+    """A verify request: a suite name, unknown ones too; --p, --n and --nmax
+    from small primes, composites, 0 and negatives; a --budget in minutes,
+    negative, 0, NaN or ample; with or without --json or --csv."""
+    suite = draw(st.sampled_from(sorted(SUITES) + ["all", "va_ring"]))
+    takes = inspect.signature(SUITES[suite]).parameters if suite in SUITES else ()
+    argv = ["verify", suite]
+    params = {}
+    for key in ("p", "n", "nmax"):
+        # a parameter the suite does not take is drawn one time in eight
+        params[key] = draw(st.sampled_from([None, None, -1, 0, 1, 2, 2, 3, 3, 4, 5, 9]
+                                           if key in takes else [None] * 7 + [2]))
+        if params[key] is not None:
+            argv.append(f"--{key}={params[key]}")
+    assume(not _heavy_verify(suite, params["p"], params["n"]))
+    budget = draw(st.sampled_from([None] * 8 + ["-1", "0", "nan", "60"]))
+    if budget is not None:
+        argv.append(f"--budget={budget}")
+    return argv + draw(st.sampled_from([[], ["--json"], ["--csv"]]))
+
+
+@settings(max_examples=60, deadline=5000)
+@given(argv=verify_argv())
+def test_verify_never_raises(argv):
+    """Any verify request ends with exit 0, 1 or 2 and prints no traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 # -- the README ------------------------------------------------------------------

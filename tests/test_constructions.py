@@ -306,6 +306,27 @@ def test_prime_power_matches_a_full_factorisation():
             with pytest.raises(NotPrime):
                 _prime_power(q)
     assert _prime_power(2**61 - 1) == (2**61 - 1, 1)
+    # large prime powers and composites whose least prime factor is large
+    # are found by integer roots, with no factor search
+    p, r = 10**9 + 7, 10**9 + 9
+    assert _prime_power(p**2) == (p, 2)
+    assert _prime_power((2**61 - 1)**3) == ((2**61 - 1), 3)
+    assert _prime_power(3**200) == (3, 200)
+    for q in (p * r, p**2 * r, (p * r)**2, 2**64 * 3):
+        with pytest.raises(NotPrime):
+            _prime_power(q)
+
+
+def test_integer_root_is_the_floor_of_the_real_root():
+    from nullcone_lab.constructions import _integer_root
+    for q in range(1, 3000):
+        for e in range(1, 13):
+            r = _integer_root(q, e)
+            assert r**e <= q < (r + 1)**e
+    for e in (2, 3, 7, 64):
+        for r in (2**61 - 1, 10**30 + 3, 3**50):
+            for q in (r**e - 1, r**e, r**e + 1):
+                assert _integer_root(q, e) == (r if q >= r**e else r - 1)
 
 
 def test_torus_epsilon_is_m_plus_one():

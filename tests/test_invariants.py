@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import gc
+import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nullcone_lab.errors import (
     CharDividesDegree,
@@ -49,6 +54,8 @@ from nullcone_lab.invariants import (
 from nullcone_lab.linalg import (Matrix, _GenericEliminator, _PackedChar2Eliminator,
                                  _make_eliminator)
 from nullcone_lab.poly import Monomial, Polynomial, mono_basis, poly_parse
+
+from . import test_properties as props
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -340,6 +347,24 @@ def test_epsilon_fast_and_slow_agree_small():
     assert fast.value == slow.value == 3
 
 
+def test_epsilon_refuses_an_undetermined_nonzero_point_past_the_norm_bound(monkeypatch):
+    """sigma(G, V) <= |G|: with every invariant space emptied, a nonzero
+    moving point is undetermined, which epsilon reports below |G| and
+    refuses from |G| on.  The origin stays undetermined, and the fast path,
+    which needs no space at its value, still answers at a fixed point."""
+    from nullcone_lab import invariants
+    f3 = ff_make(3)
+    rep = regular_rep(cyclic_group(f3, 3))
+    monkeypatch.setattr(invariants, "invariant_space",
+                        lambda rep, d: invariants.InvariantSpace(d, []))
+    v = [f3.one, f3.zero, f3.zero]
+    assert epsilon(rep, v, 2).value is None
+    with pytest.raises(AssertionError, match=r"degree 3 >= \|G\| = 3"):
+        epsilon(rep, v, 3)
+    assert epsilon(rep, [f3.zero] * 3, 5).value is None
+    assert epsilon(rep, [f3.one] * 3, 3).value == 3
+
+
 def test_epsilon_undetermined_in_nullcone():
     # all invariants of the unipotent group vanish on (x0 = x1 = 0) points
     f4 = ff_make(2, 2)
@@ -397,6 +422,18 @@ def test_invariant_space_refuses_columns_above_the_cap(monkeypatch):
     monkeypatch.setattr(invariants, "substitution_constraint_rows", no_rows)
     with pytest.raises(TooManyColumns, match="degree 4 in 3 variables has 15"):
         invariant_space(rep, 4)
+
+
+@pytest.mark.parametrize("nvars, d, shown", [
+    (64, 7, "1198774720"),
+    (9765625, 3124, "at least 2^40770"),             # 12,274 digits
+    (3814697265625, 1953124, "at least 2^1953124"),  # never formed
+])
+def test_column_count_refusal_names_a_count_it_can_write(nvars, d, shown):
+    from nullcone_lab.invariants import check_column_count
+    with pytest.raises(TooManyColumns, match=rf"^degree {d} in {nvars} variables "
+                                             rf"has {re.escape(shown)} monomial"):
+        check_column_count(nvars, d)
 
 
 def test_fast_path_refuses_degree_below_the_value_before_building(monkeypatch):
@@ -625,6 +662,87 @@ def test_line_reports_equal_the_per_point_reference(kind, module, pointfield, dm
     assert report.point_values == expected.point_values
     if declared:
         assert report.certified_complete is not None
+
+
+def _csv_rows(report):
+    """The rows `compute delta/sigma --csv` prints for a report."""
+    return [["point", "epsilon"]] + [
+        [",".join(str(s) for s in v),
+         str(value) if value is not None else f"undetermined above {report.degree_bound}"]
+        for v, value in report.point_values]
+
+
+def _field_text(ctx):
+    return str(ctx.p) if ctx.n == 1 else f"{ctx.p},{ctx.n}"
+
+
+@st.composite
+def line_cases(draw):
+    """A small module over F_3, F_4, F_5 or F_9, sigma or delta, a point field
+    that is the module's or (from a prime field) an extension of degree 2
+    or 3, at most 1,000 points, and declared generators half the time."""
+    rep = draw(props.small_modules())
+    kind = draw(st.sampled_from(["sigma", "delta"]))
+    ctx = rep.ctx
+    pf = ctx if ctx.n > 1 else draw(st.sampled_from([ctx, ff_make(ctx.p, 2),
+                                                     ff_make(ctx.p, 3)]))
+    k = rep.dim if kind == "sigma" else len(fixed_point_space(rep))
+    assume(pf.cardinality**k <= 1000)
+    gens = None
+    if draw(st.booleans()):
+        gens = invariant_space(rep, 1).basis + invariant_space(rep, 2).basis
+    return kind, rep, pf, draw(st.integers(1, 3)), gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=line_cases())
+def test_line_engine_equals_the_per_point_reference(case):
+    """One epsilon per line, and the expansion of the reported lines, give
+    the per-point reference's report, point_values and --csv rows."""
+    kind, rep, pf, dmax, gens = case
+    runner = sigma_bounded if kind == "sigma" else delta_bounded
+    report = runner(rep, dmax, pf, declared_generators=gens)
+    lifted = rep.lift(pf)
+    if kind == "sigma":
+        points = [list(c) for c in itertools.product(pf.enumerate(), repeat=rep.dim)][1:]
+    else:
+        points = _span_points(fixed_point_space(lifted), pf, 10**6)
+    expected = _per_point_report(kind, lifted, points, dmax,
+                                 gens and [_lift_poly(g, pf) for g in gens])
+    assert report.to_dict() == expected.to_dict()
+    assert report.point_values == expected.point_values
+    assert len(report.point_values) == len(points)
+
+    matrices = [rep.matrices[g] for g in rep.group.generator_indices]
+    argv = ["compute", kind, "--gens=" + "|".join(
+                ";".join(",".join(str(m[i, j]) for j in range(rep.dim))
+                         for i in range(rep.dim)) for m in matrices),
+            "--field", _field_text(rep.ctx), "--pointfield", _field_text(pf),
+            "--dmax", str(dmax), "--csv"]
+    if gens is not None:
+        argv.append("--generators=" + ";".join(str(g) for g in gens))
+    from nullcone_lab.cli import main
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) in (0, 1)
+    assert list(csv.reader(io.StringIO(out.getvalue()))) == _csv_rows(expected)
+
+
+def test_json_report_expands_no_point_values(monkeypatch, capsys):
+    """sigma's report, and a --json run, never build point_values."""
+    from nullcone_lab import invariants
+    from nullcone_lab.cli import main, parse_module_spec
+
+    def refuse(self):
+        raise AssertionError("point_values was expanded")
+    monkeypatch.setattr(invariants._PointValues, "_pairs", property(refuse))
+    spec = parse_module_spec("va:p=3,n=1,m=2")
+    report = sigma_bounded(spec.rep, 3, spec.rep.ctx, declared_generators=spec.candidates)
+    assert report.to_dict()["certified_complete"] is True
+    with pytest.raises(AssertionError, match="expanded"):
+        len(report.point_values)
+    assert main(["compute", "sigma", "--module", "va:p=3,n=1,m=2", "--dmax", "3",
+                 "--json"]) == 0
+    assert '"kind": "sigma"' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("module, calls, npoints", [

@@ -30,6 +30,7 @@ from nullcone_lab.invariants import (
     orbit_sum,
     orbit_sums_vanish,
     reynolds,
+    sigma_bounded,
 )
 from nullcone_lab.linalg import Matrix, _make_eliminator, kernel, rank
 from nullcone_lab.poly import Polynomial, mono_basis
@@ -603,6 +604,19 @@ def test_fixed_space_points_are_enumerated_in_sorted_order(group):
     keys = [tuple(s.val for s in v) for v in points]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys) == rep.ctx.cardinality**len(basis) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=fixed_space_groups())
+def test_sigma_at_the_group_order_leaves_no_point_undetermined(group):
+    """The norm bound sigma(G, V) <= |G| (Kohls-Kraft): at dmax = |G| every
+    nonzero point is separated, here on groups of order <= 8 over F_2, F_3
+    and F_4 with at most 255 points."""
+    rep = group.natural_rep()
+    assume(group.order <= 8 and rep.ctx.cardinality**rep.dim <= 256)
+    report = sigma_bounded(rep, group.order, rep.ctx)
+    assert report.undetermined_points == []
+    assert 1 <= report.value <= group.order
 
 
 # -- nullcone_status asks epsilon -----------------------------------------------------------
