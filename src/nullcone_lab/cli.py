@@ -96,12 +96,16 @@ def _torus(q: int, r: int, m: int):
 
 # per builder: its keys; its sizes, which run the build's parameter checks and
 # return the field order (p, e), the dimension and the group order, a size
-# that may be huge as a pair (base, exp); and its build
+# that may be huge as a pair (base, exp); and its build.  The torus's field
+# order comes as a function, as finding it factors q, which for a q of
+# thousands of digits takes seconds: a module spec refuses |G| first.  So
+# |G| is formed before q is checked, and gcd(q - 1, r) is 0 at q = 1, r = 0.
 BUILDERS = {
     "va": (("p", "n", "m"), lambda p, n, m: (va_field_order(p, n, m), 3, (p, m)), _va),
     "gl2": (("p", "n"), lambda p, n: (field_order(p, n), (p, 2 * n), (p, n)), _gl2),
-    "torus": (("q", "r", "m"), lambda q, r, m: (torus_field_order(q, r, m), 2,
-                                                (q - 1) // math.gcd(q - 1, r)), _torus),
+    "torus": (("q", "r", "m"), lambda q, r, m: (lambda: torus_field_order(q, r, m), 2,
+                                                (q - 1) // (math.gcd(q - 1, r) or 1)),
+              _torus),
     "gn": (("p", "n"), lambda p, n: (field_order(p, n), 2, (p, n)),
            lambda p, n: (gn_module(p, n)[1], None, None)),
     "cyclic": (("p", "k"), lambda p, k: (cyclic_field_order(p, k), k, k),
@@ -117,8 +121,11 @@ BUILDERS = {
 ENTRY_CAP = 4 * 10**7
 
 
-def _checked_spec(text: str) -> tuple[str, dict[str, int], tuple]:
-    """'name:k=v,...' -> (name, {k: v}, sizes), checked with nothing built."""
+def _checked_spec(text: str, closure_cap: bool = False
+                  ) -> tuple[str, dict[str, int], tuple]:
+    """'name:k=v,...' -> (name, {k: v}, sizes), checked with nothing built.
+    With closure_cap, a group order past DEFAULT_CLOSURE_CAP is refused
+    before a field order that comes as a function is found."""
     if ":" not in text:
         raise BadParameter(f"module spec {text!r} must look like name:k=v,...")
     name, _, arg_text = text.partition(":")
@@ -142,7 +149,15 @@ def _checked_spec(text: str) -> tuple[str, dict[str, int], tuple]:
     if missing:
         raise BadParameter(f"module spec {text!r} misses parameter {missing[0]!r}")
     try:
-        return name, params, sizes(**params)
+        field, dim, order = sizes(**params)
+        base, exp = order if isinstance(order, tuple) else (order, 1)
+        cap = DEFAULT_CLOSURE_CAP
+        if closure_cap and capped_power(base, exp, cap) > cap:
+            raise CapExceeded(f"module spec {text!r}: group order {power_text(base, exp)} "
+                              f"exceeds the closure cap {cap}")
+        return name, params, (field() if callable(field) else field, dim, order)
+    except CapExceeded:
+        raise
     except NullconeLabError as exc:
         raise BadParameter(f"module spec {text!r}: {exc}") from exc
 
@@ -150,13 +165,10 @@ def _checked_spec(text: str) -> tuple[str, dict[str, int], tuple]:
 def parse_module_spec(text: str) -> ModuleSpec:
     """Build a checked module spec, refusing from its sizes a group past the
     closure cap or matrices past ENTRY_CAP before any closure."""
-    name, params, (_, dim, order) = _checked_spec(text)
-    base, exp = order if isinstance(order, tuple) else (order, 1)
-    if capped_power(base, exp, DEFAULT_CLOSURE_CAP) > DEFAULT_CLOSURE_CAP:
-        raise CapExceeded(f"module spec {text!r}: group order {power_text(base, exp)} "
-                          f"exceeds the closure cap {DEFAULT_CLOSURE_CAP}")
+    name, params, (_, dim, order) = _checked_spec(text, closure_cap=True)
     # with |G| <= DEFAULT_CLOSURE_CAP, every size is small enough to form
-    order, dim = base**exp, dim[0] ** dim[1] if isinstance(dim, tuple) else dim
+    order = order[0] ** order[1] if isinstance(order, tuple) else order
+    dim = dim[0] ** dim[1] if isinstance(dim, tuple) else dim
     if order * dim * dim > ENTRY_CAP:
         raise CapExceeded(f"module spec {text!r}: {order}*{dim}^2 dense matrix "
                           f"entries exceed the cap {ENTRY_CAP}")

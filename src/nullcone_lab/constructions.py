@@ -29,8 +29,8 @@ from .groups import (
     sym_power_rep,
     vectorized_identity,
 )
-from .invariants import substitution_constraint_rows
-from .linalg import Matrix, kernel
+from .invariants import _fixed_space
+from .linalg import Matrix
 from .poly import Polynomial, mono_basis
 
 
@@ -582,13 +582,6 @@ def sampled_fixed_space(action: ParametricAction,
     """
     ctx, nvars = action.ctx, action.nvars
     matrices = [action.specialize(list(s)) for s in samples]
-
-    def rows():
-        for mat in matrices:
-            for row in substitution_constraint_rows(mat, d):
-                if row:
-                    yield row
-
-    ncols = len(mono_basis(nvars, d))
-    vectors = kernel(rows(), ncols, ctx)
-    return [Polynomial.from_coeff_vector(ctx, nvars, d, v) for v in vectors]
+    monos = mono_basis(nvars, d)  # refuses d < 0 first
+    return [Polynomial(ctx, nvars, {monos[c].exps: s for c, s in vec.items()}, _trusted=True)
+            for vec in _fixed_space(ctx, nvars, matrices, d)]

@@ -17,7 +17,7 @@ import itertools
 import math
 from collections import Counter, abc
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CharDividesDegree,
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fields import FieldCtx, Scalar, lift
 from .groups import PermutationBasis, Representation, permutation_rep
-from .linalg import Matrix, _make_eliminator, annihilation_check, kernel, rank
+from .linalg import Matrix, _make_eliminator, annihilation_check, rank
 from .poly import (Monomial, Polynomial, mono_basis, substitution_images,
                    _basis_index, _exponent_basis)
 
@@ -89,9 +89,17 @@ def check_column_count(nvars: int, d: int) -> None:
                              f"monomial columns, above the cap {COLUMN_CAP}")
 
 
-def _constraint_rows(rep: Representation, g: int, d: int) -> Iterator[dict[int, Scalar]]:
-    """Constraint rows for g.f = f, i.e. f(rho(g)^-1 x) = f."""
-    return substitution_constraint_rows(rep.inverse_matrix(g), d)
+def _fixed_space(ctx: FieldCtx, nvars: int, matrices: Iterable[Matrix],
+                 d: int) -> list[dict[int, Scalar]]:
+    """Canonical sparse basis of the degree-d polynomials f with f(Mx) = f
+    for every M of the matrices: the kernel of their constraint rows.  With
+    no matrices it is the whole degree-d space."""
+    elim = _make_eliminator(ctx, len(_exponent_basis(nvars, d)))
+    for matrix in matrices:
+        for row in substitution_constraint_rows(matrix, d):
+            if row:
+                elim.add_row(row)
+    return elim.kernel_basis()
 
 
 @dataclass
@@ -121,24 +129,21 @@ def invariant_space(rep: Representation, d: int) -> InvariantSpace:
         return cached
     ctx, nvars = rep.ctx, rep.dim
     check_column_count(nvars, d)
-    exponents = _exponent_basis(nvars, d)
-    elim = _make_eliminator(ctx, len(exponents))
     group = rep.group
-    gen_set = set(group.generator_indices)
-    for g in group.generator_indices:
-        for row in _constraint_rows(rep, g, d):
-            if row:
-                elim.add_row(row)
-    kernel_vectors = elim.kernel_basis()
+    # g.f = f means f(rho(g)^-1 x) = f
+    kernel_vectors = _fixed_space(ctx, nvars, map(rep.inverse_matrix,
+                                                  group.generator_indices), d)
     annihilates = annihilation_check(kernel_vectors, ctx)
+    gen_set = set(group.generator_indices)
     for g in range(group.order):
         if g == group.identity_index or g in gen_set:
             continue
-        for row in _constraint_rows(rep, g, d):
+        for row in substitution_constraint_rows(rep.inverse_matrix(g), d):
             if row and not annihilates(row):
                 raise AssertionError(
                     "generator-fixed space not fixed by the whole group; "
                     "the closure or the representation is inconsistent")
+    exponents = _exponent_basis(nvars, d)
     basis = [Polynomial(ctx, nvars, {exponents[c]: s for c, s in vec.items()},
                         _trusted=True)
              for vec in kernel_vectors]
@@ -377,33 +382,10 @@ def fixed_point_space(rep: Representation) -> list[list[Scalar]]:
     """Basis of the common fixed space of the representing matrices: the
     kernel of the generators' rho(s) - I, the degree-1 constraint rows of
     x -> rho(s)^T x."""
-    rows = (row for g in rep.group.generator_indices
-            for row in substitution_constraint_rows(rep.matrices[g].transpose(), 1)
-            if row)
-    return kernel(rows, rep.dim, rep.ctx)
-
-
-def _span_points(basis: list[list[Scalar]], ctx: FieldCtx,
-                 cap: int) -> list[list[Scalar]]:
-    """All nonzero points of the span over a finite field, sorted: in the
-    reduced echelon basis from `kernel` (1 at its own free column, 0 at the
-    others, nonzero only at pivot columns above), points compare as their
-    coefficient tuples, which itertools.product yields in ascending order."""
-    k = len(basis)
-    if k == 0:
-        return []
-    check_point_count(ctx, k, cap)
-    elems = ctx.enumerate()
-    points = []
-    for coeffs in itertools.product(elems, repeat=k):
-        if all(c.is_zero() for c in coeffs):
-            continue
-        v = [ctx.zero] * len(basis[0])
-        for c, b in zip(coeffs, basis):
-            if not c.is_zero():
-                v = [acc + c * x for acc, x in zip(v, b)]
-        points.append(v)
-    return points
+    transposes = (rep.matrices[g].transpose() for g in rep.group.generator_indices)
+    zero = rep.ctx.zero
+    return [[vec.get(c, zero) for c in range(rep.dim)]
+            for vec in _fixed_space(rep.ctx, rep.dim, transposes, 1)]
 
 
 def _checked_generators(rep: Representation,
@@ -509,22 +491,32 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     """Sup of epsilon over the nonzero fixed points with coordinates in
     `pointfield`.  The value is exact when every unseparated point is
     certified inside the nullcone by the declared generators; otherwise it
-    is a lower bound and the unseparated points are listed.  The span of
-    fixed points is a union of F*-lines, and epsilon runs once per line
-    (see `_sup_report`); the moving-point check still runs per point.
+    is a lower bound and the unseparated points are listed.
+
+    The fixed points are the span of the reduced echelon basis b_i of the
+    fixed space, and the point of coefficients c is sum c_i b_i, so the
+    coefficient order is the point order.  The span is a union of F*-lines
+    and epsilon runs once per line (see `_sup_report`), so only each line's
+    first point and the points a report lists are built.  Each point built
+    is checked fixed, which covers the rest: rho(g)(cv) = c rho(g)v.
     """
     if not pointfield.is_finite:
         raise RationalContext("delta enumerates the points of a finite field")
     rep = rep.lift(pointfield)
-    basis = fixed_point_space(rep)
-    points = _span_points(basis, pointfield, cap)
-    for v in points:
-        if not _is_fixed_point(rep, v):
+    basis = [[s.val for s in b] for b in fixed_point_space(rep)]
+    check_point_count(pointfield, len(basis), cap)
+    add, mul = pointfield._add, pointfield._mul
+
+    def to_point(coeffs):
+        v = [0] * rep.dim
+        for c, b in zip(coeffs, basis):
+            if c:
+                v = [add(x, mul(c, y)) for x, y in zip(v, b)]
+        point = [Scalar(pointfield, x) for x in v]
+        if not _is_fixed_point(rep, point):
             raise AssertionError("fixed-space enumeration produced a moving point")
-    q = pointfield.cardinality  # points[i - 1] has coefficients i in base q
-    return _sup_report("delta", rep, len(basis),
-                       lambda c: points[functools.reduce(lambda a, x: a * q + x, c) - 1],
-                       dmax, declared_generators)
+        return point
+    return _sup_report("delta", rep, len(basis), to_point, dmax, declared_generators)
 
 
 def power_text(base: int, exp: int) -> str:
@@ -680,16 +672,15 @@ class DegreeVerdict:
 class GenerationCertificate:
     """Degreewise comparison of a candidate subalgebra with the invariants.
 
-    With parametric invariance flags set, candidate products sit inside the
-    invariants of every specialisation of the parametric action, so a
-    degree with equal dimensions pins the full invariant space there (the
-    sandwich argument's two inclusions).
+    When the candidates are also invariant for every parameter value of a
+    parametric action (`ParametricAction.is_invariant`, checked apart from
+    this), a degree with equal dimensions pins the parametric invariants
+    there: the sandwich argument's two inclusions.
     """
 
     candidates: list[Polynomial]
     degree_bound: int
     verdicts: list[DegreeVerdict]
-    parametric_flags: list[bool] | None = None
 
     @property
     def all_equal(self) -> bool:
@@ -703,7 +694,6 @@ class GenerationCertificate:
                             "invariant_dim": v.invariant_dim,
                             "verdict": "equal" if v.equal else "strict"}
                            for v in self.verdicts],
-            "parametric_invariance": self.parametric_flags,
         }
 
 
@@ -742,15 +732,8 @@ def _candidate_degree_dim(candidates: list[Polynomial], degrees: list[int],
 
 
 def check_generation(candidates: Sequence[Polynomial], rep: Representation,
-                     degree_bound: int,
-                     parametric_witness=None) -> GenerationCertificate:
-    """Compare the candidate subalgebra with the invariant ring degreewise.
-
-    `parametric_witness`, when given, must expose is_invariant(f); each
-    candidate is then also checked invariant for every parameter value,
-    which upgrades "equal" verdicts into exact statements about the
-    parametric group's invariants.
-    """
+                     degree_bound: int) -> GenerationCertificate:
+    """Compare the candidate subalgebra with the invariant ring degreewise."""
     ctx, nvars = rep.ctx, rep.dim
     cands = []
     for f in candidates:
@@ -768,10 +751,7 @@ def check_generation(candidates: Sequence[Polynomial], rep: Representation,
         if cand_dim > inv_dim:
             raise AssertionError("candidate span escaped the invariant space")
         verdicts.append(DegreeVerdict(d, cand_dim, inv_dim))
-    flags = None
-    if parametric_witness is not None:
-        flags = [parametric_witness.is_invariant(f) for f in candidates]
-    return GenerationCertificate(list(cands), degree_bound, verdicts, flags)
+    return GenerationCertificate(list(cands), degree_bound, verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,7 @@ def suite_va_ring(p: int = 2, n: int = 1) -> SuiteReport:
             True, parametric.is_invariant(f)))
 
     group, rep = va_joint_group(p, n, (n + 1, n + 2))
-    cert = check_generation(va_candidates(p, n, ff_make(p)), rep, q + 2,
-                            parametric_witness=parametric)
+    cert = check_generation(va_candidates(p, n, ff_make(p)), rep, q + 2)
     claims.append(Claim(
         f"va-generation-p{p}-n{n}",
         f"products of the candidates span the level-({n + 1},{n + 2}) joint "

@@ -244,6 +244,7 @@ def test_compute_bad_input_exits_2(capsys, argv):
 @pytest.mark.parametrize("spec, message", [
     ("va:p=2,n=-1,m=1", "twist exponent n must be >= 0, got -1"),
     ("torus:q=7,r=1,m=-1", "symmetric power m must be >= 0, got -1"),
+    ("torus:q=1,r=0,m=1", "need q >= 3"),  # gcd(q - 1, r) = 0
     ("cyclic:p=2,k=2,z=3", "unknown parameter 'z'; cyclic takes p, k"),
     ("gl2:p=2,n=1,m=1", "unknown parameter 'm'; gl2 takes p, n"),
     ("torus:q=1000000016000000063,r=1,m=2",  # (10^9 + 7)(10^9 + 9)
@@ -326,18 +327,24 @@ def test_oversized_cyclic_sigma_is_refused_before_the_group_is_built(
     ("torus:q=1000000014000000049,r=1,m=2",
      "group order 1000000014000000048 exceeds the closure cap 1000000"),
     ("gl2:p=2,n=20000", "group order (2^20000) exceeds the closure cap 1000000"),
+    # factoring a q of 4,001 digits takes seconds; |G| is refused first
+    pytest.param(f"torus:q={10**4000 + 1},r=1,m=2",
+                 f"group order {10**4000} exceeds the closure cap 1000000", id="torus-huge-q"),
     ("cyclic:p=2,k=600", "600*600^2 dense matrix entries exceed the cap 40000000"),
     ("gl2:p=2,n=6", "64*4096^2 dense matrix entries exceed the cap 40000000"),
 ])
 def test_oversized_module_is_refused_from_its_sizes_before_closure(
         capsys, monkeypatch, module, wanted):
     """The spec's group order and dimension decide, before any closure, a
-    group past the closure cap or matrices past the dense-entry cap."""
+    group past the closure cap or matrices past the dense-entry cap; a
+    torus's q is not factored first."""
+    from nullcone_lab import constructions
     from nullcone_lab.groups import MatrixGroup
 
-    def no_closure(*args, **kwargs):
-        raise AssertionError("the group was closed before the refusal")
-    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
+    def no_work(*args, **kwargs):
+        raise AssertionError("the group was closed or q factored before the refusal")
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_work))
+    monkeypatch.setattr(constructions, "_prime_power", no_work)
     code, out, err = run_cli(capsys, "compute", "epsilon", "--module", module, "--dmax", "1")
     assert (code, out) == (2, "")
     assert err == f"error: CapExceeded: module spec {module!r}: {wanted}\n"

@@ -252,7 +252,7 @@ def test_va_joint_group_generation_certificate():
     group, rep = va_joint_group(p, n, (n + 1, n + 2))
     from nullcone_lab.constructions import va_candidates
     cands = va_candidates(p, n, group.ctx)
-    cert = check_generation(cands, rep, p**n + 2, parametric_witness=None)
+    cert = check_generation(cands, rep, p**n + 2)
     assert cert.all_equal
     assert [v.candidate_dim for v in cert.verdicts] == [1, 2, 2, 3]
     # contrast: level n+1 alone is strictly larger at degree 2

@@ -35,7 +35,6 @@ from nullcone_lab.invariants import (
     SeparationReport,
     _epsilon_by_spaces,
     _lift_poly,
-    _span_points,
     _fast_path_epsilon,
     _orbit_product_invariant,
     check_generation,
@@ -561,9 +560,10 @@ def test_delta_rejects_any_moving_point(monkeypatch):
     from nullcone_lab import invariants
     f2 = ff_make(2)
     rep = swap_group(f2).natural_rep()
-    # a faulty enumeration whose first point is fixed but whose second moves
-    monkeypatch.setattr(invariants, "_span_points",
-                        lambda basis, ctx, cap: [[f2.one, f2.one], [f2.one, f2.zero]])
+    # a faulty fixed space whose first line, (1, 1), is fixed but whose
+    # second, (1, 0), moves
+    monkeypatch.setattr(invariants, "fixed_point_space",
+                        lambda rep: [[f2.one, f2.zero], [f2.one, f2.one]])
     with pytest.raises(AssertionError, match="moving point"):
         delta_bounded(rep, 2, f2)
 
@@ -603,12 +603,11 @@ def test_sigma_point_cap(runner):
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2)])
 def test_sigma_points_equal_the_span_of_the_standard_basis(p, n):
-    from nullcone_lab import invariants
     ctx = ff_make(p, n)
     standard = [[ctx.one if i == j else ctx.zero for i in range(3)] for j in range(3)]
     report = sigma_bounded(trivial_group(ctx, 3).natural_rep(), 1, ctx)
     points = [v for v, _ in report.point_values]
-    assert points == invariants._span_points(standard, ctx, 10**6)
+    assert points == props.span_points(standard, ctx)
     assert len(points) == ctx.cardinality**3 - 1
 
 
@@ -655,7 +654,7 @@ def test_line_reports_equal_the_per_point_reference(kind, module, pointfield, dm
         points = [list(c) for c in itertools.product(pf.enumerate(), repeat=rep.dim)][1:]
     else:
         report = delta_bounded(spec.rep, dmax, pf, declared_generators=gens)
-        points = _span_points(fixed_point_space(rep), pf, 10**6)
+        points = props.span_points(fixed_point_space(rep), pf)
     lifted = [_lift_poly(g, pf) for g in gens] if declared else None
     expected = _per_point_report(kind, rep, points, dmax, lifted)
     assert report.to_dict() == expected.to_dict()
@@ -706,7 +705,7 @@ def test_line_engine_equals_the_per_point_reference(case):
     if kind == "sigma":
         points = [list(c) for c in itertools.product(pf.enumerate(), repeat=rep.dim)][1:]
     else:
-        points = _span_points(fixed_point_space(lifted), pf, 10**6)
+        points = props.span_points(fixed_point_space(lifted), pf)
     expected = _per_point_report(kind, lifted, points, dmax,
                                  gens and [_lift_poly(g, pf) for g in gens])
     assert report.to_dict() == expected.to_dict()
@@ -728,30 +727,53 @@ def test_line_engine_equals_the_per_point_reference(case):
 
 
 def test_json_report_expands_no_point_values(monkeypatch, capsys):
-    """sigma's report, and a --json run, never build point_values."""
+    """sigma's and delta's reports, and their --json runs, never build
+    point_values."""
     from nullcone_lab import invariants
     from nullcone_lab.cli import main, parse_module_spec
 
     def refuse(self):
         raise AssertionError("point_values was expanded")
     monkeypatch.setattr(invariants._PointValues, "_pairs", property(refuse))
-    spec = parse_module_spec("va:p=3,n=1,m=2")
-    report = sigma_bounded(spec.rep, 3, spec.rep.ctx, declared_generators=spec.candidates)
-    assert report.to_dict()["certified_complete"] is True
-    with pytest.raises(AssertionError, match="expanded"):
-        len(report.point_values)
-    assert main(["compute", "sigma", "--module", "va:p=3,n=1,m=2", "--dmax", "3",
-                 "--json"]) == 0
-    assert '"kind": "sigma"' in capsys.readouterr().out
+    for runner, module, pointfield, dmax in ((sigma_bounded, "va:p=3,n=1,m=2", None, 3),
+                                             (delta_bounded, "va:p=2,n=1,m=1", "2,6", 2)):
+        spec = parse_module_spec(module)
+        pf = ff_make(*map(int, pointfield.split(","))) if pointfield else spec.rep.ctx
+        report = runner(spec.rep, dmax, pf, declared_generators=spec.candidates)
+        assert report.to_dict()["certified_complete"] is True
+        with pytest.raises(AssertionError, match="expanded"):
+            len(report.point_values)
+        kind = report.kind
+        argv = ["compute", kind, "--module", module, "--dmax", str(dmax), "--json"]
+        assert main(argv + (["--pointfield", pointfield] if pointfield else [])) == 0
+        assert f'"kind": "{kind}"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("--json", "d0ee0db0bca526fec069a1187541adaf62871e8061dbf84b8a23572093f0c5cd"),
+    ("--csv", "e72937f65dd78e16e0ef9be427b64c9ecc06e046ff254b33f2ea323949f0eb24"),
+])
+def test_delta_output_is_pinned(capsys, fmt, digest):
+    """delta over the 4,095 fixed points of va:p=2,n=1,m=1 in F_64: the
+    stdout sha256 that the per-point enumeration printed."""
+    import hashlib
+    from nullcone_lab.cli import main
+    assert main(["compute", "delta", "--module", "va:p=2,n=1,m=1", "--pointfield", "2,6",
+                 "--dmax", "2", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("module, calls, npoints", [
     ("va:p=3,n=1,m=2", (9**3 - 1) // 8, 9**3 - 1),  # one call per F_9*-line
     ("cyclic:p=2,k=3", 7, 7),                         # over F_2 a line is a point
+    # a (module, point field) pair runs delta: V^G is 2-dimensional here
+    pytest.param(("va:p=2,n=1,m=1", (2, 6)), (64**2 - 1) // 63, 64**2 - 1,
+                 id="delta-va:p=2,n=1,m=1-F64"),
 ])
 def test_sigma_calls_epsilon_once_per_line(monkeypatch, module, calls, npoints):
     from nullcone_lab import invariants
     from nullcone_lab.cli import parse_module_spec
+    module, pointfield = module if isinstance(module, tuple) else (module, None)
     spec = parse_module_spec(module)
     counted = []
 
@@ -760,7 +782,10 @@ def test_sigma_calls_epsilon_once_per_line(monkeypatch, module, calls, npoints):
         return epsilon(rep, point, dmax)
 
     monkeypatch.setattr(invariants, "epsilon", counting_epsilon)
-    report = sigma_bounded(spec.rep, 3, spec.rep.ctx)
+    if pointfield:
+        report = delta_bounded(spec.rep, 3, ff_make(*pointfield))
+    else:
+        report = sigma_bounded(spec.rep, 3, spec.rep.ctx)
     assert len(counted) == calls
     assert len(report.point_values) == npoints
 

@@ -4,6 +4,7 @@ determinism."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -17,7 +18,6 @@ from nullcone_lab.groups import (MatrixGroup, Representation, find_permutation_b
                                  regular_rep, sym_power_rep)
 from nullcone_lab.invariants import (
     _epsilon_by_spaces,
-    _span_points,
     _orbit_product_invariant,
     _permutation_rep,
     _verify_invariant,
@@ -566,6 +566,20 @@ def fixed_space_groups(draw):
         assume(False)
 
 
+def span_points(basis, ctx):
+    """Every nonzero point sum c_i b_i of the span over a finite field, the
+    coefficient tuples c in itertools.product order: the per-point
+    reference for delta's enumeration."""
+    points = []
+    for coeffs in itertools.product(ctx.enumerate(), repeat=len(basis)):
+        if any(not c.is_zero() for c in coeffs):
+            v = [ctx.zero] * len(basis[0])
+            for c, b in zip(coeffs, basis):
+                v = [acc + c * x for acc, x in zip(v, b)]
+            points.append(v)
+    return points
+
+
 def _fixed_space_by_hand(rep):
     """Kernel of the generators' rho(s) - I, its rows built entry by entry."""
     ctx, dim = rep.ctx, rep.dim
@@ -600,7 +614,7 @@ def test_fixed_space_points_are_enumerated_in_sorted_order(group):
     order, which delta's reports rely on."""
     rep = group.natural_rep()
     basis = fixed_point_space(rep)
-    points = _span_points(basis, rep.ctx, 10**6)
+    points = span_points(basis, rep.ctx)
     keys = [tuple(s.val for s in v) for v in points]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys) == rep.ctx.cardinality**len(basis) - 1
