@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import __version__
@@ -20,15 +21,13 @@ from .constructions import (cyclic_field_order, cyclic_group, gl2_test_module, g
                             torus_field_order, torus_module, va_field_order, va_module)
 from .errors import BadParameter, CapExceeded, NullconeLabError, UnknownSuite
 from .fields import FieldCtx, check_lift, ff_make, field_order
-from .groups import DEFAULT_CLOSURE_CAP, MatrixGroup, Representation, regular_rep
+from .groups import MatrixGroup, Representation, check_group_order, regular_rep
 from .invariants import (
-    capped_power,
     check_point_count,
     delta_bounded,
     epsilon,
     invariant_space,
     nullcone_status,
-    power_text,
     sigma_bounded,
 )
 from .linalg import Matrix
@@ -41,74 +40,60 @@ def _dump_json(payload) -> None:
 
 
 def _dump_csv(rows) -> None:
-    writer = csv.writer(sys.stdout)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(sys.stdout).writerows(rows)
 
 
 # ---------------------------------------------------------------------------
 # module specs
 
 
-def _parse_field_arg(text: str) -> FieldCtx:
-    """'2' -> F_2, '2,2' -> F_4, '0' -> rationals."""
+def _field_arg(text: str) -> tuple[int, int]:
+    """'2' -> (2, 1), '2,2' -> (2, 2), '0' -> (0, 1) for the rationals: a
+    field's order, before the field is built."""
     try:
         parts = [int(part) for part in text.split(",")]
     except ValueError:
         parts = []
     if not 1 <= len(parts) <= 2:
         raise BadParameter(f"bad field {text!r}; use 'p', 'p,n' or '0'")
-    if parts[0] == 0:
-        return FieldCtx.rationals()
-    return ff_make(*parts[:2])
+    return parts[0], (parts + [1])[1]
 
 
+def _field(p: int, n: int) -> FieldCtx:
+    return FieldCtx.rationals() if p == 0 else ff_make(p, n)
+
+
+@dataclass
 class ModuleSpec:
     """A named builder instance: e.g. va:p=2,n=1,m=2 or gl2:p=2,n=2."""
 
-    def __init__(self, rep: Representation, label: str,
-                 candidates: Callable[[], list[Polynomial]] | None = None,
-                 default_point: list | None = None):
-        self.rep = rep
-        self.label = label
-        self._candidates = candidates  # built on each read of `candidates`
-        self.default_point = default_point
+    rep: Representation
+    label: str
+    make_candidates: Callable[[], list[Polynomial]] | None = None  # run on each read
+    default_point: list | None = None
 
     @property
     def candidates(self) -> list[Polynomial] | None:
-        return self._candidates() if self._candidates is not None else None
+        return self.make_candidates() if self.make_candidates is not None else None
 
 
-def _va(p: int, n: int, m: int):
-    module = va_module(p, n, m)
-    return module.rep, lambda: module.candidates, None
-
-
-def _gl2(p: int, n: int):
-    module = gl2_test_module(p, n)
-    return module.rep, None, module.identity_point
-
-
-def _torus(q: int, r: int, m: int):
-    module = torus_module(q, r, m)
-    return module.rep, lambda: [module.witness], module.point
-
-
-# per builder: its keys; its sizes, which run the build's parameter checks and
-# return the field order (p, e), the dimension and the group order, a size
-# that may be huge as a pair (base, exp); and its build.  The torus's field
-# order comes as a function, as finding it factors q, which for a q of
-# thousands of digits takes seconds: a module spec refuses |G| first.  So
-# |G| is formed before q is checked, and gcd(q - 1, r) is 0 at q = 1, r = 0.
+# per builder: its keys; its sizes, which give the field order, the dimension
+# and the group order as pairs (base, exp) by arithmetic alone, and last the
+# builder's own checks, a function that returns the field order (p, e) and may
+# test a prime or factor q; and its build.
 BUILDERS = {
-    "va": (("p", "n", "m"), lambda p, n, m: (va_field_order(p, n, m), 3, (p, m)), _va),
-    "gl2": (("p", "n"), lambda p, n: (field_order(p, n), (p, 2 * n), (p, n)), _gl2),
-    "torus": (("q", "r", "m"), lambda q, r, m: (lambda: torus_field_order(q, r, m), 2,
-                                                (q - 1) // (math.gcd(q - 1, r) or 1)),
-              _torus),
-    "gn": (("p", "n"), lambda p, n: (field_order(p, n), 2, (p, n)),
+    "va": (("p", "n", "m"), lambda p, n, m: ((p, m), (3, 1), (p, m),
+                                             lambda: va_field_order(p, n, m)),
+           lambda p, n, m: ((v := va_module(p, n, m)).rep, lambda: v.candidates, None)),
+    "gl2": (("p", "n"), lambda p, n: ((p, n), (p, 2 * n), (p, n), lambda: field_order(p, n)),
+            lambda p, n: ((g := gl2_test_module(p, n)).rep, None, g.identity_point)),
+    "torus": (("q", "r", "m"), lambda q, r, m: ((q, 1), (2, 1),
+                                                ((q - 1) // (math.gcd(q - 1, r) or 1), 1),
+                                                lambda: torus_field_order(q, r, m)),
+              lambda q, r, m: ((t := torus_module(q, r, m)).rep, lambda: [t.witness], t.point)),
+    "gn": (("p", "n"), lambda p, n: ((p, n), (2, 1), (p, n), lambda: field_order(p, n)),
            lambda p, n: (gn_module(p, n)[1], None, None)),
-    "cyclic": (("p", "k"), lambda p, k: (cyclic_field_order(p, k), k, k),
+    "cyclic": (("p", "k"), lambda p, k: ((p, 1), (k, 1), (k, 1), lambda: cyclic_field_order(p, k)),
                lambda p, k: (regular_rep(cyclic_group(ff_make(*cyclic_field_order(p, k)), k)),
                              None, None)),
 }
@@ -121,18 +106,21 @@ BUILDERS = {
 ENTRY_CAP = 4 * 10**7
 
 
-def _checked_spec(text: str, closure_cap: bool = False
-                  ) -> tuple[str, dict[str, int], tuple]:
-    """'name:k=v,...' -> (name, {k: v}, sizes), checked with nothing built.
-    With closure_cap, a group order past DEFAULT_CLOSURE_CAP is refused
-    before a field order that comes as a function is found."""
+def _sized(*pairs: tuple[int, int]) -> bool:
+    """Whether the caps may bound these (base, exp): else the builder's checks decide."""
+    return all(base >= 2 and exp >= 1 for base, exp in pairs)
+
+
+def _checked_spec(text: str) -> tuple[str, dict[str, int], tuple, Callable[[], tuple[int, int]]]:
+    """'name:k=v,...' -> (name, {k: v}, sizes, field_checks).  The keys are
+    checked, then a group past DEFAULT_CLOSURE_CAP and matrices past
+    ENTRY_CAP are refused from the sizes, with nothing built.  field_checks,
+    not run here, runs the builder's own checks and returns (p, e)."""
     if ":" not in text:
         raise BadParameter(f"module spec {text!r} must look like name:k=v,...")
     name, _, arg_text = text.partition(":")
     params: dict[str, int] = {}
-    for piece in arg_text.split(","):
-        if not piece.strip():
-            continue
+    for piece in filter(str.strip, arg_text.split(",")):
         key, _, val = piece.partition("=")
         try:
             params[key.strip()] = int(val)
@@ -148,30 +136,28 @@ def _checked_spec(text: str, closure_cap: bool = False
     missing = [key for key in keys if key not in params]
     if missing:
         raise BadParameter(f"module spec {text!r} misses parameter {missing[0]!r}")
-    try:
-        field, dim, order = sizes(**params)
-        base, exp = order if isinstance(order, tuple) else (order, 1)
-        cap = DEFAULT_CLOSURE_CAP
-        if closure_cap and capped_power(base, exp, cap) > cap:
-            raise CapExceeded(f"module spec {text!r}: group order {power_text(base, exp)} "
-                              f"exceeds the closure cap {cap}")
-        return name, params, (field() if callable(field) else field, dim, order)
-    except CapExceeded:
-        raise
-    except NullconeLabError as exc:
-        raise BadParameter(f"module spec {text!r}: {exc}") from exc
+    field, dim, order, checks = sizes(**params)
+    if _sized(order, dim):
+        check_group_order(*order, prefix=f"module spec {text!r}: ")
+        # with |G| <= DEFAULT_CLOSURE_CAP, every size is small enough to form
+        size, width = order[0] ** order[1], dim[0] ** dim[1]
+        if size * width * width > ENTRY_CAP:
+            raise CapExceeded(f"module spec {text!r}: {size}*{width}^2 dense matrix "
+                              f"entries exceed the cap {ENTRY_CAP}")
+
+    def field_checks() -> tuple[int, int]:
+        try:
+            return checks()
+        except NullconeLabError as exc:
+            raise BadParameter(f"module spec {text!r}: {exc}") from exc
+    return name, params, (field, dim, order), field_checks
 
 
 def parse_module_spec(text: str) -> ModuleSpec:
-    """Build a checked module spec, refusing from its sizes a group past the
-    closure cap or matrices past ENTRY_CAP before any closure."""
-    name, params, (_, dim, order) = _checked_spec(text, closure_cap=True)
-    # with |G| <= DEFAULT_CLOSURE_CAP, every size is small enough to form
-    order = order[0] ** order[1] if isinstance(order, tuple) else order
-    dim = dim[0] ** dim[1] if isinstance(dim, tuple) else dim
-    if order * dim * dim > ENTRY_CAP:
-        raise CapExceeded(f"module spec {text!r}: {order}*{dim}^2 dense matrix "
-                          f"entries exceed the cap {ENTRY_CAP}")
+    """Build a module spec once the refusals that read only the spec, and
+    then the builder's own checks, have passed."""
+    name, params, _, field_checks = _checked_spec(text)
+    field_checks()
     rep, candidates, point = BUILDERS[name][2](**params)
     return ModuleSpec(rep, text, candidates, point)
 
@@ -182,7 +168,7 @@ def _resolve_rep(args) -> ModuleSpec:
     if args.gens:
         if not args.field:
             raise BadParameter("--gens requires --field")
-        ctx = _parse_field_arg(args.field)
+        ctx = _field(*_field_arg(args.field))
         gens = [Matrix.parse(ctx, g.strip()) for g in args.gens.split("|")]
         group = MatrixGroup.closure(gens)
         return ModuleSpec(group.natural_rep(), f"gens:{args.gens}")
@@ -216,20 +202,8 @@ def _resolve_generators(spec: ModuleSpec, rep: Representation,
 def cmd_verify(args) -> int:
     if args.budget is not None and not args.budget >= 0:  # NaN too
         raise BadParameter(f"--budget must be >= 0, got {args.budget}")
-    if args.suite == "all":
-        runs = ALL_SUITE_RUNS
-    else:
-        if args.suite not in SUITES:
-            raise UnknownSuite(f"unknown suite {args.suite!r}; choose from "
-                               f"{sorted(SUITES)} or 'all'")
-        params = {}
-        for key in ("p", "n", "nmax"):
-            value = getattr(args, key, None)
-            if value is not None:
-                if value < 1:
-                    raise BadParameter(f"--{key} must be >= 1, got {value}")
-                params[key] = value
-        runs = [(args.suite, params)]
+    runs = ALL_SUITE_RUNS if args.suite == "all" else [
+        (args.suite, {key: getattr(args, key) for key in ("p", "n", "nmax")})]
 
     # one deadline for every run
     deadline = time.monotonic() + args.budget * 60 if args.budget is not None else None
@@ -255,27 +229,35 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# the flag each computation needs
+NEEDED_FLAG = {"epsilon": "dmax", "delta": "dmax", "sigma": "dmax",
+               "invariant-space": "degree"}
+
+
 def cmd_compute(args) -> int:
     for flag in ("dmax", "degree"):
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise BadParameter(f"--{flag} must be >= 0, got {value}")
+    flag = NEEDED_FLAG.get(args.what)
+    if flag and getattr(args, flag) is None:
+        raise BadParameter(f"{args.what} needs --{flag}")
     pointfield = None
     if args.what in ("delta", "sigma"):
-        # refuse what the argv decides before the module is built; the lift
-        # check waits for --dmax, which the usual path asks for first
-        sizes = _checked_spec(args.module)[2] if args.module else None
-        pointfield = _parse_field_arg(args.pointfield) if args.pointfield else None
-        if sizes and args.what == "sigma":
-            check_point_count(pointfield or sizes[0], sizes[1])
-        if sizes and pointfield and args.dmax is not None:
-            check_lift(ff_make(*sizes[0]), pointfield)
+        pointfield = _field_arg(args.pointfield) if args.pointfield else None
+        if args.module:
+            # what the spec cannot know: sigma's point count, and the lift
+            # into the point field, which needs the builder's checks
+            _, _, (field, dim, _), field_checks = _checked_spec(args.module)
+            q = pointfield or field
+            if args.what == "sigma" and _sized(q, dim):
+                check_point_count(q, dim)
+            if pointfield:
+                check_lift(ff_make(*field_checks()), _field(*pointfield))
     spec = _resolve_rep(args)
     rep = spec.rep
 
     if args.what == "invariant-space":
-        if args.degree is None:
-            raise BadParameter("invariant-space needs --degree")
         space = invariant_space(rep, args.degree)
         payload = {"module": spec.label, "degree": args.degree,
                    "dimension": space.dim,
@@ -290,19 +272,7 @@ def cmd_compute(args) -> int:
                 print(f"  {f}")
         return 0
 
-    if args.what == "epsilon":
-        if args.dmax is None:
-            raise BadParameter("epsilon needs --dmax")
-        point = _resolve_point(spec, rep, args.point)
-        report = epsilon(rep, point, args.dmax)
-    elif args.what in ("delta", "sigma"):
-        if args.dmax is None:
-            raise BadParameter(f"{args.what} needs --dmax")
-        pointfield = pointfield or rep.ctx
-        gens = _resolve_generators(spec, rep.lift(pointfield), args.generators)
-        runner = delta_bounded if args.what == "delta" else sigma_bounded
-        report = runner(rep, args.dmax, pointfield, declared_generators=gens)
-    elif args.what == "nullcone":
+    if args.what == "nullcone":
         point = _resolve_point(spec, rep, args.point)
         gens = _resolve_generators(spec, rep, args.generators)
         status = nullcone_status(rep, point, args.dmax or 0,
@@ -315,8 +285,15 @@ def cmd_compute(args) -> int:
                   + (f" (certificate {status.certificate})"
                      if status.certificate else ""))
         return 0
+
+    if args.what == "epsilon":
+        point = _resolve_point(spec, rep, args.point)
+        report = epsilon(rep, point, args.dmax)
     else:
-        raise BadParameter(f"unknown computation {args.what!r}")
+        pointfield = _field(*pointfield) if pointfield else rep.ctx
+        gens = _resolve_generators(spec, rep.lift(pointfield), args.generators)
+        runner = delta_bounded if args.what == "delta" else sigma_bounded
+        report = runner(rep, args.dmax, pointfield, declared_generators=gens)
 
     if args.json:
         _dump_json({"module": spec.label, **report.to_dict()})

@@ -10,6 +10,7 @@ inverses of elements are read off these by index.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -24,6 +25,26 @@ from .linalg import Matrix, lift_matrix, _make_eliminator
 from .poly import Polynomial, _basis_index, _exponent_basis, substitution_images
 
 DEFAULT_CLOSURE_CAP = 10**6
+
+
+def power_text(base: int, exp: int) -> str:
+    """base^exp in decimal, or as the power itself where the decimal would
+    pass the 4,300 digits that Python converts an int to text."""
+    return str(base**exp) if exp == 1 or exp * math.log10(base) < 4299 else f"({base}^{exp})"
+
+
+def capped_power(base: int, exp: int, cap: int) -> int:
+    """min(base^exp, cap + 1) for a base >= 1.  No exponent passes
+    cap.bit_length(), by which a base >= 2 passes the cap, so base^exp is
+    never formed."""
+    return min(base ** min(exp, cap.bit_length()), cap + 1)
+
+
+def check_group_order(base: int, exp: int, prefix: str = "") -> None:
+    """Refuse a group of order base^exp past the closure cap before any closure."""
+    if capped_power(base, exp, DEFAULT_CLOSURE_CAP) > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded(f"{prefix}group order {power_text(base, exp)} exceeds "
+                          f"the closure cap {DEFAULT_CLOSURE_CAP}")
 
 
 def _minkowski_bound(n: int) -> int:

@@ -34,7 +34,8 @@ from .errors import (
     VanishesAtPoint,
 )
 from .fields import FieldCtx, Scalar, lift
-from .groups import PermutationBasis, Representation, permutation_rep
+from .groups import (PermutationBasis, Representation, capped_power, permutation_rep,
+                     power_text)
 from .linalg import Matrix, _make_eliminator, annihilation_check, rank
 from .poly import (Monomial, Polynomial, mono_basis, substitution_images,
                    _basis_index, _exponent_basis)
@@ -517,19 +518,6 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
             raise AssertionError("fixed-space enumeration produced a moving point")
         return point
     return _sup_report("delta", rep, len(basis), to_point, dmax, declared_generators)
-
-
-def power_text(base: int, exp: int) -> str:
-    """base^exp in decimal, or as the power itself where the decimal would
-    pass the 4,300 digits that Python converts an int to text."""
-    return str(base**exp) if exp == 1 or exp * math.log10(base) < 4299 else f"({base}^{exp})"
-
-
-def capped_power(base: int, exp: int, cap: int) -> int:
-    """min(base^exp, cap + 1) for a base >= 1.  No exponent passes
-    cap.bit_length(), by which a base >= 2 passes the cap, so base^exp is
-    never formed."""
-    return min(base ** min(exp, cap.bit_length()), cap + 1)
 
 
 def check_point_count(pointfield: FieldCtx | tuple[int, int],

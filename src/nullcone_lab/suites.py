@@ -28,7 +28,7 @@ from .constructions import (
 )
 from .errors import BadParameter, CharDividesDegree, UnknownSuite
 from .fields import FieldCtx, _is_probable_prime, ff_make
-from .groups import MatrixGroup, regular_rep
+from .groups import MatrixGroup, check_group_order, regular_rep
 from .invariants import (
     check_column_count,
     check_generation,
@@ -105,22 +105,26 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
+def _binomial_cases(p: int | None = None, nmax: int | None = None) -> list[tuple[int, int]]:
+    """The (p, n) cases of binomial: p^n <= 125 and n <= nmax, p given or 2, 3, 5."""
+    cases = [(q, n) for q in ([p] if p is not None else [2, 3, 5]) for n in range(1, 7)
+             if q**n <= 125 and (nmax is None or n <= nmax)]
+    if not cases:
+        raise BadParameter(f"no binomial case (p^n <= 125) has p = {p}")
+    return cases
+
+
 def suite_binomial(p: int | None = None, nmax: int | None = None) -> SuiteReport:
     """Alternating binomial residues: C(p^n - 1, k) = (-1)^k mod p."""
-    primes = [p] if p is not None else [2, 3, 5]
     claims = []
-    for q in primes:
-        n = 1
-        while q**n <= 125 and (nmax is None or n <= nmax):
-            big = q**n - 1
-            bad = [k for k in range(big + 1)
-                   if binomial_mod_p(q, big, k) != (-1) ** k % q]
-            claims.append(Claim(
-                f"binomial-p{q}-n{n}",
-                f"C({big}, k) == (-1)^k mod {q} for 0 <= k <= {big}",
-                "all congruent", "all congruent" if not bad
-                else f"fails at k in {bad[:5]}"))
-            n += 1
+    for q, n in _binomial_cases(p, nmax):
+        big = q**n - 1
+        bad = [k for k in range(big + 1) if binomial_mod_p(q, big, k) != (-1) ** k % q]
+        claims.append(Claim(
+            f"binomial-p{q}-n{n}",
+            f"C({big}, k) == (-1)^k mod {q} for 0 <= k <= {big}",
+            "all congruent", "all congruent" if not bad
+            else f"fails at k in {bad[:5]}"))
     return SuiteReport("binomial", {"p": p, "nmax": nmax}, claims)
 
 
@@ -390,8 +394,11 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
 # the refusals a suite makes before any work, which run_suite also makes
 # before it reads the deadline
 SUITE_REFUSALS: dict[str, Callable[..., object]] = {
+    "binomial": _binomial_cases,
     "regular-rep": _regular_rep_cases,
     "gl2-delta": _gl2_delta_columns,
+    # the joint group of levels n+1 and n+2 has order p^(2n+2)
+    "va-ring": lambda p=2, n=1: check_group_order(p, 2 * n + 2),
 }
 
 # parameter sets used by `verify all` (and the acceptance gate)
@@ -414,14 +421,17 @@ ALL_SUITE_RUNS: list[tuple[str, dict]] = [
 
 def run_suite(name: str, deadline: float | None = None, **params) -> SuiteReport:
     """Run one suite, or report it skipped when the time.monotonic()
-    deadline has passed before it starts.  A p is checked prime, and the
-    suite's own refusals run, first, so that a bad request is refused
-    either way."""
+    deadline has passed before it starts.  Each size is checked >= 1 and
+    a p prime, and the suite's own refusals run, first, so that a bad
+    request is refused either way."""
     runner = SUITES.get(name)
     if runner is None:
         raise UnknownSuite(f"unknown suite {name!r}; choose from "
                            f"{sorted(SUITES)} or 'all'")
     params = {k: v for k, v in params.items() if v is not None}
+    for key, value in params.items():
+        if value < 1:
+            raise BadParameter(f"--{key} must be >= 1, got {value}")
     unknown = [k for k in params if k not in inspect.signature(runner).parameters]
     if unknown:
         raise BadParameter(f"suite {name!r} takes no "

@@ -247,8 +247,7 @@ def test_compute_bad_input_exits_2(capsys, argv):
     ("torus:q=1,r=0,m=1", "need q >= 3"),  # gcd(q - 1, r) = 0
     ("cyclic:p=2,k=2,z=3", "unknown parameter 'z'; cyclic takes p, k"),
     ("gl2:p=2,n=1,m=1", "unknown parameter 'm'; gl2 takes p, n"),
-    ("torus:q=1000000016000000063,r=1,m=2",  # (10^9 + 7)(10^9 + 9)
-     "1000000016000000063 is not a prime power"),
+    ("torus:q=15,r=1,m=2", "15 is not a prime power"),
 ])
 def test_bad_module_spec_exits_2(capsys, spec, message):
     code, out, err = run_cli(capsys, "compute", "sigma", "--module", spec, "--dmax", "2")
@@ -297,7 +296,8 @@ def test_cyclic_module_of_size_one_is_valid(capsys):
     pytest.param("va:p=2,n=1,m=16", (), "65536^3", id="va"),
     pytest.param("gn:p=2,n=16", (), "65536^2", id="gn"),
     pytest.param("gl2:p=2,n=2", (), "4^16", id="gl2"),
-    pytest.param("gl2:p=2,n=20000", (), "(2^20000)^(2^40000)", id="gl2-long"),
+    pytest.param("cyclic:p=2,k=8", ("--pointfield", "2,20000"), "(2^20000)^8",
+                 id="pointfield-long"),
     pytest.param("torus:q=65537,r=1,m=2", (), "65537^2", id="torus"),
 ])
 def test_oversized_cyclic_sigma_is_refused_before_the_group_is_built(
@@ -348,6 +348,60 @@ def test_oversized_module_is_refused_from_its_sizes_before_closure(
     code, out, err = run_cli(capsys, "compute", "epsilon", "--module", module, "--dmax", "1")
     assert (code, out) == (2, "")
     assert err == f"error: CapExceeded: module spec {module!r}: {wanted}\n"
+
+
+COMMANDS = [("epsilon", "--dmax"), ("delta", "--dmax"), ("sigma", "--dmax"),
+            ("nullcone", "--dmax"), ("invariant-space", "--degree")]
+
+
+@pytest.mark.parametrize("module", [
+    pytest.param(f"gn:p={10**4000 + 1},n=1", id="gn-huge-p"),
+    pytest.param(f"torus:q={10**4000 + 1},r=1,m=2", id="torus-huge-q"),
+    "torus:q=1000000016000000063,r=1,m=2",  # (10^9 + 7)(10^9 + 9)
+    "gl2:p=2,n=20000",
+    "cyclic:p=2,k=600",
+])
+def test_one_refusal_per_spec_whatever_the_command(capsys, monkeypatch, module):
+    """Every command refuses an oversized spec from its sizes alone, in one
+    order, with no prime tested, no q factored and no group closed."""
+    from nullcone_lab import constructions, fields
+    from nullcone_lab.groups import MatrixGroup
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a prime was tested, q factored or a group closed")
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_work))
+    monkeypatch.setattr(constructions, "_prime_power", no_work)
+    monkeypatch.setattr(fields, "_is_probable_prime", no_work)
+    results = {run_cli(capsys, "compute", what, "--module", module, flag, "1")
+               for what, flag in COMMANDS}
+    assert len(results) == 1
+    code, out, err = results.pop()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: CapExceeded: module spec {module!r}: ")
+
+
+def test_a_spec_with_a_negative_p_is_left_to_the_builders_checks(capsys):
+    """A size whose base is below 2 reaches no cap, and so no log10."""
+    module = "gn:p=-3,n=20"
+    for what, flag in COMMANDS:
+        assert run_cli(capsys, "compute", what, "--module", module, flag, "1") == \
+            (2, "", f"error: module spec {module!r}: -3 is not prime\n")
+
+
+def test_sigma_counts_points_before_it_builds_the_point_field(capsys, monkeypatch):
+    from nullcone_lab import fields
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("the point field was built before the count")
+    monkeypatch.setattr(fields, "_least_irreducible", no_field)
+    code, out, err = run_cli(capsys, "compute", "sigma", "--module", "cyclic:p=2,k=8",
+                             "--pointfield", "2,2000", "--dmax", "2")
+    assert (code, out, err) == (
+        2, "", f"error: TooManyPoints: {2**2000}^8 points exceeds the cap 1000000\n")
+    # a point field whose count passes is still refused when it is built
+    assert run_cli(capsys, "compute", "sigma", "--module", "cyclic:p=2,k=2",
+                   "--pointfield", "4,2", "--dmax", "2") == \
+        (2, "", "error: NotPrime: 4 is not prime\n")
 
 
 @pytest.mark.parametrize("module", ["cyclic:p=2,k=300", "gl2:p=2,n=5", "gn:p=2,n=19"])
@@ -404,11 +458,12 @@ def test_spec_sizes_name_the_field_the_builder_uses(spec):
     from nullcone_lab.cli import BUILDERS, _checked_spec
     from nullcone_lab.fields import ff_make
     assert {text.partition(":")[0] for text in SIZED_SPECS} == set(BUILDERS)
-    _, _, (field, dim, order) = _checked_spec(spec)
+    _, _, (field, dim, order), field_checks = _checked_spec(spec)
     rep = parse_module_spec(spec).rep
-    assert rep.ctx is ff_make(*field)
-    assert rep.dim == (dim[0] ** dim[1] if isinstance(dim, tuple) else dim)
-    assert rep.group.order == (order[0] ** order[1] if isinstance(order, tuple) else order)
+    assert rep.ctx is ff_make(*field_checks())
+    assert rep.ctx.cardinality == field[0] ** field[1]
+    assert rep.dim == dim[0] ** dim[1]
+    assert rep.group.order == order[0] ** order[1]
 
 
 def test_point_field_check_waits_for_dmax(capsys):
@@ -546,6 +601,29 @@ def test_a_suites_own_refusal_comes_before_the_budget(capsys, argv):
     refused = run_cli(capsys, "verify", *argv)
     assert refused[0] == 2 and refused[1] == ""
     assert run_cli(capsys, "verify", *argv, "--budget", "0") == refused
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("va-ring", "--p", "1000000007", "--n", "1"), "CapExceeded: group order "
+                 "1000000028000000294000001372000002401 exceeds the closure cap 1000000",
+                 id="va-ring-large-p"),
+    pytest.param(("va-ring", "--p", "2", "--n", "9"),
+                 "CapExceeded: group order 1048576 exceeds the closure cap 1000000",
+                 id="va-ring-large-n"),
+    pytest.param(("binomial", "--p", "127"), "no binomial case (p^n <= 125) has p = 127",
+                 id="binomial-no-case"),
+])
+def test_a_request_no_suite_run_can_serve_is_refused_before_work(
+        capsys, monkeypatch, argv, message):
+    """va-ring refuses its joint group from its order p^(2n+2), and binomial
+    a p with no case, whether or not the budget is spent."""
+    from nullcone_lab.groups import MatrixGroup
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a group was closed before the refusal")
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
+    for budget in ((), ("--budget", "0")):
+        assert run_cli(capsys, "verify", *argv, *budget) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("budget", ["-1", "nan"])
