@@ -26,6 +26,7 @@ from .invariants import (
     check_point_count,
     delta_bounded,
     epsilon,
+    fixed_point_space,
     invariant_space,
     nullcone_status,
     sigma_bounded,
@@ -202,8 +203,11 @@ def _resolve_generators(spec: ModuleSpec, rep: Representation,
 def cmd_verify(args) -> int:
     if args.budget is not None and not args.budget >= 0:  # NaN too
         raise BadParameter(f"--budget must be >= 0, got {args.budget}")
-    runs = ALL_SUITE_RUNS if args.suite == "all" else [
-        (args.suite, {key: getattr(args, key) for key in ("p", "n", "nmax")})]
+    params = {key: getattr(args, key) for key in ("p", "n", "nmax")}
+    given = [f"--{key}" for key, value in params.items() if value is not None]
+    if args.suite == "all" and given:  # its runs fix every parameter
+        raise BadParameter("suite 'all' takes no " + ", ".join(given))
+    runs = ALL_SUITE_RUNS if args.suite == "all" else [(args.suite, params)]
 
     # one deadline for every run
     deadline = time.monotonic() + args.budget * 60 if args.budget is not None else None
@@ -253,7 +257,9 @@ def cmd_compute(args) -> int:
             if args.what == "sigma" and _sized(q, dim):
                 check_point_count(q, dim)
             if pointfield:
-                check_lift(ff_make(*field_checks()), _field(*pointfield))
+                p, e = field_checks()  # F_q lifts into itself, F_p into every F_p^n
+                if pointfield[0] != p or pointfield[1] != e and (e > 1 or pointfield[1] < 1):
+                    check_lift(ff_make(p, e), _field(*pointfield))  # names both fields
     spec = _resolve_rep(args)
     rep = spec.rep
 
@@ -290,6 +296,9 @@ def cmd_compute(args) -> int:
         point = _resolve_point(spec, rep, args.point)
         report = epsilon(rep, point, args.dmax)
     else:
+        if args.what == "delta" and pointfield:
+            # V^G has one dimension over every extension of the module's field
+            check_point_count(pointfield, len(fixed_point_space(rep)))
         pointfield = _field(*pointfield) if pointfield else rep.ctx
         gens = _resolve_generators(spec, rep.lift(pointfield), args.generators)
         runner = delta_bounded if args.what == "delta" else sigma_bounded

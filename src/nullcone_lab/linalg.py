@@ -203,14 +203,14 @@ class Matrix:
 # row reduction engines
 #
 # Rows enter as sparse {column: Scalar} or raw-value dicts and are held as
-# raw values.  A
-# row's pivot is its highest nonzero column.  A new row is reduced against the
-# pivot rows it hits, then joins them; they are not cleared of its pivot at once.
-# Instead each pivot row remembers which pivot columns it is already cleared
-# of, and is cleared of the rest only when an incoming row uses it or when
-# kernel_basis() is read.  A cleared pivot row vanishes at every other pivot
-# column, so reducing against the rows a new row hits is one pass, in any
-# order, and no step scans all the pivot rows when a pivot is added.
+# raw values.  A row's pivot is its highest nonzero column.  A new row is
+# reduced against the pivot rows it hits, then joins them; they are not
+# cleared of its pivot at once.  Instead each pivot row remembers which pivot
+# columns it is already cleared of, and is cleared of the rest only when an
+# incoming row uses it (the packed engine: only if it is nonzero at one of
+# them) or when kernel_basis() is read.  A cleared pivot row vanishes at
+# every other pivot column, so reducing against the rows a new row hits is
+# one pass in any order, and adding a pivot scans no other pivot row.
 #
 # Once every pivot row is cleared, the kernel vector of a free column j is 1
 # at j, zero at the other free columns and nonzero only at pivot columns
@@ -404,14 +404,16 @@ class _PackedChar2Eliminator:
         while hits:
             c = (hits & -hits).bit_length() - 1
             hits &= hits - 1
-            if self._cleared[c] != mask:
-                self._clean(1 << c)
+            if self._cleared[c] != mask:  # stale only if nonzero at a pivot since
+                if self._support(self.pivots[c]) & (mask ^ self._cleared[c]):
+                    self._clean(1 << c)
+                self._cleared[c] = mask
             scaled = self._scaled(self.pivots[c], self._coeff_at(planes, c))
             planes = [a ^ b for a, b in zip(planes, scaled)]
         return planes
 
     def _clean(self, cols: int) -> None:
-        """Clear the pivot rows at `cols` of the pivots added since.
+        """Clear the pivot rows at `cols` that are nonzero at pivots added since.
 
         A row's pending columns lie below its pivot column, so the rows they
         need are collected first and every row is cleared in ascending column
@@ -423,17 +425,16 @@ class _PackedChar2Eliminator:
         while todo:
             c = todo.bit_length() - 1
             todo ^= 1 << c
-            cleared = self._cleared[c]
-            if cleared != mask:
+            pending = self._support(self.pivots[c]) & (mask ^ self._cleared[c])
+            if pending:
                 stale |= 1 << c
-                pending = self._support(self.pivots[c]) & mask & ~cleared & ~seen
+                todo |= pending & ~seen
                 seen |= pending
-                todo |= pending
         while stale:
             c = (stale & -stale).bit_length() - 1
             stale &= stale - 1
             planes = self.pivots[c]
-            hits = self._support(planes) & mask & ~self._cleared[c]
+            hits = self._support(planes) & (mask ^ self._cleared[c])
             self.pivots[c] = self._reduce(planes, hits)
             self._cleared[c] = mask
 

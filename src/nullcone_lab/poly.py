@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContextMismatch, DimensionMismatch, ParseError
@@ -85,10 +86,10 @@ def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
     """Yield (m, term dict of m(Mx)) for each exponent tuple m, where
     x_i -> sum_j M[i][j] x_j, in an order of the routine's choosing.
 
-    A monomial matrix (one nonzero c_i at column s(i) in every row) sends
-    x^e to the single term (prod c_i^e_i) x^f with f[s(i)] += e[i]; each
-    image is written down directly, in input order, with the coefficient
-    multiplied on raw values and only where some c_i is not one.
+    An invertible monomial matrix (x_i -> c_i x_{s(i)}, s a permutation)
+    sends x^e to the single term (prod c_i^e_i) x^f with f[s(i)] = e[i]:
+    one itemgetter call permutes each exponent tuple, in input order, and
+    coefficients are multiplied on raw values only where some c_i is not one.
 
     Any other matrix builds each image on a shared prefix,
     image(e) = image(e - e_i) * form_i, so one call serves a whole degree-d
@@ -101,8 +102,8 @@ def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
     """
     ctx, nvars = matrix.ctx, matrix.nrows
     forms = [[(j, c) for j, c in enumerate(row) if c] for row in matrix.rows]
-    if all(len(form) == 1 for form in forms):
-        yield from _monomial_images(ctx, nvars, [form[0] for form in forms], monomials)
+    if all(len(form) == 1 for form in forms) and len({f[0][0] for f in forms}) == nvars:
+        yield from _monomial_images(ctx, [form[0] for form in forms], monomials)
         return
     one = ctx.one
     one_val = one.val
@@ -145,20 +146,18 @@ def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
         yield exps, images[-1]
 
 
-def _monomial_images(ctx: FieldCtx, nvars: int, entries: list,
+def _monomial_images(ctx: FieldCtx, entries: list,
                      monomials: Iterable[tuple[int, ...]]
                      ) -> Iterator[tuple[tuple[int, ...], dict]]:
-    """substitution_images for x_i -> c_i x_{s(i)}, entries[i] = (s(i), raw c_i)."""
+    """substitution_images for x_i -> c_i x_{s(i)}, entries[i] = (s(i), raw c_i)
+    with s a permutation: exponent j of an image is e[s^-1(j)]."""
     one = ctx.one
     one_val = one.val
     mul, power = ctx._mul, ctx._pow
-    targets = [j for j, _ in entries]
+    source = sorted(range(len(entries)), key=lambda i: entries[i][0])  # s^-1
     scaled = [(i, c) for i, (_, c) in enumerate(entries) if c != one_val]
+    permute = itemgetter(*source) if len(source) > 1 else tuple  # itemgetter(0) gives an int
     for exps in monomials:
-        f = [0] * nvars
-        for t, e in zip(targets, exps):
-            if e:
-                f[t] += e
         coeff = one
         if scaled:
             val = one_val
@@ -167,7 +166,7 @@ def _monomial_images(ctx: FieldCtx, nvars: int, entries: list,
                     val = mul(val, power(c, exps[i]))
             if val != one_val:
                 coeff = Scalar(ctx, val)
-        yield exps, {tuple(f): coeff}
+        yield exps, {permute(exps): coeff}
 
 
 class Polynomial:
@@ -326,9 +325,10 @@ class Polynomial:
                     if p is None:
                         p = point[i] ** e
                         power_cache[key] = p
-                    val = val * p
-                    if val.is_zero():
-                        break
+                    if p.val != 1:  # a unit or zero factor costs no product
+                        val = p if val.val == 1 or not p.val else val * p
+                        if val.is_zero():
+                            break
             total = total + val
         return total
 

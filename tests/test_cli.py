@@ -404,6 +404,23 @@ def test_sigma_counts_points_before_it_builds_the_point_field(capsys, monkeypatc
         (2, "", "error: NotPrime: 4 is not prime\n")
 
 
+def test_delta_counts_fixed_points_before_it_builds_the_point_field(capsys, monkeypatch):
+    """V^G of the regular C_8 module is one line over F_2, and so over every
+    extension: (2^2000)^1 points are refused with F_{2^2000} never built."""
+    from nullcone_lab import cli
+    ff_make = cli.ff_make
+
+    def no_big_field(p, n=1, *args):
+        if n == 2000:
+            raise AssertionError("the point field was built before the count")
+        return ff_make(p, n, *args)
+    monkeypatch.setattr(cli, "ff_make", no_big_field)
+    code, out, err = run_cli(capsys, "compute", "delta", "--module", "cyclic:p=2,k=8",
+                             "--pointfield", "2,2000", "--dmax", "2")
+    assert (code, out, err) == (
+        2, "", f"error: TooManyPoints: {2**2000}^1 points exceeds the cap 1000000\n")
+
+
 @pytest.mark.parametrize("module", ["cyclic:p=2,k=300", "gl2:p=2,n=5", "gn:p=2,n=19"])
 def test_module_within_the_caps_reaches_the_closure(monkeypatch, module):
     from nullcone_lab.groups import MatrixGroup
@@ -586,6 +603,15 @@ def test_verify_all_budget_is_one_deadline_for_every_run(capsys, monkeypatch):
     for run in payload["runs"]:
         assert [(c["id"], c["computed"], c["pass"]) for c in run["claims"]] == \
             [(f"{run['suite']}-skipped", "skipped (budget exhausted)", False)]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--p", "0"], "--p"), (["--n", "2"], "--n"), (["--nmax", "3"], "--nmax"),
+    (["--p", "3", "--nmax", "3", "--budget", "60"], "--p, --nmax"),
+])
+def test_verify_all_refuses_the_parameters_its_runs_fix(capsys, flags, named):
+    assert run_cli(capsys, "verify", "all", *flags) == \
+        (2, "", f"error: suite 'all' takes no {named}\n")
 
 
 @pytest.mark.parametrize("suite", ["binomial", "regular-rep", "gl2-delta", "va-ring"])

@@ -261,6 +261,57 @@ def test_kernel_and_rref_match_two_pass_oracle(ctx_maker):
     assert any(0 < r < n for r, n in ranks)
 
 
+_CHAR2_FIELDS = {"F2": lambda: ff_make(2), "F4": lambda: ff_make(2, 2),
+                 "F8": lambda: ff_make(2, 3)}
+
+
+@st.composite
+def _char2_row_stream(draw, ctx, ncols):
+    """Rows of at most two nonzeros, dense rows, or a mix.  A drawn prefix
+    comes in descending pivot order, which leaves each old pivot row
+    nonzero at the lower pivots that come after it: truly stale rows that
+    the rows after the prefix may hit."""
+    values = st.integers(0, 2 ** ctx.n - 1)  # raw values of F_{2^n}
+    kind = draw(st.sampled_from(["sparse", "dense", "mixed"]))
+    rows = []
+    for _ in range(draw(st.integers(1, 2 * ncols))):
+        if kind == "dense" or kind == "mixed" and draw(st.booleans()):
+            row = {c: draw(values) for c in range(ncols)}
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=2))
+            row = {c: draw(values.filter(bool)) for c in cols}
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            rows.append(row)
+    k = draw(st.integers(0, len(rows)))
+    rows[:k] = sorted(rows[:k], key=max, reverse=True)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(sorted(_CHAR2_FIELDS)), ncols=st.integers(1, 12),
+       data=st.data())
+def test_packed_engine_matches_generic_on_sparse_dense_and_stale_streams(field, ncols,
+                                                                           data):
+    ctx = _CHAR2_FIELDS[field]()
+    rows = data.draw(_char2_row_stream(ctx, ncols))
+    gen, packed = _GenericEliminator(ctx, ncols), _PackedChar2Eliminator(ctx, ncols)
+    assert [gen.add_raw(dict(row)) for row in rows] == \
+        [packed.add_raw(dict(row)) for row in rows]
+    assert packed.raw_kernel_basis() == gen.raw_kernel_basis()
+
+
+def test_a_truly_stale_pivot_row_is_cleaned_before_it_is_used():
+    """{3, 5} is left nonzero at pivot 3 when {2, 3} arrives; the row {5}
+    then reduces through it, cleaned first of 3 and so of 2: to {2}."""
+    f2 = ff_make(2)
+    packed = _PackedChar2Eliminator(f2, 6)
+    for row in ({3: 1, 5: 1}, {2: 1, 3: 1}, {5: 1}):
+        assert packed.add_raw(row)
+    assert sorted(packed.pivots) == [2, 3, 5]
+    assert packed.raw_kernel_basis() == [{0: 1}, {1: 1}, {4: 1}]
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_descending_chain_clears_without_recursion(p):
     """Rows {i, i+1} for descending i leave each pivot row pending on the

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullcone_lab.errors import ContextMismatch, DimensionMismatch
 from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
@@ -132,6 +134,10 @@ def test_monomial_matrix_images_are_single_terms():
     assert images == {(2, 1, 1): {(1, 3, 0): f3.scalar(2)},
                       (0, 3, 0): {(0, 3, 0): f3.one},
                       (1, 0, 0): {(0, 1, 0): f3.scalar(2)}}
+    # x0 -> x0, x1 -> x0: x0^a*x1^b -> x0^(a+b)
+    m = Matrix.from_ints(f3, [[1, 0], [1, 0]])
+    images = dict(substitution_images(m, _exponent_basis(2, 3)))
+    assert images == {(a, 3 - a): {(3, 0): f3.one} for a in range(4)}
 
 
 def test_permutation_matrix_images_make_no_scalar_products(monkeypatch):
@@ -148,6 +154,52 @@ def test_permutation_matrix_images_make_no_scalar_products(monkeypatch):
     for e, image in images.items():
         f = tuple(e[j] for j in (1, 3, 0, 2))  # x_i -> x_pi(i), pi = (2, 0, 3, 1)
         assert image == {f: f4.one}
+
+
+_MONOMIAL_FIELDS = {"F2": lambda: ff_make(2), "F3": lambda: ff_make(3),
+                    "F4": lambda: ff_make(2, 2), "F5": lambda: ff_make(5),
+                    "QQ": FieldCtx.rationals}
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(_MONOMIAL_FIELDS)), nvars=st.integers(1, 5),
+       d=st.integers(0, 4), data=st.data())
+def test_bulk_monomial_images_match_the_chain_path(field, nvars, d, data):
+    """Oracle: the same monomial block inside diag(M, [[1,1],[0,1]]), whose
+    dense block sends the whole matrix down the prefix-chain path."""
+    ctx = _MONOMIAL_FIELDS[field]()
+    if ctx.is_finite:
+        nonzero = st.sampled_from([s.val for s in ff_enumerate(ctx) if s.val])
+    else:
+        nonzero = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
+                            st.integers(1, 3))
+    perm = data.draw(st.permutations(range(nvars)))
+    coeffs = [data.draw(nonzero) for _ in range(nvars)]
+    n = nvars + 2
+    rows = [[ctx._zero] * n for _ in range(n)]
+    for i, (j, c) in enumerate(zip(perm, coeffs)):
+        rows[i][j] = c
+    rows[nvars][nvars] = rows[nvars][nvars + 1] = rows[nvars + 1][nvars + 1] = ctx._one
+    monomial = Matrix._raw(ctx, tuple(tuple(row[:nvars]) for row in rows[:nvars]))
+    block = Matrix._raw(ctx, tuple(map(tuple, rows)))
+    basis = _exponent_basis(nvars, d)
+    bulk = list(substitution_images(monomial, basis))
+    assert [e for e, _ in bulk] == list(basis)  # input order
+    chain = {e[:nvars]: {f[:nvars]: c for f, c in image.items()}
+             for e, image in substitution_images(block, [e + (0, 0) for e in basis])}
+    assert dict(bulk) == chain
+
+
+def test_evaluate_at_a_zero_one_point_makes_no_scalar_products(monkeypatch):
+    f3 = ff_make(3)
+    f = P(f3, 3, "2*x0^2*x1 + x0*x2^3 + 2*x1^4 + x2 + 2")
+
+    def refuse(self, other):
+        raise AssertionError("Scalar product on a unit factor")
+    monkeypatch.setattr(Scalar, "__mul__", refuse)
+    values = [f.evaluate([f3.scalar(a) for a in v]) for v in ((1, 1, 1), (1, 0, 1), (0, 1, 0))]
+    monkeypatch.undo()
+    assert values == [f3.scalar(2), f3.scalar(1), f3.scalar(1)]
 
 
 def test_substitution_composes():
