@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 from . import __version__
 from .constructions import (cyclic_field_order, cyclic_group, gl2_test_module, gn_module,
                             torus_field_order, torus_module, va_field_order, va_module)
-from .errors import BadParameter, CapExceeded, NullconeLabError, UnknownSuite
-from .fields import FieldCtx, check_lift, ff_make, field_order
+from .errors import BadParameter, CapExceeded, ContextMismatch, NullconeLabError, UnknownSuite
+from .fields import FieldCtx, ff_make, field_order
 from .groups import MatrixGroup, Representation, check_group_order, regular_rep
 from .invariants import (
     check_point_count,
@@ -258,8 +258,12 @@ def cmd_compute(args) -> int:
                 check_point_count(q, dim)
             if pointfield:
                 p, e = field_checks()  # F_q lifts into itself, F_p into every F_p^n
-                if pointfield[0] != p or pointfield[1] != e and (e > 1 or pointfield[1] < 1):
-                    check_lift(ff_make(p, e), _field(*pointfield))  # names both fields
+                pp, pn = pointfield
+                if pp != p or pn != e and (e > 1 or pn < 1):
+                    if pp:  # ff_make's checks; a refused point field is named, not built
+                        field_order(pp, pn)
+                    target = "QQ" if not pp else f"GF({pp})" if pn == 1 else f"GF({pp}^{pn})"
+                    raise ContextMismatch(f"no canonical map {ff_make(p, e)!r} -> {target}")
     spec = _resolve_rep(args)
     rep = spec.rep
 

@@ -432,10 +432,12 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
             break
         if len(accepted_vectors) + len(distinct) > dim:
             continue
+        rows = [{c: v for c, v in enumerate(vec) if v} for vec in distinct]
+        if len(set().union(*rows)) < len(rows):
+            continue  # fewer coordinates than vectors: they are dependent
         # joint independence: try on a scratch copy of the eliminator state
         scratch = elim.clone()
-        if all(scratch.add_raw({c: v for c, v in enumerate(vec) if v})
-               for vec in distinct):
+        if all(map(scratch.add_raw, rows)):
             elim = scratch
             base = len(accepted_vectors)
             orbit_slices.append(range(base, base + len(distinct)))

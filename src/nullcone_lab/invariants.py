@@ -52,27 +52,34 @@ COLUMN_CAP = 10**5
 
 def substitution_constraint_rows(matrix: Matrix, d: int) -> Iterator[dict[int, Scalar]]:
     """Rows of (B - I) where B is the degree-d action of the substitution
-    x -> Mx on coefficient vectors: the kernel is the fixed space."""
-    nvars = matrix.nrows
-    index = _basis_index(nvars, d)
-    ncols = len(index)
-    rows: list[dict[int, Scalar]] = [dict() for _ in range(ncols)]
-    for mono, image in substitution_images(matrix, _exponent_basis(nvars, d)):
-        col = index[mono]
-        for exps, coeff in image.items():
-            rows[index[exps]][col] = coeff
-    one = matrix.ctx.one
+    x -> Mx on coefficient vectors: the kernel is the fixed space.  At
+    degree 1, B is M^T, so row r is column r of M; above it, column c of B
+    holds the image of the c-th basis monomial."""
+    ctx, nvars = matrix.ctx, matrix.nrows
+    if d == 1:
+        rows = [{} for _ in range(nvars)]
+        for c, form in enumerate(matrix.rows):
+            for r in itertools.compress(range(nvars), form):  # zeros skipped in C
+                rows[r][c] = Scalar(ctx, form[r])
+    else:
+        index = _basis_index(nvars, d)
+        rows = [{} for _ in range(len(index))]
+        for mono, image in substitution_images(matrix, _exponent_basis(nvars, d)):
+            col = index[mono]
+            for exps, coeff in image.items():
+                rows[index[exps]][col] = coeff
+    one = ctx.one
     minus_one = -one
-    for col in range(ncols):
-        entry = rows[col].get(col)
+    for col, row in enumerate(rows):
+        entry = row.get(col)
         if entry is None:
-            rows[col][col] = minus_one
+            row[col] = minus_one
         else:
             val = entry - one
             if val.is_zero():
-                del rows[col][col]
+                del row[col]
             else:
-                rows[col][col] = val
+                row[col] = val
     return iter(rows)
 
 
@@ -95,7 +102,7 @@ def _fixed_space(ctx: FieldCtx, nvars: int, matrices: Iterable[Matrix],
     """Canonical sparse basis of the degree-d polynomials f with f(Mx) = f
     for every M of the matrices: the kernel of their constraint rows.  With
     no matrices it is the whole degree-d space."""
-    elim = _make_eliminator(ctx, len(_exponent_basis(nvars, d)))
+    elim = _make_eliminator(ctx, math.comb(nvars + d - 1, d))
     for matrix in matrices:
         for row in substitution_constraint_rows(matrix, d):
             if row:

@@ -9,6 +9,7 @@ byte for byte.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -96,9 +97,11 @@ def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
     basis or the sparse support of one polynomial alike.  The peeled
     variable i is the sparsest form present (ties by index), which keeps
     the products small.  Monomials are visited in the order of their prefix
-    chains, so every shared prefix is built once and only the current chain
-    is held: memory stays at one image per degree.  The yielded dicts are
-    shared with later images and must not be mutated.
+    chains, which `_chain_plan` fixes once per (monomials, build order), so
+    every shared prefix is built once and only the current chain is held.
+    While walking, a term's exponents are one integer with exponent j in
+    slot j of a width that the largest degree cannot overflow, so a product
+    with x_j is one addition; each yielded key is decoded once per call.
     """
     ctx, nvars = matrix.ctx, matrix.nrows
     forms = [[(j, c) for j, c in enumerate(row) if c] for row in matrix.rows]
@@ -107,16 +110,18 @@ def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
         return
     one = ctx.one
     one_val = one.val
-    forms = [[(j, Scalar(ctx, c), c == one_val) for j, c in form] for form in forms]
     # the chain of e adds the densest variables first, the sparsest last
-    build_order = sorted(range(nvars), key=lambda i: (len(forms[i]), i))[::-1]
+    build_order = tuple(sorted(range(nvars), key=lambda i: (len(forms[i]), i))[::-1])
+    width, plan = _chain_plan(tuple(monomials), build_order)
+    forms = [[(1 << (width * j), Scalar(ctx, c), c == one_val) for j, c in form]
+             for form in forms]
 
     def times_form(image: dict, form: list) -> dict:
-        prod: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in image.items():
+        prod: dict[int, Scalar] = {}
+        for k1, c1 in image.items():
             unit1 = c1.val == one_val
-            for j, c2, unit2 in form:
-                key = e1[:j] + (e1[j] + 1,) + e1[j + 1:]
+            for step, c2, unit2 in form:
+                key = k1 + step
                 c = c2 if unit1 else (c1 if unit2 else c1 * c2)
                 acc = prod.get(key)
                 if acc is None:
@@ -129,21 +134,42 @@ def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
                         prod[key] = s
         return prod
 
-    constant = (0,) * nvars
+    unpack = struct.Struct(f"<{nvars}" + {8: "B", 16: "H", 32: "I", 64: "Q"}[width]).unpack
+    size = nvars * width // 8
+    exps_of: dict[int, tuple[int, ...]] = {}
+    images = [{0: one}]  # images[t] is the image of the current chain's first t steps
+    for exps, shared, new in plan:
+        del images[shared + 1:]
+        for i in new:
+            images.append(times_form(images[-1], forms[i]))
+        image = {}
+        for key, c in images[-1].items():
+            e = exps_of.get(key)
+            if e is None:
+                e = exps_of[key] = unpack(key.to_bytes(size, "little"))
+            image[e] = c
+        yield exps, image
+
+
+@lru_cache(maxsize=16)
+def _chain_plan(monomials: tuple[tuple[int, ...], ...], build_order: tuple[int, ...]
+                ) -> tuple[int, tuple]:
+    """The walk of substitution_images: a slot width that fits the largest
+    degree, and each monomial in prefix-chain order with the length of the
+    chain it shares with the one before and the variables its own adds."""
     chains = sorted((tuple(i for i in build_order for _ in range(e[i])), e)
                     for e in monomials)
+    plan = []
     chain: tuple[int, ...] = ()
-    images = [{constant: one}]  # images[t] is the image of chain[:t]
     for new_chain, exps in chains:
         shared = 0
         while (shared < len(chain) and shared < len(new_chain)
                and chain[shared] == new_chain[shared]):
             shared += 1
-        del images[shared + 1:]
-        for i in new_chain[shared:]:
-            images.append(times_form(images[-1], forms[i]))
+        plan.append((exps, shared, new_chain[shared:]))
         chain = new_chain
-        yield exps, images[-1]
+    degree = max((len(c) for c, _ in chains), default=0)
+    return next(w for w in (8, 16, 32, 64) if degree >> w == 0), tuple(plan)
 
 
 def _monomial_images(ctx: FieldCtx, entries: list,

@@ -440,7 +440,7 @@ GN16 = "GF(2^16, modulus=z^16+z^5+z^3+z+1)"
 
 @pytest.mark.parametrize("what, pointfield, target", [
     pytest.param("sigma", "2", "GF(2)", id="sigma"),
-    pytest.param("delta", "2,3", "GF(2^3, modulus=z^3+z+1)", id="delta"),
+    pytest.param("delta", "2,3", "GF(2^3)", id="delta"),
     pytest.param("delta", "0", "QQ", id="delta-rationals"),
 ])
 def test_point_field_without_the_module_field_is_refused_before_the_group_is_built(
@@ -457,6 +457,24 @@ def test_point_field_without_the_module_field_is_refused_before_the_group_is_bui
     assert code == 2
     assert out == ""
     assert err == f"error: ContextMismatch: no canonical map {GN16} -> {target}\n"
+
+
+def test_a_refused_point_field_is_named_not_built(capsys, monkeypatch):
+    """F_4 does not lift into F_{2^2000}: the refusal names the point field
+    from its order and never searches for its modulus."""
+    from nullcone_lab import fields
+    least_irreducible = fields._least_irreducible
+
+    def no_big_field(p, n):
+        if n == 2000:
+            raise AssertionError("the refused point field was built")
+        return least_irreducible(p, n)
+    monkeypatch.setattr(fields, "_least_irreducible", no_big_field)
+    code, out, err = run_cli(capsys, "compute", "delta", "--module", "gl2:p=2,n=2",
+                             "--pointfield", "2,2000", "--dmax", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: ContextMismatch: no canonical map "
+                   "GF(2^2, modulus=z^2+z+1) -> GF(2^2000)\n")
 
 
 # small valid specs of every builder, with several group orders and fields

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nullcone_lab.constructions import gl2_test_module, gn_module
 from nullcone_lab.errors import CapExceeded, GroupMismatch, NotInvertible, NotPermutationAction
-from nullcone_lab.fields import FieldCtx, ff_make, lift
+from nullcone_lab.fields import FieldCtx, Scalar, ff_make, lift
 from nullcone_lab.groups import (
     MatrixGroup,
     Representation,
@@ -22,7 +22,7 @@ from nullcone_lab.groups import (
     _minkowski_bound,
     _verify_permutation_basis,
 )
-from nullcone_lab.linalg import Matrix, lift_matrix
+from nullcone_lab.linalg import Matrix, _GenericEliminator, lift_matrix, rank
 from nullcone_lab.poly import Polynomial, poly_parse
 
 from .test_linalg import count_scalars
@@ -418,6 +418,58 @@ def test_permutation_basis_reads_seed_orbits_from_columns(monkeypatch, make_rep)
     monkeypatch.setattr(Matrix, "apply", no_apply)
     pb = find_permutation_basis(rep)
     assert pb is not None and pb.is_free()
+
+
+def _orbit_search_by_rank(rep):
+    """find_permutation_basis' greedy order with no shortcut: the distinct
+    columns j of the matrices, largest orbit first (ties in seed order), each
+    accepted when it raises the rank of those before by its own size."""
+    ctx, dim = rep.ctx, rep.dim
+    orbits = sorted((list(dict.fromkeys(tuple(row[j] for row in m.rows)
+                                        for m in rep.matrices)) for j in range(dim)),
+                    key=lambda orbit: -len(orbit))
+    accepted, slices = [], []
+    for orbit in orbits:
+        vectors = [[Scalar(ctx, v) for v in vec] for vec in accepted + orbit]
+        if len(vectors) <= dim and rank(vectors, dim, ctx) == len(vectors):
+            slices.append(range(len(accepted), len(vectors)))
+            accepted += orbit
+    return accepted, slices
+
+
+REGULAR_REP_CASES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
+@pytest.mark.parametrize("make_rep", [
+    *(pytest.param(lambda p=p, n=n: sym_power_rep(gn_module(p, n)[1], p**n - 1),
+                   id=f"regular-rep-p{p}-n{n}") for p, n in REGULAR_REP_CASES),
+    pytest.param(lambda: gl2_test_module(2, 2).rep, id="gl2-2-2"),
+])
+def test_permutation_basis_is_the_search_without_the_support_rule(make_rep):
+    """Orbits on fewer coordinates than vectors are skipped without elimination;
+    they would fail the elimination, so the basis is the plain search's."""
+    rep = make_rep()
+    pb = find_permutation_basis(rep)
+    accepted, slices = _orbit_search_by_rank(rep)
+    assert pb.basis_matrix.rows == tuple(zip(*accepted))
+    assert pb.orbit_slices == slices
+    # rho(g) b_j = b_perms[g][j], one permutation per g as B is invertible
+    index = {vec: k for k, vec in enumerate(accepted)}
+    assert pb.perms == [tuple(index[col] for col in zip(*(m * pb.basis_matrix).rows))
+                        for m in rep.matrices]
+
+
+def test_permutation_basis_clones_only_for_orbits_that_can_be_independent(monkeypatch):
+    """S^24 of the F_25 translation module: the orbit of X^(24-j)Y^j lies on
+    j + 1 coordinates, so only the seed Y^24's orbit is tried on a clone
+    (the plain search clones 24 times, 23 of them in vain)."""
+    clone = _GenericEliminator.clone
+    calls = []
+    monkeypatch.setattr(_GenericEliminator, "clone",
+                        lambda self: calls.append(1) or clone(self))
+    pb = find_permutation_basis(sym_power_rep(gn_module(5, 2)[1], 24))
+    assert pb is not None and pb.is_free() and pb.is_transitive()
+    assert len(calls) == 1
 
 
 def test_permutation_basis_absent_for_scaling_action():

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from nullcone_lab.errors import ContextMismatch, DimensionMismatch
 from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
 from nullcone_lab.linalg import Matrix
-from nullcone_lab.poly import (Polynomial, _exponent_basis, mono_basis, poly_parse,
-                              substitution_images)
+from nullcone_lab.poly import (Polynomial, _chain_plan, _exponent_basis, mono_basis,
+                              poly_parse, substitution_images)
 
 
 def P(ctx, nvars, text):
@@ -188,6 +188,93 @@ def test_bulk_monomial_images_match_the_chain_path(field, nvars, d, data):
     chain = {e[:nvars]: {f[:nvars]: c for f, c in image.items()}
              for e, image in substitution_images(block, [e + (0, 0) for e in basis])}
     assert dict(bulk) == chain
+
+
+def _linear_forms(m: Matrix) -> list[Polynomial]:
+    """(Mx)_i = sum_j M[i][j] x_j as polynomials."""
+    ctx, n = m.ctx, m.nrows
+    return [Polynomial(ctx, n, {tuple(int(k == j) for k in range(n)): Scalar(ctx, c)
+                                for j, c in enumerate(row) if c})
+            for row in m.rows]
+
+
+def _expanded(forms: list[Polynomial], e: tuple[int, ...]) -> dict:
+    """The terms of prod_i (Mx)_i^e_i, by Polynomial * and **: the walk's oracle."""
+    out = Polynomial.one(forms[0].ctx, forms[0].nvars)
+    for form, k in zip(forms, e):
+        out = out * form**k
+    return out.terms
+
+
+@st.composite
+def _walk_matrices(draw, ctx, nvars):
+    """A matrix that takes the prefix-chain path: any draw that is an
+    invertible monomial matrix loses its first row."""
+    if ctx.is_finite:
+        entry = st.sampled_from([s.val for s in ff_enumerate(ctx)])
+    else:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    rows = [[draw(entry) for _ in range(nvars)] for _ in range(nvars)]
+    targets = [[j for j, c in enumerate(row) if c] for row in rows]
+    if all(len(t) == 1 for t in targets) and len({t[0] for t in targets}) == nvars:
+        rows[0] = [ctx._zero] * nvars
+    return Matrix._raw(ctx, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(sorted(_MONOMIAL_FIELDS)), nvars=st.integers(1, 6),
+       d=st.integers(0, 5), data=st.data())
+def test_walk_images_equal_the_expanded_products(field, nvars, d, data):
+    ctx = _MONOMIAL_FIELDS[field]()
+    m = data.draw(_walk_matrices(ctx, nvars))
+    basis = _exponent_basis(nvars, d)
+    monomials = basis if len(basis) <= 20 else tuple(data.draw(
+        st.lists(st.sampled_from(basis), min_size=1, max_size=20, unique=True)))
+    images = list(substitution_images(m, monomials))
+    assert sorted(e for e, _ in images) == sorted(monomials)
+    forms = _linear_forms(m)
+    for e, image in images:
+        assert image == _expanded(forms, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(sorted(_MONOMIAL_FIELDS)), nvars=st.integers(1, 5),
+       data=st.data())
+def test_substitute_linear_on_mixed_degrees_equals_substitute(field, nvars, data):
+    ctx = _MONOMIAL_FIELDS[field]()
+    m = data.draw(_walk_matrices(ctx, nvars))
+    exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).map(tuple)
+    support = data.draw(st.lists(exps, min_size=1, max_size=8, unique=True))
+    f = Polynomial(ctx, nvars, {e: ctx.scalar(k + 1) for k, e in enumerate(support)})
+    assert f.substitute_linear(m) == f.substitute(_linear_forms(m))
+
+
+def test_walk_slots_wider_than_a_byte():
+    """Degree 255 fits one byte per exponent, degree 256 takes two."""
+    f5 = ff_make(5)
+    m = Matrix.from_ints(f5, [[1, 2], [3, 1]])
+    forms = _linear_forms(m)
+    for monomials, width in ((((255, 0), (128, 127), (3, 4)), 8),
+                             (((300, 0), (200, 100), (0, 256), (1, 0)), 16)):
+        assert _chain_plan(monomials, (1, 0))[0] == width
+        images = dict(substitution_images(m, monomials))
+        assert images == {e: _expanded(forms, e) for e in monomials}
+
+
+def test_cached_plans_follow_the_build_order():
+    """One basis under two matrices whose densest variables differ: each
+    walk keeps its own chain order and images, however the calls interleave."""
+    f3 = ff_make(3)
+    basis = _exponent_basis(3, 3)
+    a = Matrix.from_ints(f3, [[1, 1, 1], [0, 1, 0], [0, 2, 1]])
+    b = Matrix.from_ints(f3, [[1, 0, 0], [1, 1, 0], [2, 1, 1]])
+    orders = {}
+    for name, m in (("a", a), ("b", b), ("a", a), ("b", b)):
+        walk = list(substitution_images(m, basis))
+        assert orders.setdefault(name, [e for e, _ in walk]) == [e for e, _ in walk]
+        forms = _linear_forms(m)
+        assert dict(walk) == {e: _expanded(forms, e) for e in basis}
+    assert orders["a"] != orders["b"]
 
 
 def test_evaluate_at_a_zero_one_point_makes_no_scalar_products(monkeypatch):

@@ -31,9 +31,11 @@ from nullcone_lab.invariants import (
     orbit_sums_vanish,
     reynolds,
     sigma_bounded,
+    substitution_constraint_rows,
 )
 from nullcone_lab.linalg import Matrix, _make_eliminator, kernel, rank
-from nullcone_lab.poly import Polynomial, mono_basis
+from nullcone_lab.poly import (Polynomial, _basis_index, _exponent_basis, mono_basis,
+                               substitution_images)
 from nullcone_lab.errors import CapExceeded, VanishesAtPoint
 
 
@@ -605,6 +607,46 @@ def test_fixed_point_space_is_the_kernel_of_rho_minus_identity(group):
     assert basis == _fixed_space_by_hand(rep)
     for b in basis:
         assert all(m.apply(b) == b for m in rep.matrices)
+
+
+def _rows_by_walk(matrix, d):
+    """substitution_constraint_rows built from substitution_images at any
+    degree: column c holds the image of the c-th basis monomial, less one
+    on the diagonal."""
+    ctx, n = matrix.ctx, matrix.nrows
+    index = _basis_index(n, d)
+    rows = [{} for _ in index]
+    for mono, image in substitution_images(matrix, _exponent_basis(n, d)):
+        for exps, coeff in image.items():
+            rows[index[exps]][index[mono]] = coeff
+    for col, row in enumerate(rows):
+        row[col] = row.get(col, ctx.zero) - ctx.one
+        if row[col].is_zero():
+            del row[col]
+    return rows
+
+
+def _assert_degree_one_rows_match_the_walk(matrices):
+    for m in matrices:
+        direct = list(substitution_constraint_rows(m, 1))
+        # the same entries in the same order: the eliminators see one stream
+        assert [list(r.items()) for r in direct] == \
+            [list(r.items()) for r in _rows_by_walk(m, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=fixed_space_groups())
+def test_degree_one_rows_read_off_the_matrix_equal_the_walks(group):
+    rep = group.natural_rep()
+    _assert_degree_one_rows_match_the_walk(
+        [*rep.matrices, *map(rep.inverse_matrix, range(group.order))])
+
+
+def test_degree_one_rows_of_a_64_variable_module_equal_the_walks():
+    rep = gl2_test_module(2, 3).rep
+    assert rep.dim == 64
+    _assert_degree_one_rows_match_the_walk(
+        [*rep.matrices, *(m.transpose() for m in rep.matrices)])
 
 
 @settings(max_examples=60, deadline=None)
