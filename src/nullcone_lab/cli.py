@@ -192,8 +192,9 @@ def _resolve_generators(spec: ModuleSpec, rep: Representation,
         if spec.candidates is None:
             raise BadParameter(f"module {spec.label!r} has no builtin generators")
         return spec.candidates
-    return [poly_parse(rep.ctx, rep.dim, part)
-            for part in text.split(";") if part.strip()]
+    # an empty part is refused by poly_parse: dropping it would declare fewer
+    # generators and certify points they separate
+    return [poly_parse(rep.ctx, rep.dim, part) for part in text.split(";")]
 
 
 # ---------------------------------------------------------------------------

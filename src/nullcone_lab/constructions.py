@@ -21,7 +21,8 @@ from .errors import (
     SingularSpecialization,
     WeightCollision,
 )
-from .fields import FieldCtx, Scalar, _is_probable_prime, ff_make, field_order, frobenius
+from .fields import (FieldCtx, Scalar, _is_probable_prime, ff_make, field_order, frobenius,
+                     least_primitive)
 from .groups import (
     MatrixGroup,
     Representation,
@@ -441,17 +442,7 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 def multiplicative_generator(ctx: FieldCtx) -> Scalar:
     """First element in enumeration order generating the unit group."""
-    q = ctx.cardinality
-    for a in ctx.enumerate():
-        if a.is_zero():
-            continue
-        order, x = 1, a
-        while not x.is_one():
-            x = x * a
-            order += 1
-        if order == q - 1:
-            return a
-    raise AssertionError("no multiplicative generator found")
+    return Scalar(ctx, least_primitive(ctx.cardinality, ctx._mul))
 
 
 def torus_field_order(q: int, r: int, m: int) -> tuple[int, int]:

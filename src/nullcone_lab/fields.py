@@ -259,6 +259,15 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
+def least_primitive(q: int, mul) -> int:
+    """The least raw value that generates the q - 1 units: a with
+    a^((q-1)/r) != 1 for every prime r dividing q - 1.  For q = 2 it is 1."""
+    m = q - 1
+    factors = _prime_factors(m)
+    return next(a for a in range(1, q)
+                if all(_power(a, m // r, mul) != 1 for r in factors))
+
+
 def _log_tables(q: int, times_z, mul) -> tuple[list[int], list[int]]:
     """exp and log tables of the least primitive element g.
 
@@ -269,9 +278,7 @@ def _log_tables(q: int, times_z, mul) -> tuple[list[int], list[int]]:
     placeholder that callers never read.
     """
     m = q - 1
-    factors = _prime_factors(m)
-    g = next(a for a in range(2, q)
-             if all(_power(a, m // r, mul) != 1 for r in factors))
+    g = least_primitive(q, mul)
     powers_of_z = [1]
     x = times_z(1)
     while x != 1:

@@ -403,33 +403,25 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
     all previously accepted orbits; the search succeeds when the accepted
     orbits span.  Failure is a value, not an error: it does not certify
     that no permutation basis exists.
+
+    P_g is read off rho(g) B, whose column k must be the basis vector
+    b_perms[g][k]: that lookup is the check rho(g) B = B P_g.  Checking
+    P_hs = P_h P_s, that is perms[hs][k] = perms[h][perms[s][k]], on every
+    Cayley-graph edge refuses a rep that is not a homomorphism.
     """
     ctx, dim, group = rep.ctx, rep.dim, rep.group
-    orbits = []
-    for j in range(dim):
-        slots: dict[tuple, int] = {}  # the distinct raw vectors, in order
-        reps_for_slot: list[int] = []
-        element_to_slot: list[int] = []
-        for g, m in enumerate(rep.matrices):
-            # rho(g) e_j is column j of rho(g)
-            slot = slots.setdefault(tuple(row[j] for row in m.rows), len(slots))
-            if slot == len(reps_for_slot):
-                reps_for_slot.append(g)
-            element_to_slot.append(slot)
-        orbits.append((list(slots), reps_for_slot, element_to_slot))
+    # Seed j's orbit is the distinct columns j of the rho(g), in element order.
     # Larger orbits first: a stabilised seed (such as a fixed vector) must not
     # swallow coordinates that a free orbit needs.  Ties keep seed order.
-    orbits.sort(key=lambda item: -len(item[0]))
+    orbits = sorted((list(dict.fromkeys(tuple(row[j] for row in m.rows)
+                                        for m in rep.matrices)) for j in range(dim)),
+                    key=len, reverse=True)
 
     elim = _make_eliminator(ctx, dim)
     accepted_vectors: list[tuple] = []
     orbit_slices: list[range] = []
-    orbit_elements: list[list[int]] = []  # representative group element per slot
-    slot_of_element: list[list[int]] = []  # per orbit: element index -> slot
 
-    for distinct, reps_for_slot, element_to_slot in orbits:
-        if len(accepted_vectors) == dim:
-            break
+    for distinct in orbits:
         if len(accepted_vectors) + len(distinct) > dim:
             continue
         rows = [{c: v for c, v in enumerate(vec) if v} for vec in distinct]
@@ -441,33 +433,21 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
             elim = scratch
             base = len(accepted_vectors)
             orbit_slices.append(range(base, base + len(distinct)))
-            orbit_elements.append(reps_for_slot)
-            slot_of_element.append(element_to_slot)
             accepted_vectors.extend(distinct)
 
     if len(accepted_vectors) != dim:
         return None
 
     basis_matrix = Matrix._raw(ctx, tuple(zip(*accepted_vectors)))  # columns = vectors
+    slot = {vec: k for k, vec in enumerate(accepted_vectors)}
     perms = []
-    for left in map(group.left_translation, range(group.order)):
-        pi = [0] * dim
-        for o, slc in enumerate(orbit_slices):
-            for local, k in enumerate(slc):
-                g = orbit_elements[o][local]
-                target_local = slot_of_element[o][left[g]]
-                pi[k] = slc[0] + target_local
-        perms.append(tuple(pi))
-    pb = PermutationBasis(rep, basis_matrix, perms, orbit_slices)
-    _verify_permutation_basis(rep, pb)
-    return pb
-
-
-def _verify_permutation_basis(rep: Representation, pb: PermutationBasis) -> None:
-    """rho(g) B = B P_g for every g, where B P_g is B with column j replaced
-    by column perms[g][j].  B is invertible, so this is B^-1 rho(g) B = P_g."""
-    b = pb.basis_matrix.rows
-    for g, pi in enumerate(pb.perms):
-        permuted = tuple(tuple(row[k] for k in pi) for row in b)
-        if (rep.matrices[g] * pb.basis_matrix).rows != permuted:
+    for m in rep.matrices:
+        pi = tuple(slot.get(col, -1) for col in zip(*(m * basis_matrix).rows))
+        if -1 in pi or len(set(pi)) < dim:
             raise AssertionError("permutation basis failed conjugation check")
+        perms.append(pi)
+    for s, right in zip(group.generator_indices, group.right):
+        for h, hs in enumerate(right):
+            if perms[hs] != tuple(perms[h][i] for i in perms[s]):
+                raise AssertionError("permutation basis failed conjugation check")
+    return PermutationBasis(rep, basis_matrix, perms, orbit_slices)

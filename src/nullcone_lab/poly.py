@@ -466,7 +466,9 @@ def poly_parse(ctx: FieldCtx, nvars: int, text: str) -> Polynomial:
                 depth += 1
             elif ch == ")":
                 depth -= 1
-            if depth == 0 and ch in seps and "".join(current).strip():
+            # a sign after another separator is unary; a '*' always splits,
+            # so '**' and a leading '*' leave an empty factor
+            if depth == 0 and ch in seps and (ch == "*" or "".join(current).strip()):
                 parts.append("".join(current))
                 current = [ch] if ch == "-" else []
             else:
@@ -491,7 +493,7 @@ def poly_parse(ctx: FieldCtx, nvars: int, text: str) -> Polynomial:
         exps = [0] * nvars
         coeff = ctx.one
         for factor in split_top_level(term_text, "*"):
-            factor = factor.strip().lstrip("*").strip()
+            factor = factor.strip()
             if not factor:
                 raise ParseError(f"empty factor in {term_text!r}")
             m = _VARPOW.match(factor)

@@ -241,6 +241,18 @@ def test_compute_bad_input_exits_2(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("what", [("nullcone", "--point", "1,0"), ("sigma", "--dmax", "1"),
+                                  ("delta", "--dmax", "1")], ids=lambda w: w[0])
+@pytest.mark.parametrize("text", [";", "x0;", ""])
+def test_generators_with_an_empty_part_exit_2(capsys, what, text):
+    """An empty part would declare fewer generators, and the empty list
+    would certify every point, though x0^2 + x0*x1 separates (1, 0)."""
+    code, out, err = run_cli(capsys, "compute", what[0], "--module", "gn:p=2,n=1",
+                             *what[1:], "--generators", text)
+    assert code == 2 and out == ""
+    assert err == "error: ParseError: empty polynomial\n"
+
+
 @pytest.mark.parametrize("spec, message", [
     ("va:p=2,n=-1,m=1", "twist exponent n must be >= 0, got -1"),
     ("torus:q=7,r=1,m=-1", "symmetric power m must be >= 0, got -1"),

@@ -21,7 +21,7 @@ from nullcone_lab.errors import (
     ReducibleModulus,
 )
 from nullcone_lab.fields import (FieldCtx, _is_irreducible, ff_enumerate, ff_make,
-                                 frobenius, lift)
+                                 frobenius, least_primitive, lift)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -362,3 +362,19 @@ def test_epsilon_over_a_field_past_the_table_bound(capsys):
                      "--point", "1,0", "--dmax", "2"])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "epsilon(gens:1,1;0,1) = 2"
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (31, 1),
+                                  (101, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (7, 2),
+                                  (3, 4), (2, 8)])
+def test_least_primitive_is_the_least_element_of_order_q_minus_1(p, n):
+    """Oracle: the order of each raw value, counted one multiplication at a time."""
+    ctx = ff_make(p, n)
+    q = ctx.cardinality
+
+    def order(a):
+        k, x = 1, a
+        while x != 1:
+            x, k = ctx._mul(x, a), k + 1
+        return k
+    assert least_primitive(q, ctx._mul) == next(a for a in range(1, q) if order(a) == q - 1)

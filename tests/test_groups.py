@@ -20,11 +20,11 @@ from nullcone_lab.groups import (
     sym_power_rep,
     vectorized_identity,
     _minkowski_bound,
-    _verify_permutation_basis,
 )
 from nullcone_lab.linalg import Matrix, _GenericEliminator, lift_matrix, rank
 from nullcone_lab.poly import Polynomial, poly_parse
 
+from .test_invariants import z4_with_swapped_powers
 from .test_linalg import count_scalars
 
 
@@ -390,19 +390,41 @@ def test_permutation_basis_vandermonde_p3():
     assert [len(s) for s in pb.orbit_slices] == [3]
 
 
-@pytest.mark.parametrize("p, degree", [(2, 1), (3, 2)])
-def test_permutation_basis_check_rejects_a_tampered_permutation(p, degree):
-    """Swapping two slots of one element's permutation breaks rho(g) B = B P_g."""
-    ctx = ff_make(p)
-    group = MatrixGroup.closure([unipotent(ctx, ctx.one)])
-    rep = sym_power_rep(group.natural_rep(), degree)
-    pb = rep.permutation_basis()
-    _verify_permutation_basis(rep, pb)
-    pi = list(pb.perms[1])
-    pi[0], pi[1] = pi[1], pi[0]
-    pb.perms[1] = tuple(pi)
-    with pytest.raises(AssertionError):
-        _verify_permutation_basis(rep, pb)
+TAMPER_FIELDS = pytest.mark.parametrize(
+    "ctx", [ff_make(2), ff_make(3), FieldCtx.rationals()], ids=["F2", "F3", "QQ"])
+
+
+@TAMPER_FIELDS
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 3)])
+def test_permutation_basis_refuses_a_representation_that_is_not_a_homomorphism(ctx, a, b):
+    """Z/4 with rho(g^a) and rho(g^b) exchanged: every rho(g) still permutes
+    the basis, so each column lookup succeeds, but P_hs = P_h P_s fails on
+    some Cayley-graph edge."""
+    with pytest.raises(AssertionError, match="permutation basis failed conjugation check"):
+        find_permutation_basis(z4_with_swapped_powers(ctx, a, b))
+
+
+@TAMPER_FIELDS
+def test_permutation_basis_accepts_a_swap_that_is_an_automorphism(ctx):
+    """Exchanging rho(g) and rho(g^3) composes rho with inversion, an
+    automorphism of Z/4, so the result is a homomorphism and keeps its basis."""
+    pb = find_permutation_basis(z4_with_swapped_powers(ctx, 1, 3))
+    assert pb is not None and pb.is_free() and pb.is_transitive()
+
+
+@TAMPER_FIELDS
+@pytest.mark.parametrize("image", [
+    pytest.param([[1, 1], [0, 0]], id="repeated-column"),
+    pytest.param([[0, 2], [1, 0]], id="missing-column"),
+])
+def test_permutation_basis_refuses_a_column_that_is_not_one_basis_vector(ctx, image):
+    """Z/2 with rho(g) singular, or with rho(g)^2 = 2: the accepted basis is
+    e_1, e_0 or e_0, e_1, and rho(g) B repeats e_0, or holds (2, 0), which is
+    no basis vector (over F_2 it is 0)."""
+    group = cyclic_group(ctx, 2)
+    rep = Representation(group, [group.elements[0], Matrix.from_ints(ctx, image)])
+    with pytest.raises(AssertionError, match="permutation basis failed conjugation check"):
+        find_permutation_basis(rep)
 
 
 @pytest.mark.parametrize("make_rep", [

@@ -736,9 +736,13 @@ def test_line_engine_equals_the_per_point_reference(case):
                          for i in range(rep.dim)) for m in matrices),
             "--field", _field_text(rep.ctx), "--pointfield", _field_text(pf),
             "--dmax", str(dmax), "--csv"]
-    if gens is not None:
-        argv.append("--generators=" + ";".join(str(g) for g in gens))
     from nullcone_lab.cli import main
+    if gens == []:  # an empty --generators text is refused, not read as no generators
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv + ["--generators="]) == 2
+        assert out.getvalue() == ""
+    elif gens is not None:
+        argv.append("--generators=" + ";".join(str(g) for g in gens))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(argv) in (0, 1)
     assert list(csv.reader(io.StringIO(out.getvalue()))) == _csv_rows(expected)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullcone_lab.errors import ContextMismatch, DimensionMismatch
+from nullcone_lab.errors import ContextMismatch, DimensionMismatch, ParseError
 from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
 from nullcone_lab.linalg import Matrix
 from nullcone_lab.poly import (Polynomial, _chain_plan, _exponent_basis, mono_basis,
@@ -382,6 +382,15 @@ def test_poly_text_round_trip():
     for ctx, nvars, text in cases:
         f = poly_parse(ctx, nvars, text)
         assert poly_parse(ctx, nvars, str(f)) == f
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.rationals(), ff_make(2, 2)], ids=["QQ", "F4"])
+@pytest.mark.parametrize("text", ["x0**2", "*x0", "x0 * * x1"])
+def test_poly_parse_refuses_an_empty_factor(ctx, text):
+    """'**' is no power operator: it leaves an empty factor, never the
+    coefficient 2 (which over F_4 would make x0**2 the zero polynomial)."""
+    with pytest.raises(ParseError, match="empty factor"):
+        poly_parse(ctx, 2, text)
 
 
 def test_poly_parse_subtraction_convenience():
