@@ -4,7 +4,7 @@ matrix groups over finite fields and the rationals."""
 __version__ = "0.1.0"
 
 from .errors import NullconeLabError
-from .fields import FieldCtx, Scalar, ff_enumerate, ff_make, frobenius
+from .fields import FieldCtx, Scalar, ff_make, frobenius
 from .groups import (
     MatrixGroup,
     Representation,
@@ -33,7 +33,7 @@ from .linalg import Matrix
 from .poly import Monomial, Polynomial, mono_basis, poly_parse
 
 __all__ = [
-    "FieldCtx", "Scalar", "ff_make", "ff_enumerate", "frobenius",
+    "FieldCtx", "Scalar", "ff_make", "frobenius",
     "Matrix", "Monomial", "Polynomial", "mono_basis", "poly_parse",
     "MatrixGroup", "Representation", "dual_rep", "sym_power_rep", "hom_rep",
     "regular_rep", "InvariantSpace", "SeparationReport", "NullconeStatus",

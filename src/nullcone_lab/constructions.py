@@ -153,7 +153,8 @@ def gn_module(p: int, n: int) -> tuple[MatrixGroup, Representation]:
     # t runs over the power basis z^k, whose raw value is p^k
     group = MatrixGroup.closure([translation_matrix(ctx, Scalar(ctx, p**k))
                                  for k in range(n)])
-    assert group.order == p**n
+    if group.order != p**n:
+        raise AssertionError(f"translation group of order {group.order}, not {p}^{n}")
     return group, group.natural_rep()
 
 
@@ -233,8 +234,8 @@ def binomial_mod_p(p: int, big_n: int, k: int) -> int:
         result = result * (math.comb(nd, kd) % p) % p
         nn //= p
         kk //= p
-    if big_n <= 64:
-        assert result == math.comb(big_n, k) % p
+    if big_n <= 64 and result != math.comb(big_n, k) % p:
+        raise AssertionError(f"Lucas digits disagree with C({big_n}, {k}) mod {p}")
     return result
 
 
@@ -310,7 +311,8 @@ def va_module(p: int, n: int, m: int) -> VaModule:
     # t runs over the power basis z^k, whose raw value is p^k
     group = MatrixGroup.closure([va_translation_matrix(ctx, Scalar(ctx, p**k), twist)
                                  for k in range(m)])
-    assert group.order == p**m
+    if group.order != p**m:
+        raise AssertionError(f"translation group of order {group.order}, not {p}^{m}")
     return VaModule(p, n, m, group, group.natural_rep())
 
 
@@ -357,7 +359,8 @@ def va_joint_group(p: int, n: int, levels: tuple[int, int]) -> tuple[MatrixGroup
             for t in subfield_sum_basis(big, levels)]
     group = MatrixGroup.closure(gens)
     expected = p**(l1 + l2 - math.gcd(l1, l2))
-    assert group.order == expected
+    if group.order != expected:
+        raise AssertionError(f"joint group of order {group.order}, not {expected}")
     return group, group.natural_rep()
 
 
@@ -386,8 +389,8 @@ def gl2_test_module(p: int, n: int) -> Gl2Module:
     sym = sym_power_rep(nat, p**n - 1)
     rep = hom_rep(sym, sym)
     idvec = vectorized_identity(sym)
-    for g in range(group.order):
-        assert rep.matrices[g].apply(idvec) == idvec
+    if any(rep.matrices[s].apply(idvec) != idvec for s in group.generator_indices):
+        raise AssertionError("the identity map is not a fixed vector")
     return Gl2Module(p, n, group, sym, rep, idvec)
 
 

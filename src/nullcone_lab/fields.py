@@ -687,10 +687,6 @@ def frobenius(a: Scalar, iterations: int = 1) -> Scalar:
     return a ** (a.ctx.p ** iterations)
 
 
-def ff_enumerate(ctx: FieldCtx) -> list[Scalar]:
-    return ctx.enumerate()
-
-
 def check_lift(source: FieldCtx, target: FieldCtx) -> None:
     """Refuse a pair of fields with no canonical embedding: there is one of
     a field into itself, and of a prime field into an extension of it."""

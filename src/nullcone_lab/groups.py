@@ -169,7 +169,7 @@ class MatrixGroup:
         return sub
 
     def natural_rep(self) -> "Representation":
-        return Representation(self, self.elements)
+        return Representation(self, self.elements, _trusted=True)
 
     def lift(self, target: FieldCtx) -> "MatrixGroup":
         """The same group with entries embedded into an extension field.
@@ -186,9 +186,14 @@ class MatrixGroup:
 
 
 class Representation:
-    """A matrix for every group element, indexed by closure order."""
+    """A matrix for every group element, indexed by closure order.
 
-    def __init__(self, group: MatrixGroup, matrices: Sequence[Matrix]):
+    g -> rho(g) is checked to be a homomorphism at construction, so later
+    checks read the generators only.  Builders that yield one by construction
+    pass `_trusted` and skip the |S|*|G| products."""
+
+    def __init__(self, group: MatrixGroup, matrices: Sequence[Matrix],
+                 *, _trusted: bool = False):
         if len(matrices) != group.order:
             raise GroupMismatch("one matrix per group element required")
         self.group = group
@@ -200,6 +205,8 @@ class Representation:
                 raise DimensionMismatch("representation matrices of unequal shape")
         if not self.matrices[group.identity_index].is_identity():
             raise GroupMismatch("identity element must act as the identity matrix")
+        if not _trusted and not self.verify_homomorphism():
+            raise GroupMismatch("the matrices are not a homomorphism of the group")
         self._perm_basis: "PermutationBasis | None | bool" = False  # unsearched
         self._inv_space_cache: dict[int, object] = {}
 
@@ -239,13 +246,13 @@ class Representation:
             if idx is None:
                 raise GroupMismatch("not a subgroup of this representation's group")
             mats.append(self.matrices[idx])
-        return Representation(subgroup, mats)
+        return Representation(subgroup, mats, _trusted=True)
 
     def lift(self, target: FieldCtx) -> "Representation":
         if target == self.ctx:
             return self
         return Representation(self.group.lift(target),
-                              [lift_matrix(m, target) for m in self.matrices])
+                              [lift_matrix(m, target) for m in self.matrices], _trusted=True)
 
     def permutation_basis(self) -> "PermutationBasis | None":
         if self._perm_basis is False:
@@ -261,7 +268,7 @@ def dual_rep(r: Representation) -> Representation:
     """Per-element inverse transpose."""
     return Representation(r.group,
                           [r.inverse_matrix(i).transpose()
-                           for i in range(r.group.order)])
+                           for i in range(r.group.order)], _trusted=True)
 
 
 def sym_power_rep(r: Representation, m: int) -> Representation:
@@ -286,7 +293,7 @@ def sym_power_rep(r: Representation, m: int) -> Representation:
             for exps, coeff in image.items():
                 rows[index[exps]][col] = coeff.val
         out.append(Matrix._raw(ctx, tuple(map(tuple, rows))))
-    return Representation(r.group, out)
+    return Representation(r.group, out, _trusted=True)
 
 
 def hom_rep(r: Representation, s: Representation) -> Representation:
@@ -318,7 +325,7 @@ def hom_rep(r: Representation, s: Representation) -> Representation:
                         if coeff:
                             rows[k * dr + l][a * dr + b] = coeff
         out.append(Matrix._raw(ctx, tuple(map(tuple, rows))))
-    return Representation(r.group, out)
+    return Representation(r.group, out, _trusted=True)
 
 
 def vectorized_identity(r: Representation) -> list[Scalar]:
@@ -332,7 +339,8 @@ def vectorized_identity(r: Representation) -> list[Scalar]:
 
 def permutation_rep(group: MatrixGroup,
                     perms: Iterable[Sequence[int]]) -> Representation:
-    """The matrices P_g with P_g e_k = e_{pi[k]}, one per pi in element order."""
+    """The matrices P_g with P_g e_k = e_{pi[k]}, one per pi in element order;
+    the pi compose as the group does (left translations, or basis perms)."""
     ctx = group.ctx
     zero, one = ctx._zero, ctx._one
     mats = []
@@ -341,7 +349,7 @@ def permutation_rep(group: MatrixGroup,
         for k, t in enumerate(pi):
             rows[t][k] = one
         mats.append(Matrix._raw(ctx, tuple(map(tuple, rows))))
-    return Representation(group, mats)
+    return Representation(group, mats, _trusted=True)
 
 
 def regular_rep(group: MatrixGroup) -> Representation:
@@ -404,10 +412,10 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
     orbits span.  Failure is a value, not an error: it does not certify
     that no permutation basis exists.
 
-    P_g is read off rho(g) B, whose column k must be the basis vector
-    b_perms[g][k]: that lookup is the check rho(g) B = B P_g.  Checking
-    P_hs = P_h P_s, that is perms[hs][k] = perms[h][perms[s][k]], on every
-    Cayley-graph edge refuses a rep that is not a homomorphism.
+    P_s is read off rho(s) B for each generator s, whose column k must be
+    the basis vector b_perms[s][k]: that lookup is the check rho(s) B = B P_s.
+    rho is a homomorphism, so P_g extends along the closure tree: for
+    parent[j] = (i, k), P_j = P_i P_(s_k), on integer tuples.
     """
     ctx, dim, group = rep.ctx, rep.dim, rep.group
     # Seed j's orbit is the distinct columns j of the rho(g), in element order.
@@ -440,14 +448,13 @@ def find_permutation_basis(rep: Representation) -> PermutationBasis | None:
 
     basis_matrix = Matrix._raw(ctx, tuple(zip(*accepted_vectors)))  # columns = vectors
     slot = {vec: k for k, vec in enumerate(accepted_vectors)}
-    perms = []
-    for m in rep.matrices:
-        pi = tuple(slot.get(col, -1) for col in zip(*(m * basis_matrix).rows))
+    gen_perms = []
+    for s in group.generator_indices:
+        pi = tuple(slot.get(col, -1) for col in zip(*(rep.matrices[s] * basis_matrix).rows))
         if -1 in pi or len(set(pi)) < dim:
             raise AssertionError("permutation basis failed conjugation check")
-        perms.append(pi)
-    for s, right in zip(group.generator_indices, group.right):
-        for h, hs in enumerate(right):
-            if perms[hs] != tuple(perms[h][i] for i in perms[s]):
-                raise AssertionError("permutation basis failed conjugation check")
+        gen_perms.append(pi)
+    perms = [tuple(range(dim))]
+    for i, k in group.parent[1:]:
+        perms.append(tuple(perms[i][t] for t in gen_perms[k]))
     return PermutationBasis(rep, basis_matrix, perms, orbit_slices)

@@ -252,20 +252,23 @@ def _check_point(rep: Representation, v: Sequence[Scalar]) -> list[Scalar]:
 
 
 def _verify_invariant(rep: Representation, f: Polynomial) -> bool:
-    return all(rep.act_on_poly(g, f) == f for g in range(rep.group.order))
+    """f is fixed by every generator, so by the whole group, as rho is a homomorphism."""
+    return all(rep.act_on_poly(g, f) == f for g in rep.group.generator_indices)
 
 
 def _orbit_product_invariant(rep: Representation, forms: Sequence[tuple]) -> bool:
-    """True when every representing matrix permutes the linear forms.
+    """True when every generator's matrix permutes the linear forms.
 
-    The forms are raw row vectors l_k, and g.l = l rho(g)^-1.  The inverses
-    rho(g)^-1 run over all of rep.matrices, so if every l_k rho lies in the
-    multiset of the l_k, each g permutes the factors of their product, which
-    is therefore invariant.  Reads only the matrices and the forms.
+    The forms are raw row vectors l_k, and g.l = l rho(g)^-1.  If the rows
+    l_k rho(s) are the multiset of the l_k for each generator s, so are the
+    l_k rho(g) for every g, a product of generators; rho(g)^-1 = rho(g^-1)
+    is one of them, so each g permutes the factors of their product, which
+    is therefore invariant.  Reads only the generators' matrices and the forms.
     """
     factors = Matrix._raw(rep.ctx, tuple(forms))
     wanted = Counter(factors.rows)
-    return all(Counter((factors * m).rows) == wanted for m in rep.matrices)
+    return all(Counter((factors * rep.matrices[s]).rows) == wanted
+               for s in rep.group.generator_indices)
 
 
 def _fast_path_epsilon(pb: PermutationBasis, slc: range, nvars: int):
@@ -351,7 +354,7 @@ def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int) -> Separati
     Every emitted value is machine-checked: the witness is nonzero at the
     point, the full invariant space of each lower degree vanishes there, and
     the witness is invariant.  A fast-path witness is a product of linear
-    forms, certified by checking that every representing matrix permutes
+    forms, certified by checking that every generator's matrix permutes
     them.  On the fast path the lower degrees (every degree up to dmax when
     none separates) are checked in permutation coordinates.  Any other
     witness is a basis vector of an invariant space.

@@ -338,7 +338,8 @@ class _PackedChar2Eliminator:
     """Rows over F_{2^n} as n bit-plane ints; column j lives at bit j."""
 
     def __init__(self, ctx: FieldCtx, ncols: int):
-        assert ctx.p == 2 and ctx.is_finite
+        if not (ctx.p == 2 and ctx.is_finite):
+            raise AssertionError("the packed eliminator needs a field of characteristic 2")
         self.ctx = ctx
         self.nplanes = ctx.n
         self.ncols = ncols

@@ -495,7 +495,7 @@ def poly_parse(ctx: FieldCtx, nvars: int, text: str) -> Polynomial:
         for factor in split_top_level(term_text, "*"):
             factor = factor.strip()
             if not factor:
-                raise ParseError(f"empty factor in {term_text!r}")
+                raise ParseError(f"empty factor in {text!r}")
             m = _VARPOW.match(factor)
             if m:
                 i, e = int(m.group(1)), int(m.group(2) or 1)

@@ -30,6 +30,31 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json")
+                    .read_text())
+
+
+@pytest.mark.parametrize("workload", ["gl2-epsilon", "va-sigma", "cyclic-sigma",
+                                      "verify-all"])
+def test_every_representation_a_workload_builds_passes_the_checked_constructor(
+        capsys, monkeypatch, workload):
+    """The builders skip the homomorphism check, as each yields one by
+    construction: every representation a benchmark workload builds passes
+    the check when rebuilt through the checked constructor."""
+    from nullcone_lab import groups
+    built = []
+    init = groups.Representation.__init__
+    monkeypatch.setattr(groups.Representation, "__init__",
+                        lambda self, *args, **kwargs: init(self, *args, **kwargs)
+                        or built.append(self))
+    code, _, _ = run_cli(capsys, *GOLDEN[workload]["argv"])
+    monkeypatch.undo()
+    assert code == GOLDEN[workload]["exit_code"]
+    assert built
+    for rep in built:
+        groups.Representation(rep.group, rep.matrices)  # raises GroupMismatch if not
+
+
 def load_schema():
     with resources.files("nullcone_lab").joinpath("report_schema.json").open() as fh:
         return json.load(fh)

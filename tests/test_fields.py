@@ -20,7 +20,7 @@ from nullcone_lab.errors import (
     RationalContext,
     ReducibleModulus,
 )
-from nullcone_lab.fields import (FieldCtx, _is_irreducible, ff_enumerate, ff_make,
+from nullcone_lab.fields import (FieldCtx, _is_irreducible, ff_make,
                                  frobenius, least_primitive, lift)
 
 
@@ -67,7 +67,7 @@ def is_irreducible_oracle(f, p):
 def test_prime_field_cardinality():
     f2 = ff_make(2, 1)
     assert f2.cardinality == 2
-    assert [s.val for s in ff_enumerate(f2)] == [0, 1]
+    assert [s.val for s in f2.enumerate()] == [0, 1]
 
 
 def test_f4_modulus_is_least_irreducible():
@@ -171,7 +171,7 @@ def test_context_mismatch():
 def test_field_axioms_exhaustive(p, n):
     """Associativity, distributivity, inverses for every field with p^n <= 25."""
     ctx = ff_make(p, n)
-    elems = ff_enumerate(ctx)
+    elems = ctx.enumerate()
     assert len(set(s.val for s in elems)) == p**n
     one = ctx.one
     for a in elems:
@@ -197,14 +197,14 @@ def test_frobenius_f4():
 
 def test_frobenius_identity_on_prime_field():
     f7 = ff_make(7)
-    for a in ff_enumerate(f7):
+    for a in f7.enumerate():
         assert frobenius(a) == a
 
 
 def test_frobenius_is_additive_on_f4():
     f4 = ff_make(2, 2)
-    for a in ff_enumerate(f4):
-        for b in ff_enumerate(f4):
+    for a in f4.enumerate():
+        for b in f4.enumerate():
             assert frobenius(a + b) == frobenius(a) + frobenius(b)
             assert frobenius(a * b) == frobenius(a) * frobenius(b)
 
@@ -218,23 +218,23 @@ def test_frobenius_rejects_rationals():
 
 def test_enumeration_order_f4():
     f4 = ff_make(2, 2)
-    assert [str(s) for s in ff_enumerate(f4)] == ["0", "1", "z", "z+1"]
+    assert [str(s) for s in f4.enumerate()] == ["0", "1", "z", "z+1"]
 
 
 def test_enumeration_count_f9():
-    assert len(ff_enumerate(ff_make(3, 2))) == 9
+    assert len(ff_make(3, 2).enumerate()) == 9
 
 
 def test_enumeration_rejects_rationals():
     with pytest.raises(RationalContext):
-        ff_enumerate(FieldCtx.rationals())
+        FieldCtx.rationals().enumerate()
 
 
 # -- text round trips -----------------------------------------------------------------
 
 def test_scalar_text_round_trip_finite():
     for ctx in (ff_make(5), ff_make(2, 2), ff_make(3, 2), ff_make(2, 3)):
-        for s in ff_enumerate(ctx):
+        for s in ctx.enumerate():
             assert ctx.parse(str(s)) == s
 
 

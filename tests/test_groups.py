@@ -21,6 +21,7 @@ from nullcone_lab.groups import (
     vectorized_identity,
     _minkowski_bound,
 )
+from nullcone_lab.invariants import _permutation_rep
 from nullcone_lab.linalg import Matrix, _GenericEliminator, lift_matrix, rank
 from nullcone_lab.poly import Polynomial, poly_parse
 
@@ -43,6 +44,12 @@ def klein_group(ctx):
     a = Matrix.from_ints(ctx, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     b = Matrix.from_ints(ctx, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
     return MatrixGroup.closure([a, b])
+
+
+def symmetric_group_3(ctx):
+    """S_3 on 3 coordinates: a transposition and a 3-cycle, non-abelian."""
+    return MatrixGroup.closure([Matrix.from_ints(ctx, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                                Matrix.from_ints(ctx, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])])
 
 
 # -- closure ---------------------------------------------------------------
@@ -328,13 +335,36 @@ def test_hom_rep_rejects_mismatched_groups():
 
 
 def test_verify_homomorphism_rejects_swapped_matrices():
+    """The constructor runs verify_homomorphism, so swapped matrices are
+    refused there; edited in after construction, the check still sees them."""
     f2 = ff_make(2)
     z4 = cyclic_group(f2, 4)
-    assert z4.natural_rep().verify_homomorphism()
+    rep = z4.natural_rep()
+    assert rep.verify_homomorphism()
     mats = list(z4.elements)
     assert mats[1] == z4.generators[0]  # closure order: 1, g, g^2, g^3
     mats[1], mats[2] = mats[2], mats[1]
-    assert not Representation(z4, mats).verify_homomorphism()
+    with pytest.raises(GroupMismatch, match="not a homomorphism"):
+        Representation(z4, mats)
+    rep.matrices[:] = mats
+    assert not rep.verify_homomorphism()
+
+
+@pytest.mark.parametrize("ctx", [ff_make(3), FieldCtx.rationals()], ids=["F3", "QQ"])
+def test_every_builder_yields_a_representation_the_checked_constructor_accepts(ctx):
+    """The builders skip the homomorphism check; what each builds passes it."""
+    s3 = symmetric_group_3(ctx)
+    nat = s3.natural_rep()
+    sub = s3.subgroup([s3.generators[1]])
+    built = [nat, nat.restrict(sub), dual_rep(nat), sym_power_rep(nat, 2),
+             hom_rep(nat, dual_rep(nat)), regular_rep(s3), regular_rep(sub)]
+    if ctx.is_finite:
+        f9 = ff_make(3, 2)
+        vandermonde = sym_power_rep(gn_module(3, 1)[1], 2)
+        assert not vandermonde.permutation_basis().basis_matrix.is_identity()
+        built += [nat.lift(f9), sym_power_rep(nat, 2).lift(f9), _permutation_rep(vandermonde)]
+    for rep in built:
+        Representation(rep.group, rep.matrices)  # raises GroupMismatch if not
 
 
 def test_regular_rep_of_z2():
@@ -398,9 +428,9 @@ TAMPER_FIELDS = pytest.mark.parametrize(
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 3)])
 def test_permutation_basis_refuses_a_representation_that_is_not_a_homomorphism(ctx, a, b):
     """Z/4 with rho(g^a) and rho(g^b) exchanged: every rho(g) still permutes
-    the basis, so each column lookup succeeds, but P_hs = P_h P_s fails on
-    some Cayley-graph edge."""
-    with pytest.raises(AssertionError, match="permutation basis failed conjugation check"):
+    the basis, so no column lookup would fail; the constructor refuses the
+    representation before any basis is searched."""
+    with pytest.raises(GroupMismatch, match="not a homomorphism"):
         find_permutation_basis(z4_with_swapped_powers(ctx, a, b))
 
 
@@ -418,13 +448,12 @@ def test_permutation_basis_accepts_a_swap_that_is_an_automorphism(ctx):
     pytest.param([[0, 2], [1, 0]], id="missing-column"),
 ])
 def test_permutation_basis_refuses_a_column_that_is_not_one_basis_vector(ctx, image):
-    """Z/2 with rho(g) singular, or with rho(g)^2 = 2: the accepted basis is
-    e_1, e_0 or e_0, e_1, and rho(g) B repeats e_0, or holds (2, 0), which is
-    no basis vector (over F_2 it is 0)."""
+    """Z/2 with rho(g) singular, or with rho(g)^2 = 2: rho(g) B would repeat
+    e_0, or hold (2, 0), which is no basis vector.  Neither squares to the
+    identity, so the constructor refuses both before any basis is searched."""
     group = cyclic_group(ctx, 2)
-    rep = Representation(group, [group.elements[0], Matrix.from_ints(ctx, image)])
-    with pytest.raises(AssertionError, match="permutation basis failed conjugation check"):
-        find_permutation_basis(rep)
+    with pytest.raises(GroupMismatch, match="not a homomorphism"):
+        Representation(group, [group.elements[0], Matrix.from_ints(ctx, image)])
 
 
 @pytest.mark.parametrize("make_rep", [
@@ -477,6 +506,29 @@ def test_permutation_basis_is_the_search_without_the_support_rule(make_rep):
     assert pb.orbit_slices == slices
     # rho(g) b_j = b_perms[g][j], one permutation per g as B is invertible
     index = {vec: k for k, vec in enumerate(accepted)}
+    assert pb.perms == [tuple(index[col] for col in zip(*(m * pb.basis_matrix).rows))
+                        for m in rep.matrices]
+
+
+@pytest.mark.parametrize("make_rep", [
+    pytest.param(lambda: regular_rep(klein_group(ff_make(2))), id="klein-regular"),
+    pytest.param(lambda: symmetric_group_3(ff_make(3)).natural_rep(), id="S3-F3"),
+    pytest.param(lambda: regular_rep(symmetric_group_3(FieldCtx.rationals())), id="S3-QQ-regular"),
+    pytest.param(lambda: sym_power_rep(gn_module(3, 2)[1], 8), id="regular-rep-p3-n2"),
+    pytest.param(lambda: gl2_test_module(2, 2).rep, id="gl2-2-2"),
+])
+def test_permutation_basis_extends_generator_perms_along_the_tree(monkeypatch, make_rep):
+    """Only the |S| products rho(s) B are formed, and the perms extended
+    along the closure tree equal a per-element lookup of rho(g) B's columns
+    among the basis vectors."""
+    rep = make_rep()
+    mul = Matrix.__mul__
+    products = []
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    pb = find_permutation_basis(rep)
+    assert len(products) == len(rep.group.generator_indices) < rep.group.order
+    monkeypatch.undo()
+    index = {vec: k for k, vec in enumerate(zip(*pb.basis_matrix.rows))}
     assert pb.perms == [tuple(index[col] for col in zip(*(m * pb.basis_matrix).rows))
                         for m in rep.matrices]
 

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nullcone_lab.errors import (
     CharDividesDegree,
     CharDividesOrder,
+    GroupMismatch,
     NotFixedPoint,
     NotInvariantCandidate,
     NotInvariantGenerator,
@@ -29,7 +30,7 @@ from nullcone_lab.errors import (
     VanishesAtPoint,
 )
 from nullcone_lab.constructions import gl2_test_module
-from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
+from nullcone_lab.fields import FieldCtx, Scalar, ff_make
 from nullcone_lab.groups import MatrixGroup, Representation, regular_rep
 from nullcone_lab.invariants import (
     SeparationReport,
@@ -37,6 +38,7 @@ from nullcone_lab.invariants import (
     _lift_poly,
     _fast_path_epsilon,
     _orbit_product_invariant,
+    _verify_invariant,
     check_generation,
     degree_reduce,
     delta_bounded,
@@ -183,18 +185,32 @@ RECHECK_FIELDS = [(ff_make(2), _PackedChar2Eliminator),
                   (FieldCtx.rationals(), _GenericEliminator)]
 
 
-def z4_with_swapped_powers(ctx, a, b):
-    """Z/4 = <g> on 4-cycle permutation matrices, with rho(g^a) and rho(g^b)
-    exchanged: not a homomorphism, though the identity acts as the identity."""
-    group = cyclic_group(ctx, 4)
+def _swap_powers(group, mats, a, b):
+    """Exchange rho(g^a) and rho(g^b) in mats, for the generator g of Z/4."""
     g = group.generator_indices[0]
     powers = [group.identity_index]
     for _ in range(3):
         powers.append(group.mul(powers[-1], g))
-    mats = list(group.elements)
     i, j = powers[a], powers[b]
     mats[i], mats[j] = mats[j], mats[i]
+
+
+def z4_with_swapped_powers(ctx, a, b):
+    """Z/4 = <g> on 4-cycle permutation matrices, with rho(g^a) and rho(g^b)
+    exchanged, through the checked constructor: it raises GroupMismatch
+    unless the swap composes rho with an automorphism of Z/4."""
+    group = cyclic_group(ctx, 4)
+    mats = list(group.elements)
+    _swap_powers(group, mats, a, b)
     return Representation(group, mats)
+
+
+def z4_tampered_after_construction(ctx, a, b):
+    """The same swap made in rep.matrices after a checked construction: the
+    only way to hold a representation that is not a homomorphism."""
+    rep = cyclic_group(ctx, 4).natural_rep()
+    _swap_powers(rep.group, rep.matrices, a, b)
+    return rep
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -203,7 +219,7 @@ def test_recheck_refuses_an_inconsistent_representation(ctx, engine, d):
     """The generator rows use rho(g^-1) = rho(g^3), which now holds P^2 and
     fixes more than the group does; the rows of g^2 (now P^3) catch it."""
     assert isinstance(_make_eliminator(ctx, 1), engine)
-    rep = z4_with_swapped_powers(ctx, 2, 3)
+    rep = z4_tampered_after_construction(ctx, 2, 3)
     with pytest.raises(AssertionError, match="not fixed by the whole group"):
         invariant_space(rep, d)
 
@@ -211,13 +227,37 @@ def test_recheck_refuses_an_inconsistent_representation(ctx, engine, d):
 @pytest.mark.parametrize("ctx", [ctx for ctx, _ in RECHECK_FIELDS],
                          ids=["F2", "F4", "F3", "QQ"])
 def test_recheck_passes_a_swap_the_generator_rows_absorb(ctx):
-    """With rho(g) and rho(g^2) exchanged, rho(g^-1) = rho(g^3) still holds
-    P^3, which generates: the space is the true one and the re-check, which
-    sees P and P^2, has nothing to report."""
-    rep = z4_with_swapped_powers(ctx, 1, 2)
-    honest = cyclic_group(ctx, 4).natural_rep()
-    for d in (1, 2, 3):
-        assert invariant_space(rep, d).basis == invariant_space(honest, d).basis
+    """With rho(g) and rho(g^2) exchanged, the generator rows alone give the
+    true space and the re-check sees nothing wrong; the checked constructor
+    refuses that representation before any invariant space is asked of it."""
+    with pytest.raises(GroupMismatch, match="not a homomorphism"):
+        z4_with_swapped_powers(ctx, 1, 2)
+
+
+@pytest.mark.parametrize("ctx", [ff_make(3), FieldCtx.rationals()], ids=["F3", "QQ"])
+def test_a_representation_that_is_not_a_homomorphism_answers_nothing(ctx):
+    """Z/2 with rho(g) = [[1,1],[0,0]]: rho(g)^2 = rho(g) != rho(1), and the
+    constructor refuses it, so neither invariant_space nor epsilon is reached
+    (they would give the degree-1 invariant x0 + x1, and 1 at (1, 0))."""
+    group = swap_group(ctx)
+    assert group.natural_rep().verify_homomorphism()
+    with pytest.raises(GroupMismatch, match="not a homomorphism"):
+        Representation(group, [group.elements[0], Matrix.from_ints(ctx, [[1, 1], [0, 0]])])
+
+
+@pytest.mark.parametrize("ctx", [ff_make(2), ff_make(3), FieldCtx.rationals()],
+                         ids=["F2", "F3", "QQ"])
+def test_verify_invariant_reads_every_generator(ctx):
+    """On the Klein group's regular module, x0 + x1 is fixed by the first
+    generator (swapping 0,1 and 2,3) but not by the second (swapping 0,2
+    and 1,3); x0 + x1 + x2 + x3 is fixed by both."""
+    rep = klein_group(ctx).natural_rep()
+    first, second = rep.group.generator_indices
+    half = P(ctx, 4, "x0 + x1")
+    assert rep.act_on_poly(first, half) == half
+    assert rep.act_on_poly(second, half) != half
+    assert not _verify_invariant(rep, half)
+    assert _verify_invariant(rep, P(ctx, 4, "x0 + x1 + x2 + x3"))
 
 
 @pytest.mark.parametrize("make_rep", [
@@ -599,8 +639,8 @@ def test_sigma_swap_over_f2_by_exhaustion():
     f2 = ff_make(2)
     rep = swap_group(f2).natural_rep()
     per_point = {}
-    for a in ff_enumerate(f2):
-        for b in ff_enumerate(f2):
+    for a in f2.enumerate():
+        for b in f2.enumerate():
             if a.is_zero() and b.is_zero():
                 continue
             e = _epsilon_by_spaces(rep, [a, b], 2)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nullcone_lab.errors import (ContextMismatch, DimensionMismatch, NotInvertible,
                                  ParseError)
-from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
+from nullcone_lab.fields import FieldCtx, Scalar, ff_make
 from nullcone_lab.linalg import (
     Matrix,
     _GenericEliminator,
@@ -92,7 +92,7 @@ def test_rank_and_rref():
 def test_packed_engine_agrees_with_generic(ctx_maker):
     """Oracle: the generic engine, on random matrices over char-2 fields."""
     ctx = ctx_maker()
-    elems = ff_enumerate(ctx)
+    elems = ctx.enumerate()
     rng = random.Random(20240 + ctx.n)
     for trial in range(12):
         ncols = rng.randint(1, 7)
@@ -110,7 +110,7 @@ def test_packed_engine_agrees_with_generic(ctx_maker):
 
 def test_kernel_canonical_regardless_of_row_order():
     f4 = ff_make(2, 2)
-    elems = ff_enumerate(f4)
+    elems = f4.enumerate()
     rng = random.Random(7)
     rows = [[rng.choice(elems) for _ in range(6)] for _ in range(4)]
     as_sparse = [{c: s for c, s in enumerate(r) if not s.is_zero()} for r in rows]
@@ -123,7 +123,7 @@ def test_kernel_vectors_annihilate_rows():
     for ctx in (ff_make(3), ff_make(2, 2), FieldCtx.rationals()):
         rng = random.Random(99)
         if ctx.is_finite:
-            elems = ff_enumerate(ctx)
+            elems = ctx.enumerate()
             pick = lambda: rng.choice(elems)
         else:
             pick = lambda: ctx.scalar(rng.randint(-3, 3))
@@ -227,7 +227,7 @@ def test_kernel_and_rref_match_two_pass_oracle(ctx_maker):
     ctx = ctx_maker()
     rng = random.Random(4000 + ctx.p * 10 + ctx.n)
     if ctx.is_finite:
-        elems = ff_enumerate(ctx)
+        elems = ctx.enumerate()
         pick = lambda: rng.choice(elems)
     else:
         pick = lambda: ctx.scalar(rng.randint(-3, 3)) * ctx.scalar(rng.randint(1, 3)).inverse()
@@ -352,7 +352,7 @@ def test_lazy_clearing_survives_clones_and_midstream_reads(field, ncols, data):
     oracle's kernel, and a mutated clone leaves its original unchanged."""
     ctx = _FIELDS[field]()
     if ctx.is_finite:
-        elems = ff_enumerate(ctx)
+        elems = ctx.enumerate()
         entry = st.sampled_from(elems)
     else:
         entry = st.builds(lambda a, b: ctx.scalar(a) * ctx.scalar(b).inverse(),
@@ -387,7 +387,7 @@ def test_annihilation_check_matches_rank_raising(field, ncols, data):
     it to them raises their rank; rows are drawn from their span and off it."""
     ctx = _FIELDS[field]()
     if ctx.is_finite:
-        entry = st.sampled_from(ff_enumerate(ctx))
+        entry = st.sampled_from(ctx.enumerate())
     else:
         entry = st.sampled_from([ctx.scalar(Fraction(a, b))
                                  for a in (-3, -1, 0, 1, 2) for b in (1, 3)])
@@ -427,7 +427,7 @@ def _dense_product(a, b):
 def _matrices(draw, ctx, nrows, ncols):
     """Random, zero-lined, permutation (scaled or not) and identity matrices."""
     if ctx.is_finite:
-        entry = st.sampled_from(ff_enumerate(ctx))
+        entry = st.sampled_from(ctx.enumerate())
     else:
         entry = st.builds(lambda a, b: ctx.scalar(a) * ctx.scalar(b).inverse(),
                           st.integers(-3, 3), st.integers(1, 3))
@@ -506,7 +506,7 @@ _RAW_FIELDS = {"F3": lambda: ff_make(3), "F9": lambda: ff_make(3, 2),
 def _random_rows(ctx, nrows, ncols, seed):
     rng = random.Random(seed)
     if ctx.is_finite:
-        elems = ff_enumerate(ctx)
+        elems = ctx.enumerate()
         pick = lambda: rng.choice(elems)
     else:
         pick = lambda: ctx.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nullcone_lab.errors import ContextMismatch, DimensionMismatch, ParseError
-from nullcone_lab.fields import FieldCtx, Scalar, ff_enumerate, ff_make
+from nullcone_lab.fields import FieldCtx, Scalar, ff_make
 from nullcone_lab.linalg import Matrix
 from nullcone_lab.poly import (Polynomial, _chain_plan, _exponent_basis, mono_basis,
                               poly_parse, substitution_images)
@@ -93,7 +94,7 @@ def test_eval_ga2_witness():
 def test_eval_is_ring_homomorphism():
     f5 = ff_make(5)
     rng = random.Random(11)
-    elems = ff_enumerate(f5)
+    elems = f5.enumerate()
     for _ in range(10):
         f = Polynomial(f5, 2, {(rng.randint(0, 2), rng.randint(0, 2)): rng.choice(elems[1:])
                                for _ in range(3)})
@@ -169,7 +170,7 @@ def test_bulk_monomial_images_match_the_chain_path(field, nvars, d, data):
     dense block sends the whole matrix down the prefix-chain path."""
     ctx = _MONOMIAL_FIELDS[field]()
     if ctx.is_finite:
-        nonzero = st.sampled_from([s.val for s in ff_enumerate(ctx) if s.val])
+        nonzero = st.sampled_from([s.val for s in ctx.enumerate() if s.val])
     else:
         nonzero = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
                             st.integers(1, 3))
@@ -211,7 +212,7 @@ def _walk_matrices(draw, ctx, nvars):
     """A matrix that takes the prefix-chain path: any draw that is an
     invertible monomial matrix loses its first row."""
     if ctx.is_finite:
-        entry = st.sampled_from([s.val for s in ff_enumerate(ctx)])
+        entry = st.sampled_from([s.val for s in ctx.enumerate()])
     else:
         entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
     rows = [[draw(entry) for _ in range(nvars)] for _ in range(nvars)]
@@ -292,7 +293,7 @@ def test_evaluate_at_a_zero_one_point_makes_no_scalar_products(monkeypatch):
 def test_substitution_composes():
     f3 = ff_make(3)
     rng = random.Random(5)
-    elems = ff_enumerate(f3)
+    elems = f3.enumerate()
     for _ in range(6):
         a = Matrix(f3, [[rng.choice(elems) for _ in range(2)] for _ in range(2)])
         b = Matrix(f3, [[rng.choice(elems) for _ in range(2)] for _ in range(2)])
@@ -304,7 +305,7 @@ def test_substitution_composes():
 def test_substitution_evaluation_compatibility():
     f5 = ff_make(5)
     rng = random.Random(17)
-    elems = ff_enumerate(f5)
+    elems = f5.enumerate()
     for _ in range(8):
         m = Matrix(f5, [[rng.choice(elems) for _ in range(3)] for _ in range(3)])
         f = Polynomial(f5, 3, {(1, 1, 0): f5.one, (0, 0, 2): f5.scalar(3)})
@@ -327,7 +328,7 @@ def test_freshmans_dream():
     assert f**2 == P(f2, 2, "x0^2 + x1^2")
     for p in (2, 3):
         ctx = ff_make(p)
-        elems = ff_enumerate(ctx)
+        elems = ctx.enumerate()
         rng = random.Random(23 + p)
         for _ in range(6):
             a = Polynomial(ctx, 2, {(rng.randint(0, 2), rng.randint(0, 2)):
@@ -391,6 +392,14 @@ def test_poly_parse_refuses_an_empty_factor(ctx, text):
     coefficient 2 (which over F_4 would make x0**2 the zero polynomial)."""
     with pytest.raises(ParseError, match="empty factor"):
         poly_parse(ctx, 2, text)
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx.rationals(), ff_make(2, 2)], ids=["QQ", "F4"])
+def test_poly_parse_names_the_whole_polynomial(ctx):
+    """A doubled sign leaves an empty term after its '-'; the message quotes
+    the text the user gave, not the empty term."""
+    with pytest.raises(ParseError, match=re.escape("empty factor in 'x0 - -x1'")):
+        poly_parse(ctx, 2, "x0 - -x1")
 
 
 def test_poly_parse_subtraction_convenience():
