@@ -339,16 +339,23 @@ def vectorized_identity(r: Representation) -> list[Scalar]:
 
 def permutation_rep(group: MatrixGroup,
                     perms: Iterable[Sequence[int]]) -> Representation:
-    """The matrices P_g with P_g e_k = e_{pi[k]}, one per pi in element order;
-    the pi compose as the group does (left translations, or basis perms)."""
+    """The matrices P_g with P_g e_k = e_{pi[k]}, one per pi in element order.
+    The pi must compose as the group does, pi_hs = pi_h o pi_s for every h and
+    generator s, which is checked on the tuples: |S|*|G|*dim steps, no product."""
     ctx = group.ctx
     zero, one = ctx._zero, ctx._one
+    perms = list(map(tuple, perms))
     mats = []
     for pi in perms:
         rows = [[zero] * len(pi) for _ in pi]
         for k, t in enumerate(pi):
             rows[t][k] = one
         mats.append(Matrix._raw(ctx, tuple(map(tuple, rows))))
+    if len(perms) == group.order and not all(
+            perms[hs] == tuple(map(perms[h].__getitem__, perms[s]))
+            for k, s in enumerate(group.generator_indices)
+            for h, hs in enumerate(group.right[k])):
+        raise GroupMismatch("the matrices are not a homomorphism of the group")
     return Representation(group, mats, _trusted=True)
 
 

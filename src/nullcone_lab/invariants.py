@@ -37,8 +37,8 @@ from .fields import FieldCtx, Scalar, lift
 from .groups import (PermutationBasis, Representation, capped_power, permutation_rep,
                      power_text)
 from .linalg import Matrix, _make_eliminator, annihilation_check, rank
-from .poly import (Monomial, Polynomial, mono_basis, substitution_images,
-                   _basis_index, _exponent_basis)
+from .poly import (Monomial, Polynomial, mono_basis, monomial_images,
+                   substitution_images, _basis_index, _exponent_basis)
 
 DEFAULT_POINT_CAP = 10**6
 # monomial columns of one invariant space; the largest that the tests, the
@@ -54,7 +54,7 @@ def substitution_constraint_rows(matrix: Matrix, d: int) -> Iterator[dict[int, S
     """Rows of (B - I) where B is the degree-d action of the substitution
     x -> Mx on coefficient vectors: the kernel is the fixed space.  At
     degree 1, B is M^T, so row r is column r of M; above it, column c of B
-    holds the image of the c-th basis monomial."""
+    holds the image of the c-th basis monomial, one term if M is monomial."""
     ctx, nvars = matrix.ctx, matrix.nrows
     if d == 1:
         rows = [{} for _ in range(nvars)]
@@ -62,12 +62,18 @@ def substitution_constraint_rows(matrix: Matrix, d: int) -> Iterator[dict[int, S
             for r in itertools.compress(range(nvars), form):  # zeros skipped in C
                 rows[r][c] = Scalar(ctx, form[r])
     else:
-        index = _basis_index(nvars, d)
-        rows = [{} for _ in range(len(index))]
-        for mono, image in substitution_images(matrix, _exponent_basis(nvars, d)):
-            col = index[mono]
-            for exps, coeff in image.items():
-                rows[index[exps]][col] = coeff
+        basis, index = _exponent_basis(nvars, d), _basis_index(nvars, d)
+        rows = [{} for _ in basis]
+        decoded = monomial_images(matrix, basis)
+        if decoded is not None:
+            targets, coeffs = decoded
+            for col, (r, coeff) in enumerate(zip(map(index.__getitem__, targets), coeffs)):
+                rows[r][col] = coeff
+        else:
+            for mono, image in substitution_images(matrix, basis):
+                col = index[mono]
+                for exps, coeff in image.items():
+                    rows[index[exps]][col] = coeff
     one = ctx.one
     minus_one = -one
     for col, row in enumerate(rows):

@@ -526,9 +526,40 @@ def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCt
 
     When they are the kernel basis of some rows, a row passes exactly when
     adding it would not raise their rank: their row space is the annihilator
-    of their kernel.  The sums run on raw values over the row's columns,
-    through a column -> [(vector, raw value)] index.
+    of their kernel.  In characteristic 2 each column is one int of n
+    bit-planes, K bits each for K vectors: bit i*K + k is bit i of vector k's
+    value there.  A row passes when the XOR of its entries' planes is zero,
+    each scaled through _mul_plan only where the entry is not one.  Elsewhere
+    the sums run on raw values over the row's columns.
     """
+    if ctx.is_finite and ctx.p == 2:
+        width = len(kernel_vectors)
+        shifts, full = [i * width for i in range(ctx.n)], (1 << width) - 1
+        # a raw value with its bit i moved to bit i * width
+        spread = functools.cache(lambda v: sum(((v >> i) & 1) << shift
+                                               for i, shift in enumerate(shifts)))
+        masks: dict[int, int] = {}
+        for k, vec in enumerate(kernel_vectors):
+            for c, s in vec.items():
+                masks[c] = masks.get(c, 0) | spread(s.val) << k
+        masks_get = masks.get
+
+        def scaled(mask: int, a: int) -> int:
+            planes = [(mask >> shift) & full for shift in shifts]
+            out = 0
+            for shift, srcs in zip(shifts, _mul_plan(ctx, a)):
+                for j in srcs:
+                    out ^= planes[j] << shift
+            return out
+
+        def annihilates(row: dict[int, Scalar]) -> bool:
+            acc = 0
+            for c, s in row.items():
+                mask = masks_get(c)
+                if mask:
+                    acc ^= mask if s.val == 1 else scaled(mask, s.val)
+            return not acc
+        return annihilates
     add, mul = ctx._add, ctx._mul
     by_column: dict[int, list] = {}
     for k, vec in enumerate(kernel_vectors):

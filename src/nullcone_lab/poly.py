@@ -12,8 +12,9 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import ContextMismatch, DimensionMismatch, ParseError
 from .fields import FieldCtx, Scalar
@@ -82,32 +83,31 @@ def _basis_index(nvars: int, d: int) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(_exponent_basis(nvars, d))}
 
 
-def substitution_images(matrix: Matrix, monomials: Iterable[tuple[int, ...]]
+def substitution_images(matrix: Matrix, monomials: Collection[tuple[int, ...]]
                         ) -> Iterator[tuple[tuple[int, ...], dict]]:
     """Yield (m, term dict of m(Mx)) for each exponent tuple m, where
     x_i -> sum_j M[i][j] x_j, in an order of the routine's choosing.
 
-    An invertible monomial matrix (x_i -> c_i x_{s(i)}, s a permutation)
-    sends x^e to the single term (prod c_i^e_i) x^f with f[s(i)] = e[i]:
-    one itemgetter call permutes each exponent tuple, in input order, and
-    coefficients are multiplied on raw values only where some c_i is not one.
-
-    Any other matrix builds each image on a shared prefix,
-    image(e) = image(e - e_i) * form_i, so one call serves a whole degree-d
-    basis or the sparse support of one polynomial alike.  The peeled
-    variable i is the sparsest form present (ties by index), which keeps
-    the products small.  Monomials are visited in the order of their prefix
-    chains, which `_chain_plan` fixes once per (monomials, build order), so
-    every shared prefix is built once and only the current chain is held.
+    An invertible monomial matrix sends each m to the single term that
+    `monomial_images` decodes, in input order.  Any other matrix builds each
+    image on a shared prefix, image(e) = image(e - e_i) * form_i, so one call
+    serves a whole degree-d basis or the sparse support of one polynomial
+    alike.  The peeled variable i is the sparsest form present (ties by
+    index), which keeps the products small.  Monomials are visited in the
+    order of their prefix chains, which `_chain_plan` fixes once per
+    (monomials, build order), so every shared prefix is built once and only
+    the current chain is held.
     While walking, a term's exponents are one integer with exponent j in
     slot j of a width that the largest degree cannot overflow, so a product
     with x_j is one addition; each yielded key is decoded once per call.
     """
+    decoded = monomial_images(matrix, monomials)
+    if decoded is not None:
+        for exps, target, coeff in zip(monomials, *decoded):
+            yield exps, {target: coeff}
+        return
     ctx, nvars = matrix.ctx, matrix.nrows
     forms = [[(j, c) for j, c in enumerate(row) if c] for row in matrix.rows]
-    if all(len(form) == 1 for form in forms) and len({f[0][0] for f in forms}) == nvars:
-        yield from _monomial_images(ctx, [form[0] for form in forms], monomials)
-        return
     one = ctx.one
     one_val = one.val
     # the chain of e adds the densest variables first, the sparsest last
@@ -172,27 +172,35 @@ def _chain_plan(monomials: tuple[tuple[int, ...], ...], build_order: tuple[int, 
     return next(w for w in (8, 16, 32, 64) if degree >> w == 0), tuple(plan)
 
 
-def _monomial_images(ctx: FieldCtx, entries: list,
-                     monomials: Iterable[tuple[int, ...]]
-                     ) -> Iterator[tuple[tuple[int, ...], dict]]:
-    """substitution_images for x_i -> c_i x_{s(i)}, entries[i] = (s(i), raw c_i)
-    with s a permutation: exponent j of an image is e[s^-1(j)]."""
+def monomial_images(matrix: Matrix, monomials: Collection[tuple[int, ...]]
+                    ) -> tuple[Iterator[tuple[int, ...]], Iterator[Scalar]] | None:
+    """For an invertible monomial matrix, x_i -> c_i x_{s(i)} with s a
+    permutation, the image (prod c_i^e_i) x^f of each x^e, f[s(i)] = e[i]:
+    an iterator of the f and one of the coefficients, both in input order.
+    The f are one itemgetter call per monomial; a coefficient is multiplied
+    on raw values only where some c_i is not one.  None for any other matrix."""
+    ctx, entries = matrix.ctx, []
+    for row in matrix.rows:
+        if len(row) - row.count(0) != 1:
+            return None
+        j = next(compress(count(), row))
+        entries.append((j, row[j]))
+    if len({j for j, _ in entries}) != len(entries):
+        return None
+    source = sorted(range(len(entries)), key=lambda i: entries[i][0])  # s^-1
+    permute = itemgetter(*source) if len(source) > 1 else tuple  # itemgetter(0) gives an int
     one = ctx.one
     one_val = one.val
     mul, power = ctx._mul, ctx._pow
-    source = sorted(range(len(entries)), key=lambda i: entries[i][0])  # s^-1
     scaled = [(i, c) for i, (_, c) in enumerate(entries) if c != one_val]
-    permute = itemgetter(*source) if len(source) > 1 else tuple  # itemgetter(0) gives an int
-    for exps in monomials:
-        coeff = one
-        if scaled:
-            val = one_val
-            for i, c in scaled:
-                if exps[i]:
-                    val = mul(val, power(c, exps[i]))
-            if val != one_val:
-                coeff = Scalar(ctx, val)
-        yield exps, {permute(exps): coeff}
+
+    def coeff(exps: tuple[int, ...]) -> Scalar:
+        val = one_val
+        for i, c in scaled:
+            if exps[i]:
+                val = mul(val, power(c, exps[i]))
+        return one if val == one_val else Scalar(ctx, val)
+    return map(permute, monomials), map(coeff, monomials) if scaled else repeat(one)
 
 
 class Polynomial:

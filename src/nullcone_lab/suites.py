@@ -30,6 +30,7 @@ from .errors import BadParameter, CharDividesDegree, UnknownSuite
 from .fields import FieldCtx, _is_probable_prime, ff_make
 from .groups import MatrixGroup, check_group_order, regular_rep
 from .invariants import (
+    _verify_invariant,
     check_column_count,
     check_generation,
     degree_reduce,
@@ -339,8 +340,7 @@ def suite_nagata_miyata() -> SuiteReport:
         reduced = degree_reduce(rep, f, v)
         ok = (reduced.degree() == 1
               and not reduced.evaluate(v).is_zero()
-              and all(rep.act_on_poly(g, reduced) == reduced
-                      for g in range(rep.group.order)))
+              and _verify_invariant(rep, reduced))
         claims.append(Claim(
             claim_id,
             f"degree_reduce({f_text}) at {v_vals} returns a verified "

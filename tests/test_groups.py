@@ -16,6 +16,7 @@ from nullcone_lab.groups import (
     dual_rep,
     find_permutation_basis,
     hom_rep,
+    permutation_rep,
     regular_rep,
     sym_power_rep,
     vectorized_identity,
@@ -386,6 +387,42 @@ def test_regular_rep_columns_sum_to_one():
     reg = regular_rep(klein_group(f2))
     for m in reg.matrices:
         assert m.permutation() is not None
+
+
+def test_permutation_rep_refuses_perms_that_do_not_compose_as_the_group():
+    """Z/4 over F_3 with the rotations by one and by two exchanged: pi_g
+    squares to the identity, not to pi_{g^2}, so the builder refuses them
+    with the constructor's error instead of answering for a non-homomorphism."""
+    group = cyclic_group(ff_make(3), 4)
+    assert group.generator_indices == [1]
+    with pytest.raises(GroupMismatch, match="not a homomorphism"):
+        permutation_rep(group, [(0, 1, 2, 3), (2, 3, 0, 1), (1, 2, 3, 0), (3, 0, 1, 2)])
+
+
+@pytest.mark.parametrize("make_group", [
+    lambda: cyclic_group(ff_make(3), 4),
+    lambda: klein_group(ff_make(2)),
+    lambda: symmetric_group_3(FieldCtx.rationals()),
+], ids=["Z4-F3", "klein-F2", "S3-QQ"])
+def test_checked_regular_rep_is_still_the_left_translations(make_group):
+    group = make_group()
+    rep = regular_rep(group)
+    assert [m.permutation() for m in rep.matrices] == \
+        [group.left_translation(g) for g in range(group.order)]
+    assert rep.verify_homomorphism()
+
+
+@pytest.mark.parametrize("make_rep", [
+    lambda: gl2_test_module(2, 2).rep,
+    lambda: sym_power_rep(gn_module(3, 1)[1], 2),
+], ids=["gl2-2-2", "vandermonde-S2-p3"])
+def test_checked_permutation_basis_action_is_still_its_perms(make_rep):
+    rep = make_rep()
+    pi = _permutation_rep(rep)
+    assert pi is not rep
+    assert [tuple(m.permutation()) for m in pi.matrices] == \
+        [tuple(p) for p in rep.permutation_basis().perms]
+    assert pi.verify_homomorphism()
 
 
 # -- permutation bases ---------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nullcone_lab.constructions import gl2_test_module, gn_module, va_translation_matrix
+from nullcone_lab import invariants
 from nullcone_lab.fields import FieldCtx, Scalar, ff_make
 from nullcone_lab.groups import (MatrixGroup, Representation, find_permutation_basis,
                                  regular_rep, sym_power_rep)
@@ -648,6 +649,69 @@ def test_degree_one_rows_of_a_64_variable_module_equal_the_walks():
     assert rep.dim == 64
     _assert_degree_one_rows_match_the_walk(
         [*rep.matrices, *(m.transpose() for m in rep.matrices)])
+
+
+_BULK_FIELDS = {"F2": lambda: ff_make(2), "F4": lambda: ff_make(2, 2),
+                "F3": lambda: ff_make(3), "F9": lambda: ff_make(3, 2),
+                "QQ": FieldCtx.rationals}
+
+
+def _monomial_matrix(ctx, perm, coeffs):
+    """x_i -> coeffs[i] x_perm[i], raw coefficients."""
+    return Matrix._raw(ctx, tuple(tuple(coeffs[i] if j == t else ctx._zero
+                                        for j in range(len(perm)))
+                                  for i, t in enumerate(perm)))
+
+
+def _assert_rows_match_the_walk(m, d):
+    bulk = list(substitution_constraint_rows(m, d))
+    # the same entries in the same order: the eliminators see one stream
+    assert [list(r.items()) for r in bulk] == [list(r.items()) for r in _rows_by_walk(m, d)]
+    return bulk
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(_BULK_FIELDS)), nvars=st.integers(1, 5),
+       d=st.integers(2, 4), units=st.booleans(), data=st.data())
+def test_bulk_monomial_rows_equal_the_walks(field, nvars, d, units, data):
+    """Rows of a monomial matrix at d >= 2 come from one list of targets;
+    drawn with every c_i = 1 (a permutation) or with any nonzero c_i."""
+    ctx = _BULK_FIELDS[field]()
+    if ctx.is_finite:
+        nonzero = st.sampled_from([s.val for s in ctx.enumerate() if s.val])
+    else:
+        nonzero = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
+                            st.integers(1, 3))
+    perm = data.draw(st.permutations(range(nvars)))
+    coeffs = [ctx._one if units else data.draw(nonzero) for _ in range(nvars)]
+    _assert_rows_match_the_walk(_monomial_matrix(ctx, perm, coeffs), d)
+
+
+@pytest.mark.parametrize("field,c,d", [
+    ("F4", 2, 2), ("F4", 2, 4), ("F3", 2, 3), ("F9", 4, 2), ("F9", 4, 3), ("F9", 4, 4),
+    ("QQ", Fraction(2), 2), ("QQ", Fraction(-1, 3), 3)])
+def test_bulk_rows_keep_a_fixed_monomials_diagonal_c_minus_one(field, c, d):
+    """x0 -> c x0 fixes x0^d with coefficient c^d != 1 (raw 2 in F_4 has
+    order 3, in F_3 order 2, raw 4 = z + 1 in F_9 order 8), so its diagonal
+    entry c^d - 1 is nonzero and stays in place; x1 and x2 are swapped."""
+    ctx = _BULK_FIELDS[field]()
+    m = _monomial_matrix(ctx, [0, 2, 1], [c, ctx._one, ctx._one])
+    rows = _assert_rows_match_the_walk(m, d)
+    cd = Scalar(ctx, c) ** d
+    assert not cd.is_one()
+    assert rows[0] == {0: cd - ctx.one}
+
+
+def test_monomial_invariant_spaces_need_no_substitution_walk(monkeypatch):
+    """cyclic:p=2,k=4 at degree 3: every constraint row, the generator's and
+    the re-check's, comes from the bulk monomial decoder."""
+    rep = regular_rep(cyclic_group(ff_make(2), 4))
+    expected = invariant_space(regular_rep(cyclic_group(ff_make(2), 4)), 3).basis
+
+    def refuse(*args):
+        raise AssertionError("substitution_images walked a monomial matrix")
+    monkeypatch.setattr(invariants, "substitution_images", refuse)
+    assert invariant_space(rep, 3).basis == expected
 
 
 @settings(max_examples=60, deadline=None)
