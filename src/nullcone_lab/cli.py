@@ -265,6 +265,15 @@ def cmd_compute(args) -> int:
                         field_order(pp, pn)
                     target = "QQ" if not pp else f"GF({pp})" if pn == 1 else f"GF({pp}^{pn})"
                     raise ContextMismatch(f"no canonical map {ff_make(p, e)!r} -> {target}")
+        elif args.gens and args.field and args.what == "sigma":
+            # the point count from the flags, before the field is built
+            p, e = _field_arg(args.field)
+            if p:
+                field_order(p, e)  # ff_make's checks
+            q = pointfield or (p, e)
+            dim = (len(args.gens.split("|")[0].split(";")), 1)  # rows of the first matrix
+            if _sized(q, dim):
+                check_point_count(q, dim)
     spec = _resolve_rep(args)
     rep = spec.rep
 

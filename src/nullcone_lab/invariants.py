@@ -63,17 +63,28 @@ def substitution_constraint_rows(matrix: Matrix, d: int) -> Iterator[dict[int, S
                 rows[r][c] = Scalar(ctx, form[r])
     else:
         basis, index = _exponent_basis(nvars, d), _basis_index(nvars, d)
-        rows = [{} for _ in basis]
         decoded = monomial_images(matrix, basis)
         if decoded is not None:
+            # B permutes the basis up to scalars: column col sends its monomial
+            # to row r with coefficient c, so row r is {col: c, r: -1}, or
+            # {r: c - 1} at a fixed monomial (empty when that is zero), each
+            # row written once with the entries in the general path's order
             targets, coeffs = decoded
-            for col, (r, coeff) in enumerate(zip(map(index.__getitem__, targets), coeffs)):
-                rows[r][col] = coeff
-        else:
-            for mono, image in substitution_images(matrix, basis):
-                col = index[mono]
-                for exps, coeff in image.items():
-                    rows[index[exps]][col] = coeff
+            one = ctx.one
+            minus_one = -one
+            rows = [None] * len(basis)
+            for col, (r, c) in enumerate(zip(map(index.__getitem__, targets), coeffs)):
+                if r != col:
+                    rows[r] = {col: c, r: minus_one}
+                else:
+                    val = c - one
+                    rows[r] = {r: val} if val.val else {}
+            return iter(rows)
+        rows = [{} for _ in basis]
+        for mono, image in substitution_images(matrix, basis):
+            col = index[mono]
+            for exps, coeff in image.items():
+                rows[index[exps]][col] = coeff
     one = ctx.one
     minus_one = -one
     for col, row in enumerate(rows):
@@ -152,11 +163,10 @@ def invariant_space(rep: Representation, d: int) -> InvariantSpace:
     for g in range(group.order):
         if g == group.identity_index or g in gen_set:
             continue
-        for row in substitution_constraint_rows(rep.inverse_matrix(g), d):
-            if row and not annihilates(row):
-                raise AssertionError(
-                    "generator-fixed space not fixed by the whole group; "
-                    "the closure or the representation is inconsistent")
+        if not annihilates(substitution_constraint_rows(rep.inverse_matrix(g), d)):
+            raise AssertionError(
+                "generator-fixed space not fixed by the whole group; "
+                "the closure or the representation is inconsistent")
     exponents = _exponent_basis(nvars, d)
     basis = [Polynomial(ctx, nvars, {exponents[c]: s for c, s in vec.items()},
                         _trusted=True)

@@ -384,9 +384,10 @@ class _PackedChar2Eliminator:
             bits |= ((pl >> col) & 1) << i
         return bits
 
-    def pack(self, row: dict) -> list[int]:
+    def pack(self, entries: Iterable[tuple[int, int]]) -> list[int]:
+        """Bit planes of (column, raw value) pairs, grouped by value first."""
         masks: dict = {}  # raw value -> columns holding it
-        for c, v in row.items():
+        for c, v in entries:
             masks[v] = masks.get(v, 0) | (1 << c)
         planes = [0] * self.nplanes
         for bits, mask in masks.items():
@@ -399,9 +400,11 @@ class _PackedChar2Eliminator:
         """Clear `planes` at the pivot columns in `hits`, where it is nonzero.
 
         Each pivot row used is cleared first, so it changes no other hit's
-        coefficient and one pass in any order suffices.
+        coefficient and one pass in any order suffices.  A hit whose
+        coefficient is one, as every hit over F_2 is, costs one XOR per plane.
         """
         mask = self._pivot_mask
+        single = self.nplanes == 1
         while hits:
             c = (hits & -hits).bit_length() - 1
             hits &= hits - 1
@@ -409,8 +412,11 @@ class _PackedChar2Eliminator:
                 if self._support(self.pivots[c]) & (mask ^ self._cleared[c]):
                     self._clean(1 << c)
                 self._cleared[c] = mask
-            scaled = self._scaled(self.pivots[c], self._coeff_at(planes, c))
-            planes = [a ^ b for a, b in zip(planes, scaled)]
+            if single:
+                planes = [planes[0] ^ self.pivots[c][0]]
+            else:
+                scaled = self._scaled(self.pivots[c], self._coeff_at(planes, c))
+                planes = [a ^ b for a, b in zip(planes, scaled)]
         return planes
 
     def _clean(self, cols: int) -> None:
@@ -439,15 +445,31 @@ class _PackedChar2Eliminator:
             self.pivots[c] = self._reduce(planes, hits)
             self._cleared[c] = mask
 
-    # the {column: Scalar} interface over add_raw and raw_kernel_basis
-    add_row = _GenericEliminator.add_row
+    # the generic engine's kernel_basis over raw_kernel_basis, and its rank
     kernel_basis = _GenericEliminator.kernel_basis
     rank = _GenericEliminator.rank
 
+    def add_row(self, row: dict[int, Scalar]) -> bool:
+        """Pack a {column: Scalar} row straight into planes, with no copy
+        of raw values; over F_2 each value is its column's bit."""
+        if self.nplanes == 1:
+            bits = 0
+            for c, s in row.items():
+                bits |= s.val << c
+            return self._insert([bits])
+        return self._insert(self.pack((c, s.val) for c, s in row.items()))
+
     def add_raw(self, row: dict) -> bool:
-        planes = self.pack(row)
-        planes = self._reduce(planes, self._support(planes) & self._pivot_mask)
+        return self._insert(self.pack(row.items()))
+
+    def _insert(self, planes: list[int]) -> bool:
+        """Reduce a packed row at the pivots it hits, if any, and keep what
+        is left as the pivot row of its highest column, led by one."""
         support = self._support(planes)
+        hits = support & self._pivot_mask
+        if hits:
+            planes = self._reduce(planes, hits)
+            support = self._support(planes)
         if not support:
             return False
         lead = support.bit_length() - 1
@@ -522,15 +544,18 @@ def rank(vectors: Iterable[Sequence[Scalar]], ncols: int, ctx: FieldCtx) -> int:
 
 
 def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCtx):
-    """A test of row . k = 0 for every one of the sparse vectors k.
+    """A test that row . k = 0 for every row of a stream and every one of the
+    sparse vectors k; it stops at the first row that fails.
 
     When they are the kernel basis of some rows, a row passes exactly when
     adding it would not raise their rank: their row space is the annihilator
     of their kernel.  In characteristic 2 each column is one int of n
     bit-planes, K bits each for K vectors: bit i*K + k is bit i of vector k's
-    value there.  A row passes when the XOR of its entries' planes is zero,
-    each scaled through _mul_plan only where the entry is not one.  Elsewhere
-    the sums run on raw values over the row's columns.
+    value there.  A row passes when the XOR of its entries' planes is zero.
+    Over F_2 every nonzero entry is one.  Over F_{2^n} the masks of a row's
+    entries that share a value are XORed first, and each value other than
+    one scales its sum once through _mul_plan, as multiplication is linear.
+    Other fields sum raw-value products over the row's columns.
     """
     if ctx.is_finite and ctx.p == 2:
         width = len(kernel_vectors)
@@ -544,6 +569,18 @@ def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCt
                 masks[c] = masks.get(c, 0) | spread(s.val) << k
         masks_get = masks.get
 
+        if ctx.n == 1:
+            def annihilates(rows: Iterable[dict[int, Scalar]]) -> bool:
+                for row in rows:
+                    acc = 0
+                    for c, s in row.items():
+                        if s.val:
+                            acc ^= masks_get(c, 0)
+                    if acc:
+                        return False
+                return True
+            return annihilates
+
         def scaled(mask: int, a: int) -> int:
             planes = [(mask >> shift) & full for shift in shifts]
             out = 0
@@ -552,13 +589,19 @@ def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCt
                     out ^= planes[j] << shift
             return out
 
-        def annihilates(row: dict[int, Scalar]) -> bool:
-            acc = 0
-            for c, s in row.items():
-                mask = masks_get(c)
-                if mask:
-                    acc ^= mask if s.val == 1 else scaled(mask, s.val)
-            return not acc
+        def annihilates(rows: Iterable[dict[int, Scalar]]) -> bool:
+            for row in rows:
+                by_value: dict[int, int] = {}
+                for c, s in row.items():
+                    mask = masks_get(c)
+                    if mask:
+                        by_value[s.val] = by_value.get(s.val, 0) ^ mask
+                acc = 0
+                for a, mask in by_value.items():
+                    acc ^= mask if a == 1 else scaled(mask, a)
+                if acc:
+                    return False
+            return True
         return annihilates
     add, mul = ctx._add, ctx._mul
     by_column: dict[int, list] = {}
@@ -566,19 +609,22 @@ def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCt
         for c, s in vec.items():
             by_column.setdefault(c, []).append((k, s.val))
 
-    def annihilates(row: dict[int, Scalar]) -> bool:
-        acc: dict[int, object] = {}
-        for c, s in row.items():
-            hits = by_column.get(c)
-            if hits is None:
-                continue
-            a = s.val
-            unit = a == 1
-            for k, b in hits:
-                prod = b if unit else mul(a, b)
-                old = acc.get(k)
-                acc[k] = prod if old is None else add(old, prod)
-        return not any(acc.values())
+    def annihilates(rows: Iterable[dict[int, Scalar]]) -> bool:
+        for row in rows:
+            acc: dict[int, object] = {}
+            for c, s in row.items():
+                hits = by_column.get(c)
+                if hits is None:
+                    continue
+                a = s.val
+                unit = a == 1
+                for k, b in hits:
+                    prod = b if unit else mul(a, b)
+                    old = acc.get(k)
+                    acc[k] = prod if old is None else add(old, prod)
+            if any(acc.values()):
+                return False
+        return True
     return annihilates
 
 

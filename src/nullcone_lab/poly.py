@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import ContextMismatch, DimensionMismatch, ParseError
@@ -301,7 +301,7 @@ class Polynomial:
         out: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 acc = out.get(e)
                 s = c if acc is None else acc + c
@@ -348,22 +348,24 @@ class Polynomial:
         for s in point:
             if s.ctx != self.ctx:
                 raise ContextMismatch("point coordinate from a different context")
+        # each term walks its support only; zero and one are their own
+        # powers, a zero drops the term before it is added, and a unit power
+        # makes no product
         total = self.ctx.zero
         power_cache: dict[tuple[int, int], Scalar] = {}
         for exps, coeff in self.terms.items():
             val = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    key = (i, e)
-                    p = power_cache.get(key)
-                    if p is None:
-                        p = point[i] ** e
-                        power_cache[key] = p
-                    if p.val != 1:  # a unit or zero factor costs no product
-                        val = p if val.val == 1 or not p.val else val * p
-                        if val.is_zero():
-                            break
-            total = total + val
+            for key in compress(enumerate(exps), exps):
+                p = power_cache.get(key)
+                if p is None:
+                    x = point[key[0]]
+                    p = power_cache[key] = x ** key[1] if x.val and x.val != 1 else x
+                if p.val != 1:
+                    if not p.val:
+                        break
+                    val = p if val.val == 1 else val * p
+            else:
+                total = total + val
         return total
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":

@@ -441,6 +441,42 @@ def test_sigma_counts_points_before_it_builds_the_point_field(capsys, monkeypatc
         (2, "", "error: NotPrime: 4 is not prime\n")
 
 
+@pytest.mark.parametrize("gens, field, extra, count", [
+    ("1,1;0,1", "2,600", (), f"{2**600}^2"),
+    ("1,1;0,1", "2,20000", (), "(2^20000)^2"),
+    ("1,1;0,1", "2", ("--pointfield", "2,2000"), f"{2**2000}^2"),
+    ("0,1,0;0,0,1;1,0,0|0,1,0;1,0,0;0,0,1", "2,7", (), "128^3"),
+])
+def test_oversized_gens_sigma_is_refused_before_the_field_is_built(
+        capsys, monkeypatch, gens, field, extra, count):
+    """--gens and --field fix the point count as a module spec does: the
+    refusal comes before any extension field or group is built, in well
+    under a second, with the --module refusal's message."""
+    from nullcone_lab import fields
+    from nullcone_lab.groups import MatrixGroup
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built before the count")
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the group was closed before the count")
+    monkeypatch.setattr(fields, "_least_irreducible", no_field)
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
+    start = time.perf_counter()
+    result = run_cli(capsys, "compute", "sigma", "--gens", gens, "--field", field, *extra,
+                     "--dmax", "1", "--json")
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", f"error: TooManyPoints: {count} points exceeds the cap 1000000\n")
+
+
+def test_gens_sigma_within_the_cap_checks_its_field_first(capsys):
+    assert run_cli(capsys, "compute", "sigma", "--gens", "1,1;0,1", "--field", "4,600",
+                   "--dmax", "1") == (2, "", "error: NotPrime: 4 is not prime\n")
+    code, out, _ = run_cli(capsys, "compute", "sigma", "--gens", "1,1;0,1", "--field", "2,2",
+                           "--dmax", "2", "--json")
+    assert code == 0 and json.loads(out)["value"] == 2
+
+
 def test_delta_counts_fixed_points_before_it_builds_the_point_field(capsys, monkeypatch):
     """V^G of the regular C_8 module is one line over F_2, and so over every
     extension: (2^2000)^1 points are refused with F_{2^2000} never built."""

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from nullcone_lab.errors import (
     TooManyPoints,
     VanishesAtPoint,
 )
-from nullcone_lab.constructions import gl2_test_module
+from nullcone_lab.constructions import gl2_test_module, va_joint_group
 from nullcone_lab.fields import FieldCtx, Scalar, ff_make
 from nullcone_lab.groups import MatrixGroup, Representation, regular_rep
 from nullcone_lab.invariants import (
@@ -222,6 +223,38 @@ def test_recheck_refuses_an_inconsistent_representation(ctx, engine, d):
     rep = z4_tampered_after_construction(ctx, 2, 3)
     with pytest.raises(AssertionError, match="not fixed by the whole group"):
         invariant_space(rep, d)
+
+
+@pytest.mark.parametrize("make_rep, degrees", [
+    (lambda: regular_rep(cyclic_group(ff_make(2), 8)), (1, 2, 3, 4)),
+    (lambda: va_joint_group(2, 1, (2, 3))[1], (1, 2, 3, 4)),
+], ids=["cyclic-p2-k8", "va-joint-p2-n1"])
+def test_one_build_reads_the_rows_of_every_element_once(make_rep, degrees, monkeypatch):
+    """A build makes the constraint rows of each non-identity element once,
+    the generators' for the kernel and every other element's for the
+    re-check, and reads each stream to its end."""
+    from nullcone_lab import invariants
+    rep = make_rep()
+    group = rep.group
+    real_rows = invariants.substitution_constraint_rows
+    calls = []
+
+    def counted_rows(matrix, d):
+        rows = list(real_rows(matrix, d))
+        call = [matrix.rows, len(rows), 0]  # matrix, rows built, rows read
+        calls.append(call)
+        for row in rows:
+            call[2] += 1
+            yield row
+    monkeypatch.setattr(invariants, "substitution_constraint_rows", counted_rows)
+    wanted = Counter(rep.inverse_matrix(g).rows for g in range(group.order)
+                     if g != group.identity_index)
+    assert len(wanted) == group.order - 1 > len(group.generator_indices)
+    for d in degrees:
+        calls.clear()
+        invariant_space(rep, d)
+        assert Counter(rows for rows, _, _ in calls) == wanted
+        assert all(read == built for _, built, read in calls)
 
 
 @pytest.mark.parametrize("ctx", [ctx for ctx, _ in RECHECK_FIELDS],

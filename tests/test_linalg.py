@@ -380,6 +380,27 @@ def test_lazy_clearing_survives_clones_and_midstream_reads(field, ncols, data):
     _check_against_oracle(ctx, ncols, elim, rows)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), ncols=st.integers(1, 70), data=st.data())
+def test_packed_add_row_agrees_with_add_raw(n, ncols, data):
+    """add_row packs {column: Scalar} rows into planes itself; add_raw packs
+    the rows' raw values.  Over F_2, F_4 and F_8 both give the generic
+    engine's rank answer row by row and its kernel; zero entries are dropped."""
+    ctx = ff_make(2, n)
+    entry = st.sampled_from(ctx.enumerate())
+    rows = data.draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=5),
+                              max_size=12))
+    scalars, raw = _PackedChar2Eliminator(ctx, ncols), _PackedChar2Eliminator(ctx, ncols)
+    generic = _GenericEliminator(ctx, ncols)
+    for row in rows:
+        grew = generic.add_row(dict(row))
+        assert scalars.add_row(dict(row)) == grew
+        assert raw.add_raw({c: s.val for c, s in row.items() if s.val}) == grew
+    assert scalars.rank == raw.rank == generic.rank
+    assert scalars.pivots == raw.pivots
+    assert scalars.kernel_basis() == raw.kernel_basis() == generic.kernel_basis()
+
+
 _ANNIHILATION_FIELDS = {**_FIELDS, "F8": lambda: ff_make(2, 3), "F16": lambda: ff_make(2, 4)}
 
 
@@ -407,6 +428,7 @@ def test_annihilation_check_matches_rank_raising(field, ncols, data):
     for row in rows:
         elim.add_row(_sparse_scalars(row))
     annihilates = annihilation_check(elim.clone().kernel_basis(), ctx)
+    drawn, passing = [], []
     for _ in range(4):
         row = data.draw(row_st)
         if rows and data.draw(st.booleans()):  # a combination of the rows
@@ -415,7 +437,38 @@ def test_annihilation_check_matches_rank_raising(field, ncols, data):
                 c = data.draw(entry)
                 row = [a + c * b for a, b in zip(row, other)]
         raises = elim.clone().add_row(_sparse_scalars(row))
-        assert annihilates(_sparse_scalars(row)) == (not raises)
+        assert annihilates([_sparse_scalars(row)]) == (not raises)
+        drawn.append(_sparse_scalars(row))
+        passing.append(not raises)
+    # a stream passes exactly when each of its rows does
+    assert annihilates(iter(drawn)) == all(passing)
+
+
+@pytest.mark.parametrize("field", ["F2", "F4", "F3"])
+def test_annihilation_check_fails_a_stream_at_any_bad_row(field):
+    """Rows in the span of some rows pass as one stream; one row off the
+    span, at any place in the stream, fails it."""
+    ctx = _FIELDS[field]()
+    rng = random.Random(71 + ctx.p * ctx.n)
+    elems = ctx.enumerate()
+    ncols = 9
+    rows = [[rng.choice(elems) for _ in range(ncols)] for _ in range(4)]
+    elim = _make_eliminator(ctx, ncols)
+    for row in rows:
+        elim.add_row(_sparse_scalars(row))
+    annihilates = annihilation_check(elim.clone().kernel_basis(), ctx)
+    good = []
+    for _ in range(6):
+        combo = [ctx.zero] * ncols
+        for other in rows:
+            c = rng.choice(elems)
+            combo = [a + c * b for a, b in zip(combo, other)]
+        good.append(_sparse_scalars(combo))
+    bad = next(row for row in ([rng.choice(elems) for _ in range(ncols)] for _ in range(100))
+               if elim.clone().add_row(_sparse_scalars(row)))
+    assert annihilates(iter(good)) and annihilates([])
+    for k in range(len(good) + 1):
+        assert not annihilates(iter(good[:k] + [_sparse_scalars(bad)] + good[k:]))
 
 
 # -- the sparse matrix kernel against a dense triple loop -------------------------------

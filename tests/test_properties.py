@@ -714,6 +714,40 @@ def test_monomial_invariant_spaces_need_no_substitution_walk(monkeypatch):
     assert invariant_space(rep, 3).basis == expected
 
 
+def _naive_evaluate(f, point):
+    """sum of coeff * prod x_i^e_i, with Scalar ** and * on every factor."""
+    total = f.ctx.zero
+    for exps, coeff in f.terms.items():
+        term = coeff
+        for x, e in zip(point, exps):
+            term = term * x ** e
+        total = total + term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(_BULK_FIELDS)), nvars=st.integers(1, 5),
+       data=st.data())
+def test_evaluate_equals_the_naive_sum_of_products(field, nvars, data):
+    """evaluate walks a term's support only and skips zero terms and unit
+    powers; the value is the naive one.  Coordinates are drawn from zero,
+    one, a value with x^e = 1 for a small e > 1 (-1, or a cube root of one
+    in F_4), and any value."""
+    ctx = _BULK_FIELDS[field]()
+    if ctx.is_finite:
+        anything = st.sampled_from(ctx.enumerate())
+    else:
+        anything = st.builds(lambda a, b: ctx.scalar(Fraction(a, b)),
+                             st.integers(-4, 4), st.integers(1, 3))
+    root_of_one = ctx.scalar(2) if field == "F4" else -ctx.one
+    coordinate = st.sampled_from([ctx.zero, ctx.one, root_of_one]) | anything
+    point = [data.draw(coordinate) for _ in range(nvars)]
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = data.draw(st.dictionaries(exps, anything, max_size=8))
+    f = Polynomial(ctx, nvars, terms)
+    assert f.evaluate(point) == _naive_evaluate(f, point)
+
+
 @settings(max_examples=60, deadline=None)
 @given(group=fixed_space_groups())
 def test_fixed_space_points_are_enumerated_in_sorted_order(group):
