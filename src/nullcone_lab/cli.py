@@ -8,12 +8,10 @@ JSON output is byte-identical across reruns with the same parameters.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import __version__
@@ -33,7 +31,6 @@ from .invariants import (
 )
 from .linalg import Matrix
 from .poly import Polynomial, poly_parse
-from .suites import ALL_SUITE_RUNS, SUITES, run_suite
 
 
 def _dump_json(payload) -> None:
@@ -41,6 +38,7 @@ def _dump_json(payload) -> None:
 
 
 def _dump_csv(rows) -> None:
+    import csv
     csv.writer(sys.stdout).writerows(rows)
 
 
@@ -64,14 +62,16 @@ def _field(p: int, n: int) -> FieldCtx:
     return FieldCtx.rationals() if p == 0 else ff_make(p, n)
 
 
-@dataclass
 class ModuleSpec:
     """A named builder instance: e.g. va:p=2,n=1,m=2 or gl2:p=2,n=2."""
 
-    rep: Representation
-    label: str
-    make_candidates: Callable[[], list[Polynomial]] | None = None  # run on each read
-    default_point: list | None = None
+    def __init__(self, rep: Representation, label: str,
+                 make_candidates: Callable[[], list[Polynomial]] | None = None,
+                 default_point: list | None = None):
+        self.rep = rep
+        self.label = label
+        self.make_candidates = make_candidates  # run on each read
+        self.default_point = default_point
 
     @property
     def candidates(self) -> list[Polynomial] | None:
@@ -202,6 +202,7 @@ def _resolve_generators(spec: ModuleSpec, rep: Representation,
 
 
 def cmd_verify(args) -> int:
+    from .suites import ALL_SUITE_RUNS, run_suite  # only verify pays for the suites
     if args.budget is not None and not args.budget >= 0:  # NaN too
         raise BadParameter(f"--budget must be >= 0, got {args.budget}")
     params = {key: getattr(args, key) for key in ("p", "n", "nmax")}
@@ -353,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument("suite", help=f"one of {sorted(SUITES)} or 'all'")
+    verify.add_argument("suite", help="a suite name, or 'all'; an unknown name "
+                                      "lists the suites")
     verify.add_argument("--p", type=int, default=None)
     verify.add_argument("--n", type=int, default=None)
     verify.add_argument("--nmax", type=int, default=None)

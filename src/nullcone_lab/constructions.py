@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -158,21 +157,22 @@ def gn_module(p: int, n: int) -> tuple[MatrixGroup, Representation]:
     return group, group.natural_rep()
 
 
-@dataclass
 class VandermondeReport:
     """Outcome of checking S^(q-1) of the translation module against the
     regular representation: the orbit of the pure power of the moved basis
     vector must be a nonsingular (Vandermonde) system carrying a free,
     transitive permutation action."""
 
-    p: int
-    n: int
-    basis_found: bool
-    coefficient_pattern_ok: bool
-    nonsingular: bool
-    free: bool
-    transitive: bool
-    fixes_no_slot: bool
+    def __init__(self, p: int, n: int, basis_found: bool, coefficient_pattern_ok: bool,
+                 nonsingular: bool, free: bool, transitive: bool, fixes_no_slot: bool):
+        self.p = p
+        self.n = n
+        self.basis_found = basis_found
+        self.coefficient_pattern_ok = coefficient_pattern_ok
+        self.nonsingular = nonsingular
+        self.free = free
+        self.transitive = transitive
+        self.fixes_no_slot = fixes_no_slot
 
     @property
     def passed(self) -> bool:
@@ -249,16 +249,16 @@ def va_translation_matrix(ctx: FieldCtx, t: Scalar, twist: int) -> Matrix:
     return Matrix(ctx, [[o, z, z], [-t, o, z], [-(t**twist), z, o]])
 
 
-@dataclass
 class VaModule:
     """Level-m finite stage of the twisted translation action on k^3; its
     degree-p^n parametric action and candidates are built on first read."""
 
-    p: int
-    n: int
-    m: int
-    group: MatrixGroup
-    rep: Representation
+    def __init__(self, p: int, n: int, m: int, group: MatrixGroup, rep: Representation):
+        self.p = p
+        self.n = n
+        self.m = m
+        self.group = group
+        self.rep = rep
 
     @property
     def ctx(self) -> FieldCtx:
@@ -368,16 +368,17 @@ def va_joint_group(p: int, n: int, levels: tuple[int, int]) -> tuple[MatrixGroup
 # the endomorphism module for the delta lower bound
 
 
-@dataclass
 class Gl2Module:
     """Hom(S^(p^n-1) V, S^(p^n-1) V) for the translation group U_n."""
 
-    p: int
-    n: int
-    group: MatrixGroup
-    sym: Representation
-    rep: Representation
-    identity_point: list[Scalar]
+    def __init__(self, p: int, n: int, group: MatrixGroup, sym: Representation,
+                 rep: Representation, identity_point: list[Scalar]):
+        self.p = p
+        self.n = n
+        self.group = group
+        self.sym = sym
+        self.rep = rep
+        self.identity_point = identity_point
 
     @property
     def dim(self) -> int:
@@ -398,7 +399,6 @@ def gl2_test_module(p: int, n: int) -> Gl2Module:
 # the finite-torus module for the sigma construction
 
 
-@dataclass
 class TorusModule:
     """V + S^m(V*) for a one-dimensional weight-r module of the torus F_q*.
 
@@ -406,15 +406,18 @@ class TorusModule:
     (weight m*r, dual to y0^m); the distinguished point is v0 + y0^m = (1, 1).
     """
 
-    q: int
-    r: int
-    m: int
-    group: MatrixGroup
-    rep: Representation
-    weights: tuple[int, int]
-    modulus: int
-    point: list[Scalar]
-    witness: Polynomial
+    def __init__(self, q: int, r: int, m: int, group: MatrixGroup, rep: Representation,
+                 weights: tuple[int, int], modulus: int, point: list[Scalar],
+                 witness: Polynomial):
+        self.q = q
+        self.r = r
+        self.m = m
+        self.group = group
+        self.rep = rep
+        self.weights = weights
+        self.modulus = modulus
+        self.point = point
+        self.witness = witness
 
     @property
     def ctx(self) -> FieldCtx:
@@ -485,15 +488,17 @@ def torus_module(q: int, r: int, m: int) -> TorusModule:
 # the rational 4-dimensional two-parameter example
 
 
-@dataclass
 class Ga2Example:
     """Two commuting one-parameter flows on k^4 over the rationals."""
 
-    action: ParametricAction
-    h_action: ParametricAction
-    candidates: list[Polynomial]
-    h_invariants: list[Polynomial]
-    point: list[Scalar]
+    def __init__(self, action: ParametricAction, h_action: ParametricAction,
+                 candidates: list[Polynomial], h_invariants: list[Polynomial],
+                 point: list[Scalar]):
+        self.action = action
+        self.h_action = h_action
+        self.candidates = candidates
+        self.h_invariants = h_invariants
+        self.point = point
 
     @property
     def ctx(self) -> FieldCtx:

@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 from collections import Counter, abc
-from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -127,7 +126,6 @@ def _fixed_space(ctx: FieldCtx, nvars: int, matrices: Iterable[Matrix],
     return elim.kernel_basis()
 
 
-@dataclass
 class InvariantSpace:
     """Canonical basis of the degree-d invariants of a representation.
 
@@ -135,8 +133,9 @@ class InvariantSpace:
     would hold both until a full garbage collection.
     """
 
-    degree: int
-    basis: list[Polynomial]
+    def __init__(self, degree: int, basis: list[Polynomial]):
+        self.degree = degree
+        self.basis = basis
 
     @property
     def dim(self) -> int:
@@ -213,22 +212,28 @@ def reynolds(rep: Representation, f: Polynomial) -> Polynomial:
 # separation reports
 
 
-@dataclass
 class SeparationReport:
-    """Result of an epsilon/delta/sigma computation with verified witness."""
+    """Result of an epsilon/delta/sigma computation with verified witness.
 
-    kind: str
-    value: int | None
-    witness: Polynomial | None
-    points: list[list[Scalar]]
-    degree_bound: int
-    field: FieldCtx
-    undetermined_points: list[list[Scalar]] = dataclass_field(default_factory=list)
-    certified_complete: bool | None = None
-    # every enumerated point with its epsilon (None = unseparated), built on
-    # first read; kept for table exports, not serialised into the JSON report
-    point_values: Sequence[tuple[list[Scalar], int | None]] = \
-        dataclass_field(default_factory=list)
+    point_values holds every enumerated point with its epsilon (None =
+    unseparated), built on first read; it is kept for table exports, not
+    serialised into the JSON report.  Both lists default to fresh empty ones.
+    """
+
+    def __init__(self, kind: str, value: int | None, witness: Polynomial | None,
+                 points: list[list[Scalar]], degree_bound: int, field: FieldCtx,
+                 undetermined_points: list[list[Scalar]] | None = None,
+                 certified_complete: bool | None = None,
+                 point_values: Sequence[tuple[list[Scalar], int | None]] | None = None):
+        self.kind = kind
+        self.value = value
+        self.witness = witness
+        self.points = points
+        self.degree_bound = degree_bound
+        self.field = field
+        self.undetermined_points = [] if undetermined_points is None else undetermined_points
+        self.certified_complete = certified_complete
+        self.point_values = [] if point_values is None else point_values
 
     @property
     def determined(self) -> bool:
@@ -583,15 +588,16 @@ def sigma_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
 # nullcone membership
 
 
-@dataclass
 class NullconeStatus:
     """Verdict for one point: separated (out), certified in, or unknown."""
 
-    point: list[Scalar]
-    verdict: str  # "out" | "in" | "unknown"
-    certificate: Polynomial | None
-    degree_bound: int
-    generators: list[Polynomial] | None = None
+    def __init__(self, point: list[Scalar], verdict: str, certificate: Polynomial | None,
+                 degree_bound: int, generators: list[Polynomial] | None = None):
+        self.point = point
+        self.verdict = verdict  # "out" | "in" | "unknown"
+        self.certificate = certificate
+        self.degree_bound = degree_bound
+        self.generators = generators
 
     def to_dict(self) -> dict:
         return {
@@ -671,18 +677,17 @@ def degree_reduce(rep: Representation, f: Polynomial,
 # bounded-degree generation certificates
 
 
-@dataclass
 class DegreeVerdict:
-    degree: int
-    candidate_dim: int
-    invariant_dim: int
+    def __init__(self, degree: int, candidate_dim: int, invariant_dim: int):
+        self.degree = degree
+        self.candidate_dim = candidate_dim
+        self.invariant_dim = invariant_dim
 
     @property
     def equal(self) -> bool:
         return self.candidate_dim == self.invariant_dim
 
 
-@dataclass
 class GenerationCertificate:
     """Degreewise comparison of a candidate subalgebra with the invariants.
 
@@ -692,9 +697,11 @@ class GenerationCertificate:
     there: the sandwich argument's two inclusions.
     """
 
-    candidates: list[Polynomial]
-    degree_bound: int
-    verdicts: list[DegreeVerdict]
+    def __init__(self, candidates: list[Polynomial], degree_bound: int,
+                 verdicts: list[DegreeVerdict]):
+        self.candidates = candidates
+        self.degree_bound = degree_bound
+        self.verdicts = verdicts
 
     @property
     def all_equal(self) -> bool:

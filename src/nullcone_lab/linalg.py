@@ -376,9 +376,9 @@ class _PackedChar2Eliminator:
             acc |= pl
         return acc
 
-    def _coeff_at(self, planes: list[int], col: int) -> int:
-        if self.nplanes == 1:
-            return (planes[0] >> col) & 1
+    @staticmethod
+    def _coeff_at(planes: list[int], col: int) -> int:
+        """The raw value at col, one bit from each plane."""
         bits = 0
         for i, pl in enumerate(planes):
             bits |= ((pl >> col) & 1) << i
@@ -473,10 +473,11 @@ class _PackedChar2Eliminator:
         if not support:
             return False
         lead = support.bit_length() - 1
-        # normalise so the leading coefficient is 1
-        coeff = self._coeff_at(planes, lead)
-        if coeff != 1:
-            planes = self._scaled(planes, self.ctx._inv(coeff))
+        # normalise so the leading coefficient is 1, as every one over F_2 is
+        if self.nplanes != 1:
+            coeff = self._coeff_at(planes, lead)
+            if coeff != 1:
+                planes = self._scaled(planes, self.ctx._inv(coeff))
         self._pivot_mask |= 1 << lead
         self.pivots[lead] = planes
         self._cleared[lead] = self._pivot_mask
@@ -487,13 +488,14 @@ class _PackedChar2Eliminator:
         # -x = x in characteristic 2
         basis = {j: {j: 1} for j in range(self.ncols) if j not in self.pivots}
         free = ~self._pivot_mask
+        single = self.nplanes == 1  # every nonzero entry over F_2 is one
         for c in sorted(self.pivots):
             planes = self.pivots[c]
             rest = self._support(planes) & free
             while rest:
                 j = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                basis[j][c] = self._coeff_at(planes, j)
+                basis[j][c] = 1 if single else self._coeff_at(planes, j)
         return list(basis.values())
 
 

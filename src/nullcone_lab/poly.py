@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, repeat
 from operator import add, itemgetter
@@ -21,15 +20,28 @@ from .fields import FieldCtx, Scalar
 from .linalg import Matrix
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """An exponent vector with its cached total degree."""
+    """An exponent vector with its cached total degree; immutable, and equal
+    and hashed by its exponents.  `degree` is always sum(exps): the argument
+    is accepted and ignored."""
 
-    exps: tuple[int, ...]
-    degree: int = -1
+    __slots__ = ("exps", "degree")
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", sum(self.exps))
+    def __init__(self, exps: tuple[int, ...], degree: int = -1):
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "degree", sum(exps))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.exps == other.exps if other.__class__ is Monomial else NotImplemented
+
+    def __hash__(self):
+        return hash(self.exps)
 
     @property
     def nvars(self) -> int:

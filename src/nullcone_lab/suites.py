@@ -7,9 +7,7 @@ Suite reports are byte-identical across reruns with the same parameters
 
 from __future__ import annotations
 
-import inspect
 import time
-from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 from . import __version__
@@ -44,12 +42,12 @@ from .linalg import Matrix
 from .poly import poly_parse
 
 
-@dataclass
 class Claim:
-    claim_id: str
-    statement: str
-    expected: object
-    computed: object
+    def __init__(self, claim_id: str, statement: str, expected: object, computed: object):
+        self.claim_id = claim_id
+        self.statement = statement
+        self.expected = expected
+        self.computed = computed
 
     @property
     def passed(self) -> bool:
@@ -61,13 +59,14 @@ class Claim:
                 "pass": self.passed}
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    parameters: dict
-    claims: list[Claim]
-    seed_data: dict = dataclass_field(default_factory=dict)
-    duration_s: float = 0.0  # informational only; never serialised
+    def __init__(self, suite: str, parameters: dict, claims: list[Claim],
+                 seed_data: dict | None = None, duration_s: float = 0.0):
+        self.suite = suite
+        self.parameters = parameters
+        self.claims = claims
+        self.seed_data = {} if seed_data is None else seed_data
+        self.duration_s = duration_s  # informational only; never serialised
 
     @property
     def passed(self) -> bool:
@@ -432,7 +431,8 @@ def run_suite(name: str, deadline: float | None = None, **params) -> SuiteReport
     for key, value in params.items():
         if value < 1:
             raise BadParameter(f"--{key} must be >= 1, got {value}")
-    unknown = [k for k in params if k not in inspect.signature(runner).parameters]
+    code = runner.__code__
+    unknown = [k for k in params if k not in code.co_varnames[:code.co_argcount]]
     if unknown:
         raise BadParameter(f"suite {name!r} takes no "
                            + ", ".join(f"--{k}" for k in unknown))

@@ -73,9 +73,64 @@ def test_verify_bad_parameter(capsys):
 
 
 def test_verify_unknown_suite(capsys):
+    """The error lists every suite, as `verify --help` says it does."""
     code, _, err = run_cli(capsys, "verify", "no-such-suite")
     assert code == 2
     assert "unknown suite" in err
+    assert all(repr(name) in err for name in SUITES)
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "an unknown name lists the suites" in " ".join(capsys.readouterr().out.split())
+
+
+# what each command imports: a compute run neither compiles the suites nor
+# loads dataclasses, inspect or csv; verify loads the suites alone
+STARTUP_PROBE = """
+import json, sys
+import nullcone_lab.cli as cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(json.dumps([code] + [name for name in ("nullcone_lab.suites", "dataclasses",
+                                             "inspect", "csv") if name in sys.modules]),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["compute", "sigma", "--module", "cyclic:p=2,k=3", "--dmax", "2", "--json"], []),
+    (["verify", "binomial"], ["nullcone_lab.suites"]),
+])
+def test_a_command_imports_only_what_it_runs(argv, loaded):
+    """In a fresh interpreter that compiles every module it imports, as
+    one with bytecode writing off does."""
+    import os
+    import subprocess
+    import sys
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0] + loaded
+
+
+# stdout sha256s from before the suites and csv were imported on demand;
+# `verify` text carries each suite's duration, which is dropped before hashing
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "all"], "0e9e84902d38b041a95aa315c9d6cccd26127056db5eaf1a65fb38d10e9fce4a"),
+    (["verify", "all", "--csv"],
+     "abe60dd5962aedcc6edf65649c719976d1b141af14e35017d01b8c198d55c9fe"),
+    (["compute", "sigma", "--module", "va:p=3,n=1,m=2", "--dmax", "3", "--csv"],
+     "b4b70c1fbf45f7894838ed494eea6dfcf304ae31ff85c8809b93a0e1bf11b740"),
+], ids=["verify-all-text", "verify-all-csv", "va-sigma-csv"])
+def test_text_and_csv_output_is_pinned(capsys, argv, digest):
+    import hashlib
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out = re.sub(r"  \[\d+\.\d\ds\]$", "", out, flags=re.M)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_json_validates_and_is_deterministic(capsys):
