@@ -18,7 +18,7 @@ from . import __version__
 from .constructions import (cyclic_field_order, cyclic_group, gl2_test_module, gn_module,
                             torus_field_order, torus_module, va_field_order, va_module)
 from .errors import BadParameter, CapExceeded, ContextMismatch, NullconeLabError, UnknownSuite
-from .fields import FieldCtx, ff_make, field_order
+from .fields import FieldCtx, ff_make, field_order, lifts
 from .groups import MatrixGroup, Representation, check_group_order, regular_rep
 from .invariants import (
     check_point_count,
@@ -259,9 +259,9 @@ def cmd_compute(args) -> int:
             if args.what == "sigma" and _sized(q, dim):
                 check_point_count(q, dim)
             if pointfield:
-                p, e = field_checks()  # F_q lifts into itself, F_p into every F_p^n
-                pp, pn = pointfield
-                if pp != p or pn != e and (e > 1 or pn < 1):
+                p, e = field_checks()
+                if not lifts((p, e), pointfield):
+                    pp, pn = pointfield
                     if pp:  # ff_make's checks; a refused point field is named, not built
                         field_order(pp, pn)
                     target = "QQ" if not pp else f"GF({pp})" if pn == 1 else f"GF({pp}^{pn})"

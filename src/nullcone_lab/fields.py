@@ -687,11 +687,19 @@ def frobenius(a: Scalar, iterations: int = 1) -> Scalar:
     return a ** (a.ctx.p ** iterations)
 
 
+def lifts(source: tuple[int, int], target: tuple[int, int]) -> bool:
+    """Whether a field of order (p, a) has a canonical embedding into one of
+    order (q, b), with (0, 1) for the rationals: there is one of a field into
+    itself, and of a prime field into an extension of it."""
+    (p, a), (q, b) = source, target
+    return p == q and (a == b or a == 1 < b)
+
+
 def check_lift(source: FieldCtx, target: FieldCtx) -> None:
-    """Refuse a pair of fields with no canonical embedding: there is one of
-    a field into itself, and of a prime field into an extension of it."""
-    if not (source is target or (source.kind == "prime" and target.kind == "extension"
-                                 and source.p == target.p)):
+    """Refuse a pair of fields with no canonical embedding; two fields of one
+    order are one field here only if they are the same context."""
+    if not (source is target or source.n != target.n
+            and lifts((source.p, source.n), (target.p, target.n))):
         raise ContextMismatch(f"no canonical map {source!r} -> {target!r}")
 
 

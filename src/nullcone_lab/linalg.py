@@ -1,22 +1,22 @@
 """Exact linear algebra over a FieldCtx: dense matrices of raw field values
 with sparse products, and streamed elimination.
 
-Two elimination engines sit behind one interface, both on raw field values:
-a generic one holding rows as sparse {column: value} dicts, and a
-characteristic-2 engine that packs each of the n coefficient planes of a row
-into one Python int, so row operations become big-int XORs.  Constraint rows
-are streamed into the eliminator one at a time; the full stacked matrix is
-never materialised.  Both engines pivot on a row's highest column, which
-makes their kernel basis the canonical reduced row-echelon one without a
-second elimination, and both clear a pivot row of later pivots lazily: only
-when a new row uses it, and once for all rows when the kernel is read.  The
-kernel comes out as one sparse {column: Scalar} dict per free column, and
-kernel() makes it dense; Matrix.inverse uses add_raw and raw_kernel_basis.
+Two elimination engines sit behind one interface: a generic one holding rows
+as sparse {column: raw value} dicts over any field, and one for F_2 alone
+that packs each row into one Python int, so a row operation is one big-int
+XOR.  F_{2^n} for n > 1 takes the generic engine, as odd characteristic and
+the rationals do.  Constraint rows are streamed into the eliminator one at a
+time; the full stacked matrix is never materialised.  Both engines pivot on
+a row's highest column, which makes their kernel basis the canonical reduced
+row-echelon one without a second elimination, and both clear a pivot row of
+later pivots lazily: only when a new row uses it, and once for all rows when
+the kernel is read.  The kernel comes out as one sparse {column: Scalar}
+dict per free column, and kernel() makes it dense; Matrix.inverse uses
+add_raw and raw_kernel_basis.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Sequence
 
 from .errors import ContextMismatch, DimensionMismatch, NotInvertible, ParseError
@@ -202,12 +202,13 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # row reduction engines
 #
-# Rows enter as sparse {column: Scalar} or raw-value dicts and are held as
-# raw values.  A row's pivot is its highest nonzero column.  A new row is
+# Rows enter as sparse {column: Scalar} or raw-value dicts.  The generic
+# engine holds them as raw values, the F_2 engine as one int each, bit j
+# for column j.  A row's pivot is its highest nonzero column.  A new row is
 # reduced against the pivot rows it hits, then joins them; they are not
 # cleared of its pivot at once.  Instead each pivot row remembers which pivot
 # columns it is already cleared of, and is cleared of the rest only when an
-# incoming row uses it (the packed engine: only if it is nonzero at one of
+# incoming row uses it (the F_2 engine: only if it is nonzero at one of
 # them) or when kernel_basis() is read.  A cleared pivot row vanishes at
 # every other pivot column, so reducing against the rows a new row hits is
 # one pass in any order, and adding a pivot scans no other pivot row.
@@ -322,28 +323,16 @@ class _GenericEliminator:
         return list(basis.values())
 
 
-# A packed coefficient is an int whose bit i is the plane-i bit.  A field
-# value in characteristic 2, whether in F_2 or in F_{2^n}, already is that int.
-
-
-@functools.lru_cache(maxsize=4096)  # at least |F_4096^*|
-def _mul_plan(ctx: FieldCtx, coeff: int) -> tuple[tuple[int, ...], ...]:
-    """plan[i] = input planes XORed into output plane i under mul by coeff."""
-    products = [ctx._mul(coeff, 1 << j) for j in range(ctx.n)]
-    return tuple(tuple(j for j, prod in enumerate(products) if (prod >> i) & 1)
-                 for i in range(ctx.n))
-
-
 class _PackedChar2Eliminator:
-    """Rows over F_{2^n} as n bit-plane ints; column j lives at bit j."""
+    """Rows over F_2 as one int each: column j lives at bit j.  Every
+    nonzero entry is one, so clearing a row at a pivot is one XOR."""
 
     def __init__(self, ctx: FieldCtx, ncols: int):
-        if not (ctx.p == 2 and ctx.is_finite):
-            raise AssertionError("the packed eliminator needs a field of characteristic 2")
+        if ctx.cardinality != 2:
+            raise AssertionError("the packed eliminator needs the field F_2")
         self.ctx = ctx
-        self.nplanes = ctx.n
         self.ncols = ncols
-        self.pivots: dict[int, list[int]] = {}
+        self.pivots: dict[int, int] = {}
         self._pivot_mask = 0
         # pivot column -> mask of the pivot columns (its own included) that
         # its row is cleared of
@@ -351,73 +340,27 @@ class _PackedChar2Eliminator:
 
     def clone(self) -> "_PackedChar2Eliminator":
         out = _PackedChar2Eliminator(self.ctx, self.ncols)
-        # plane lists are replaced, never changed in place, so they are shared
         out.pivots = dict(self.pivots)
         out._pivot_mask = self._pivot_mask
         out._cleared = dict(self._cleared)
         return out
 
-    def _scaled(self, planes: list[int], coeff: int) -> list[int]:
-        if coeff == 1:
-            return planes
-        return [self._xor_all(planes, srcs) for srcs in _mul_plan(self.ctx, coeff)]
+    def _reduce(self, row: int, hits: int) -> int:
+        """Clear `row` at the pivot columns in `hits`, where it is one.
 
-    @staticmethod
-    def _xor_all(planes: list[int], srcs: tuple[int, ...]) -> int:
-        acc = 0
-        for j in srcs:
-            acc ^= planes[j]
-        return acc
-
-    @staticmethod
-    def _support(planes: list[int]) -> int:
-        acc = 0
-        for pl in planes:
-            acc |= pl
-        return acc
-
-    @staticmethod
-    def _coeff_at(planes: list[int], col: int) -> int:
-        """The raw value at col, one bit from each plane."""
-        bits = 0
-        for i, pl in enumerate(planes):
-            bits |= ((pl >> col) & 1) << i
-        return bits
-
-    def pack(self, entries: Iterable[tuple[int, int]]) -> list[int]:
-        """Bit planes of (column, raw value) pairs, grouped by value first."""
-        masks: dict = {}  # raw value -> columns holding it
-        for c, v in entries:
-            masks[v] = masks.get(v, 0) | (1 << c)
-        planes = [0] * self.nplanes
-        for bits, mask in masks.items():
-            for i in range(self.nplanes):
-                if (bits >> i) & 1:
-                    planes[i] |= mask
-        return planes
-
-    def _reduce(self, planes: list[int], hits: int) -> list[int]:
-        """Clear `planes` at the pivot columns in `hits`, where it is nonzero.
-
-        Each pivot row used is cleared first, so it changes no other hit's
-        coefficient and one pass in any order suffices.  A hit whose
-        coefficient is one, as every hit over F_2 is, costs one XOR per plane.
+        Each pivot row used is cleared first, so it changes no other hit and
+        one pass in any order suffices.
         """
-        mask = self._pivot_mask
-        single = self.nplanes == 1
+        mask, pivots, cleared = self._pivot_mask, self.pivots, self._cleared
         while hits:
             c = (hits & -hits).bit_length() - 1
             hits &= hits - 1
-            if self._cleared[c] != mask:  # stale only if nonzero at a pivot since
-                if self._support(self.pivots[c]) & (mask ^ self._cleared[c]):
+            if cleared[c] != mask:  # stale only if nonzero at a pivot since
+                if pivots[c] & (mask ^ cleared[c]):
                     self._clean(1 << c)
-                self._cleared[c] = mask
-            if single:
-                planes = [planes[0] ^ self.pivots[c][0]]
-            else:
-                scaled = self._scaled(self.pivots[c], self._coeff_at(planes, c))
-                planes = [a ^ b for a, b in zip(planes, scaled)]
-        return planes
+                cleared[c] = mask
+            row ^= pivots[c]
+        return row
 
     def _clean(self, cols: int) -> None:
         """Clear the pivot rows at `cols` that are nonzero at pivots added since.
@@ -432,7 +375,7 @@ class _PackedChar2Eliminator:
         while todo:
             c = todo.bit_length() - 1
             todo ^= 1 << c
-            pending = self._support(self.pivots[c]) & (mask ^ self._cleared[c])
+            pending = self.pivots[c] & (mask ^ self._cleared[c])
             if pending:
                 stale |= 1 << c
                 todo |= pending & ~seen
@@ -440,9 +383,8 @@ class _PackedChar2Eliminator:
         while stale:
             c = (stale & -stale).bit_length() - 1
             stale &= stale - 1
-            planes = self.pivots[c]
-            hits = self._support(planes) & (mask ^ self._cleared[c])
-            self.pivots[c] = self._reduce(planes, hits)
+            row = self.pivots[c]
+            self.pivots[c] = self._reduce(row, row & (mask ^ self._cleared[c]))
             self._cleared[c] = mask
 
     # the generic engine's kernel_basis over raw_kernel_basis, and its rank
@@ -450,57 +392,49 @@ class _PackedChar2Eliminator:
     rank = _GenericEliminator.rank
 
     def add_row(self, row: dict[int, Scalar]) -> bool:
-        """Pack a {column: Scalar} row straight into planes, with no copy
-        of raw values; over F_2 each value is its column's bit."""
-        if self.nplanes == 1:
-            bits = 0
-            for c, s in row.items():
-                bits |= s.val << c
-            return self._insert([bits])
-        return self._insert(self.pack((c, s.val) for c, s in row.items()))
+        """Pack a {column: Scalar} row straight into one int: a value over
+        F_2 is its column's bit."""
+        bits = 0
+        for c, s in row.items():
+            bits |= s.val << c
+        return self._insert(bits)
 
     def add_raw(self, row: dict) -> bool:
-        return self._insert(self.pack(row.items()))
+        bits = 0
+        for c, v in row.items():
+            bits |= v << c
+        return self._insert(bits)
 
-    def _insert(self, planes: list[int]) -> bool:
+    def _insert(self, row: int) -> bool:
         """Reduce a packed row at the pivots it hits, if any, and keep what
-        is left as the pivot row of its highest column, led by one."""
-        support = self._support(planes)
-        hits = support & self._pivot_mask
+        is left as the pivot row of its highest column."""
+        hits = row & self._pivot_mask
         if hits:
-            planes = self._reduce(planes, hits)
-            support = self._support(planes)
-        if not support:
+            row = self._reduce(row, hits)
+        if not row:
             return False
-        lead = support.bit_length() - 1
-        # normalise so the leading coefficient is 1, as every one over F_2 is
-        if self.nplanes != 1:
-            coeff = self._coeff_at(planes, lead)
-            if coeff != 1:
-                planes = self._scaled(planes, self.ctx._inv(coeff))
+        lead = row.bit_length() - 1
         self._pivot_mask |= 1 << lead
-        self.pivots[lead] = planes
+        self.pivots[lead] = row
         self._cleared[lead] = self._pivot_mask
         return True
 
     def raw_kernel_basis(self) -> list[dict]:
         self._clean(self._pivot_mask)
-        # -x = x in characteristic 2
+        # -1 = 1, the only nonzero value of F_2
         basis = {j: {j: 1} for j in range(self.ncols) if j not in self.pivots}
         free = ~self._pivot_mask
-        single = self.nplanes == 1  # every nonzero entry over F_2 is one
         for c in sorted(self.pivots):
-            planes = self.pivots[c]
-            rest = self._support(planes) & free
+            rest = self.pivots[c] & free
             while rest:
                 j = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                basis[j][c] = 1 if single else self._coeff_at(planes, j)
+                basis[j][c] = 1
         return list(basis.values())
 
 
 def _make_eliminator(ctx: FieldCtx, ncols: int):
-    if ctx.is_finite and ctx.p == 2:
+    if ctx.cardinality == 2:
         return _PackedChar2Eliminator(ctx, ncols)
     return _GenericEliminator(ctx, ncols)
 
@@ -551,56 +485,24 @@ def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCt
 
     When they are the kernel basis of some rows, a row passes exactly when
     adding it would not raise their rank: their row space is the annihilator
-    of their kernel.  In characteristic 2 each column is one int of n
-    bit-planes, K bits each for K vectors: bit i*K + k is bit i of vector k's
-    value there.  A row passes when the XOR of its entries' planes is zero.
-    Over F_2 every nonzero entry is one.  Over F_{2^n} the masks of a row's
-    entries that share a value are XORed first, and each value other than
-    one scales its sum once through _mul_plan, as multiplication is linear.
-    Other fields sum raw-value products over the row's columns.
+    of their kernel.  Over F_2 each column is one int of K bits for K
+    vectors, bit k set where vector k is one there, and a row passes when
+    the XOR of its nonzero entries' ints is zero.  Other fields sum raw-value
+    products over the row's columns.
     """
-    if ctx.is_finite and ctx.p == 2:
-        width = len(kernel_vectors)
-        shifts, full = [i * width for i in range(ctx.n)], (1 << width) - 1
-        # a raw value with its bit i moved to bit i * width
-        spread = functools.cache(lambda v: sum(((v >> i) & 1) << shift
-                                               for i, shift in enumerate(shifts)))
+    if ctx.cardinality == 2:
         masks: dict[int, int] = {}
         for k, vec in enumerate(kernel_vectors):
             for c, s in vec.items():
-                masks[c] = masks.get(c, 0) | spread(s.val) << k
+                masks[c] = masks.get(c, 0) | s.val << k
         masks_get = masks.get
-
-        if ctx.n == 1:
-            def annihilates(rows: Iterable[dict[int, Scalar]]) -> bool:
-                for row in rows:
-                    acc = 0
-                    for c, s in row.items():
-                        if s.val:
-                            acc ^= masks_get(c, 0)
-                    if acc:
-                        return False
-                return True
-            return annihilates
-
-        def scaled(mask: int, a: int) -> int:
-            planes = [(mask >> shift) & full for shift in shifts]
-            out = 0
-            for shift, srcs in zip(shifts, _mul_plan(ctx, a)):
-                for j in srcs:
-                    out ^= planes[j] << shift
-            return out
 
         def annihilates(rows: Iterable[dict[int, Scalar]]) -> bool:
             for row in rows:
-                by_value: dict[int, int] = {}
-                for c, s in row.items():
-                    mask = masks_get(c)
-                    if mask:
-                        by_value[s.val] = by_value.get(s.val, 0) ^ mask
                 acc = 0
-                for a, mask in by_value.items():
-                    acc ^= mask if a == 1 else scaled(mask, a)
+                for c, s in row.items():
+                    if s.val:
+                        acc ^= masks_get(c, 0)
                 if acc:
                     return False
             return True

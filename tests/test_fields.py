@@ -20,8 +20,8 @@ from nullcone_lab.errors import (
     RationalContext,
     ReducibleModulus,
 )
-from nullcone_lab.fields import (FieldCtx, _is_irreducible, ff_make,
-                                 frobenius, least_primitive, lift)
+from nullcone_lab.fields import (FieldCtx, _is_irreducible, check_lift, ff_make,
+                                 frobenius, least_primitive, lift, lifts)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -262,6 +262,26 @@ def test_lift_prime_into_extension():
     assert lift(f2.one, f4) == f4.one
     with pytest.raises(ContextMismatch):
         lift(ff_make(3).one, f4)
+
+
+def test_the_lift_rule_on_orders_is_the_rule_on_fields():
+    """lifts() answers on orders (p, n), before any field is built, as
+    check_lift answers on the fields of those orders; a second modulus of
+    one order passes on orders and is refused on the fields."""
+    fields = [FieldCtx.rationals(), ff_make(2), ff_make(3), ff_make(2, 2),
+              ff_make(2, 3), ff_make(2, 4), ff_make(3, 2)]
+    for source in fields:
+        for target in fields:
+            try:
+                check_lift(source, target)
+                lifted = True
+            except ContextMismatch:
+                lifted = False
+            assert lifts((source.p, source.n), (target.p, target.n)) == lifted
+    other = ff_make(2, 3, modulus=(1, 0, 1, 1))
+    assert lifts((2, 3), (2, 3))
+    with pytest.raises(ContextMismatch):
+        check_lift(other, ff_make(2, 3))
 
 
 # -- the raw-value core against the schoolbook oracle ---------------------------------
