@@ -235,6 +235,18 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _check_point_lift(field: tuple[int, int], pointfield: tuple[int, int]) -> None:
+    """Refuse a point field that the module's field does not lift into, both
+    given by their orders, with check_lift's message; a refused point field is
+    named, not built."""
+    if not lifts(field, pointfield):
+        pp, pn = pointfield
+        if pp:  # ff_make's checks
+            field_order(pp, pn)
+        target = "QQ" if not pp else f"GF({pp})" if pn == 1 else f"GF({pp}^{pn})"
+        raise ContextMismatch(f"no canonical map {_field(*field)!r} -> {target}")
+
+
 # the flag each computation needs
 NEEDED_FLAG = {"epsilon": "dmax", "delta": "dmax", "sigma": "dmax",
                "invariant-space": "degree"}
@@ -259,22 +271,19 @@ def cmd_compute(args) -> int:
             if args.what == "sigma" and _sized(q, dim):
                 check_point_count(q, dim)
             if pointfield:
-                p, e = field_checks()
-                if not lifts((p, e), pointfield):
-                    pp, pn = pointfield
-                    if pp:  # ff_make's checks; a refused point field is named, not built
-                        field_order(pp, pn)
-                    target = "QQ" if not pp else f"GF({pp})" if pn == 1 else f"GF({pp}^{pn})"
-                    raise ContextMismatch(f"no canonical map {ff_make(p, e)!r} -> {target}")
-        elif args.gens and args.field and args.what == "sigma":
-            # the point count from the flags, before the field is built
+                _check_point_lift(field_checks(), pointfield)
+        elif args.gens and args.field:
+            # the point count and the lift from the flags, before the group is closed
             p, e = _field_arg(args.field)
             if p:
                 field_order(p, e)  # ff_make's checks
-            q = pointfield or (p, e)
-            dim = (len(args.gens.split("|")[0].split(";")), 1)  # rows of the first matrix
-            if _sized(q, dim):
-                check_point_count(q, dim)
+            if args.what == "sigma":
+                q = pointfield or (p, e)
+                dim = (len(args.gens.split("|")[0].split(";")), 1)  # rows of the first matrix
+                if _sized(q, dim):
+                    check_point_count(q, dim)
+            if pointfield:
+                _check_point_lift((p, e), pointfield)
     spec = _resolve_rep(args)
     rep = spec.rep
 

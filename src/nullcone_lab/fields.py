@@ -247,12 +247,16 @@ def _power(a: int, k: int, mul) -> int:
 
 
 def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, by trial division that stops
+    once the cofactor left after a factor passes ff_make's primality test."""
     out, d = [], 2
     while d * d <= m:
         if m % d == 0:
             out.append(d)
             while m % d == 0:
                 m //= d
+            if _is_probable_prime(m):
+                break
         d += 1
     if m > 1:
         out.append(m)

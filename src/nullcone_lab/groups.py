@@ -309,21 +309,23 @@ def hom_rep(r: Representation, s: Representation) -> Representation:
     dr, ds = r.dim, s.dim
     out = []
     zero, mul = ctx._zero, ctx._mul
+    n = ds * dr
     for g in range(r.group.order):
         sg = s.matrices[g].rows
-        rginv = r.inverse_matrix(g).rows
-        n = ds * dr
+        # the nonzeros (b, R_g^-1[b][l]) of each column l of R_g^-1; a product
+        # of two nonzeros is nonzero, so no entry needs a zero test
+        columns = [[(b, v) for b, v in enumerate(col) if v]
+                   for col in zip(*r.inverse_matrix(g).rows)]
         rows = [[zero] * n for _ in range(n)]
         for k in range(ds):
             for a in range(ds):
                 ska = sg[k][a]
                 if not ska:
                     continue
-                for l in range(dr):
-                    for b in range(dr):
-                        coeff = mul(ska, rginv[b][l])
-                        if coeff:
-                            rows[k * dr + l][a * dr + b] = coeff
+                for l, column in enumerate(columns):
+                    row = rows[k * dr + l]
+                    for b, v in column:
+                        row[a * dr + b] = mul(ska, v)
         out.append(Matrix._raw(ctx, tuple(map(tuple, rows))))
     return Representation(r.group, out, _trusted=True)
 

@@ -8,11 +8,11 @@ XOR.  F_{2^n} for n > 1 takes the generic engine, as odd characteristic and
 the rationals do.  Constraint rows are streamed into the eliminator one at a
 time; the full stacked matrix is never materialised.  Both engines pivot on
 a row's highest column, which makes their kernel basis the canonical reduced
-row-echelon one without a second elimination, and both clear a pivot row of
-later pivots lazily: only when a new row uses it, and once for all rows when
-the kernel is read.  The kernel comes out as one sparse {column: Scalar}
-dict per free column, and kernel() makes it dense; Matrix.inverse uses
-add_raw and raw_kernel_basis.
+row-echelon one without a second elimination.  The F_2 engine keeps plain
+echelon form and back-substitutes once when the kernel is read; the generic
+engine clears a pivot row of later pivots lazily.  The kernel comes out as
+one sparse {column: Scalar} dict per free column, and kernel() makes it
+dense; Matrix.inverse uses add_raw and raw_kernel_basis.
 """
 
 from __future__ import annotations
@@ -202,23 +202,33 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # row reduction engines
 #
-# Rows enter as sparse {column: Scalar} or raw-value dicts.  The generic
-# engine holds them as raw values, the F_2 engine as one int each, bit j
-# for column j.  A row's pivot is its highest nonzero column.  A new row is
-# reduced against the pivot rows it hits, then joins them; they are not
-# cleared of its pivot at once.  Instead each pivot row remembers which pivot
-# columns it is already cleared of, and is cleared of the rest only when an
-# incoming row uses it (the F_2 engine: only if it is nonzero at one of
-# them) or when kernel_basis() is read.  A cleared pivot row vanishes at
-# every other pivot column, so reducing against the rows a new row hits is
-# one pass in any order, and adding a pivot scans no other pivot row.
+# Rows enter as sparse {column: Scalar} or raw-value dicts; a row's pivot is
+# its highest nonzero column.
+#
+# The F_2 engine holds a row as one int, bit j for column j, in plain
+# echelon form: a new row XORs in the pivot row of the highest pivot column
+# it hits until it hits none, and what is left becomes a pivot row.  Reading
+# the kernel back-substitutes once, in ascending pivot order.  A XOR costs
+# one big-int operation however dense the rows, so the extra steps of an
+# uncleared pivot row cost little.
+#
+# The generic engine holds raw-value dicts and clears them lazily.  A new
+# row is reduced against the pivot rows it hits, then joins them; they are
+# not cleared of its pivot at once.  Each pivot row remembers how many
+# pivots it is cleared of, and is cleared of the rest only when an incoming
+# row uses it or when kernel_basis() is read.  A cleared pivot row vanishes
+# at every other pivot column, so reducing against the rows a new row hits
+# is one pass in any order, with no fill at lower pivots.  A dict
+# subtraction costs one step per entry, so that fill matters: plain echelon
+# on dict rows took two to five times as long on dense rows (1,546 against
+# 312 ms of CPU for the degree-3 rows of gl2:p=2,n=2, 337 against 157 ms
+# for the degree-4 rows of gl2:p=3,n=1, the best of two runs each).
 #
 # Once every pivot row is cleared, the kernel vector of a free column j is 1
 # at j, zero at the other free columns and nonzero only at pivot columns
 # above j: kernel_basis() is the unique reduced row-echelon basis of the
-# kernel, in ascending column order, whatever order the rows came in.  It is
-# read off each pivot row's entries at free columns, one sparse
-# {column: value} dict per free column.
+# kernel, in ascending column order, whatever order the rows came in, read
+# off the pivot rows' entries at free columns as one sparse dict each.
 
 
 def _subtract(row: dict, factor, pivot: dict, ctx: FieldCtx) -> None:
@@ -334,58 +344,12 @@ class _PackedChar2Eliminator:
         self.ncols = ncols
         self.pivots: dict[int, int] = {}
         self._pivot_mask = 0
-        # pivot column -> mask of the pivot columns (its own included) that
-        # its row is cleared of
-        self._cleared: dict[int, int] = {}
 
     def clone(self) -> "_PackedChar2Eliminator":
         out = _PackedChar2Eliminator(self.ctx, self.ncols)
         out.pivots = dict(self.pivots)
         out._pivot_mask = self._pivot_mask
-        out._cleared = dict(self._cleared)
         return out
-
-    def _reduce(self, row: int, hits: int) -> int:
-        """Clear `row` at the pivot columns in `hits`, where it is one.
-
-        Each pivot row used is cleared first, so it changes no other hit and
-        one pass in any order suffices.
-        """
-        mask, pivots, cleared = self._pivot_mask, self.pivots, self._cleared
-        while hits:
-            c = (hits & -hits).bit_length() - 1
-            hits &= hits - 1
-            if cleared[c] != mask:  # stale only if nonzero at a pivot since
-                if pivots[c] & (mask ^ cleared[c]):
-                    self._clean(1 << c)
-                cleared[c] = mask
-            row ^= pivots[c]
-        return row
-
-    def _clean(self, cols: int) -> None:
-        """Clear the pivot rows at `cols` that are nonzero at pivots added since.
-
-        A row's pending columns lie below its pivot column, so the rows they
-        need are collected first and every row is cleared in ascending column
-        order, against rows that are clear already: no recursion, however long
-        the chain of pending rows.
-        """
-        mask = self._pivot_mask
-        stale, todo, seen = 0, cols, cols
-        while todo:
-            c = todo.bit_length() - 1
-            todo ^= 1 << c
-            pending = self.pivots[c] & (mask ^ self._cleared[c])
-            if pending:
-                stale |= 1 << c
-                todo |= pending & ~seen
-                seen |= pending
-        while stale:
-            c = (stale & -stale).bit_length() - 1
-            stale &= stale - 1
-            row = self.pivots[c]
-            self.pivots[c] = self._reduce(row, row & (mask ^ self._cleared[c]))
-            self._cleared[c] = mask
 
     # the generic engine's kernel_basis over raw_kernel_basis, and its rank
     kernel_basis = _GenericEliminator.kernel_basis
@@ -406,26 +370,37 @@ class _PackedChar2Eliminator:
         return self._insert(bits)
 
     def _insert(self, row: int) -> bool:
-        """Reduce a packed row at the pivots it hits, if any, and keep what
-        is left as the pivot row of its highest column."""
-        hits = row & self._pivot_mask
-        if hits:
-            row = self._reduce(row, hits)
+        """XOR in the pivot row of the highest pivot hit until there is none:
+        a pivot row's highest bit is its pivot, so each XOR clears that bit
+        and changes only lower ones.  What is left is a new pivot row."""
+        pivots, mask = self.pivots, self._pivot_mask
+        hits = row & mask
+        while hits:
+            row ^= pivots[hits.bit_length() - 1]
+            hits = row & mask
         if not row:
             return False
         lead = row.bit_length() - 1
-        self._pivot_mask |= 1 << lead
-        self.pivots[lead] = row
-        self._cleared[lead] = self._pivot_mask
+        self._pivot_mask = mask | 1 << lead
+        pivots[lead] = row
         return True
 
     def raw_kernel_basis(self) -> list[dict]:
-        self._clean(self._pivot_mask)
+        """Back-substitute once, in ascending pivot order: the lower pivot
+        rows a row holds are clear already, so each XOR adds free bits only.
+        The rows keep their span and pivots: rows may be added after a read."""
+        pivots, mask = self.pivots, self._pivot_mask
         # -1 = 1, the only nonzero value of F_2
-        basis = {j: {j: 1} for j in range(self.ncols) if j not in self.pivots}
-        free = ~self._pivot_mask
-        for c in sorted(self.pivots):
-            rest = self.pivots[c] & free
+        basis = {j: {j: 1} for j in range(self.ncols) if j not in pivots}
+        for c in sorted(pivots):
+            row = pivots[c]
+            lower = (row & mask) ^ 1 << c
+            while lower:
+                j = (lower & -lower).bit_length() - 1
+                lower &= lower - 1
+                row ^= pivots[j]
+            pivots[c] = row
+            rest = row & ~mask
             while rest:
                 j = (rest & -rest).bit_length() - 1
                 rest &= rest - 1

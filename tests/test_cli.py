@@ -263,6 +263,19 @@ def test_va_with_a_huge_twist_is_answered_as_its_twist_mod_m(capsys):
     assert payload == expected
 
 
+def test_torus_with_a_large_prime_in_q_minus_1_is_answered_quickly(capsys):
+    """q - 1 = 2p for a prime p near 10^22, and r = p gives a group of order
+    2; finding the unit group's generator factors q - 1, and the trial
+    division stops at the prime cofactor p instead of running to its root."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "compute", "epsilon", "--module",
+                           "torus:q=20000000000000000000807,r=10000000000000000000403,m=1",
+                           "--dmax", "2")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert "= 2" in out and "witness: x0^2" in out
+
+
 def test_compute_undetermined_exit_code(capsys):
     # the trivial 1-dim module has no invariants vanishing nowhere... use a
     # nullcone point: epsilon at the origin is undetermined at any bound
@@ -585,6 +598,31 @@ def test_point_field_without_the_module_field_is_refused_before_the_group_is_bui
     assert code == 2
     assert out == ""
     assert err == f"error: ContextMismatch: no canonical map {GN16} -> {target}\n"
+
+
+@pytest.mark.parametrize("what", ["sigma", "delta"])
+def test_gens_point_field_without_the_field_is_refused_before_the_group_is_built(
+        capsys, monkeypatch, what):
+    """--field fixes the group's field as a spec does: F_4 does not lift into
+    F_8, which is refused, named by its order, before any group is closed
+    and with F_8 never built."""
+    from nullcone_lab import fields
+    from nullcone_lab.groups import MatrixGroup
+    least_irreducible = fields._least_irreducible
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the group was closed before the refusal")
+
+    def no_point_field(p, n):
+        if n == 3:
+            raise AssertionError("the refused point field was built")
+        return least_irreducible(p, n)
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
+    monkeypatch.setattr(fields, "_least_irreducible", no_point_field)
+    assert run_cli(capsys, "compute", what, "--gens", "1,1;0,1", "--field", "2,2",
+                   "--pointfield", "2,3", "--dmax", "2") == \
+        (2, "", "error: ContextMismatch: no canonical map "
+                "GF(2^2, modulus=z^2+z+1) -> GF(2^3)\n")
 
 
 def test_a_refused_point_field_is_named_not_built(capsys, monkeypatch):

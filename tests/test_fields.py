@@ -20,8 +20,8 @@ from nullcone_lab.errors import (
     RationalContext,
     ReducibleModulus,
 )
-from nullcone_lab.fields import (FieldCtx, _is_irreducible, check_lift, ff_make,
-                                 frobenius, least_primitive, lift, lifts)
+from nullcone_lab.fields import (FieldCtx, _is_irreducible, _prime_factors, check_lift,
+                                 ff_make, frobenius, least_primitive, lift, lifts)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -382,6 +382,17 @@ def test_epsilon_over_a_field_past_the_table_bound(capsys):
                      "--point", "1,0", "--dmax", "2"])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "epsilon(gens:1,1;0,1) = 2"
+
+
+def test_prime_factors_stop_at_a_prime_cofactor():
+    """Oracle: the primes below 3,000 that divide m, found one by one; and
+    2p for a prime p near 10^22 is factored without trial division to sqrt(p)."""
+    primes = [d for d in range(2, 3000) if all(d % e for e in range(2, d))]
+    for m in range(1, 3000):
+        assert _prime_factors(m) == [d for d in primes if m % d == 0]
+    p = 10000000000000000000403
+    assert _prime_factors(2 * p) == [2, p]
+    assert _prime_factors(2**5 * 3 * p) == [2, 3, p]
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (31, 1),

@@ -327,6 +327,38 @@ def test_hom_rep_fixes_identity_map():
         assert h.matrices[i].apply(idvec) == idvec
 
 
+def _random_group(ctx, rng):
+    """The group two random invertible 2x2 matrices over a finite ctx generate;
+    S_3 on three coordinates over the rationals."""
+    if not ctx.is_finite:
+        return symmetric_group_3(ctx)
+    elems, gens = ctx.enumerate(), []
+    while len(gens) < 2:
+        m = Matrix(ctx, [[rng.choice(elems) for _ in range(2)] for _ in range(2)])
+        if not m.det().is_zero():
+            gens.append(m)
+    return MatrixGroup.closure(gens)
+
+
+@pytest.mark.parametrize("ctx", [ff_make(2), ff_make(2, 2), ff_make(3), FieldCtx.rationals()],
+                         ids=["F2", "F4", "F3", "QQ"])
+def test_hom_rep_is_the_entrywise_kronecker_product(ctx):
+    """Entry (k*dim R + l, a*dim R + b) of Hom(R, S)_g is S_g[k][a] *
+    R_g^-1[b][l], on random groups and on pairs of unequal dimension."""
+    rng = random.Random(299 + ctx.p * 10 + ctx.n)
+    for _ in range(3):
+        nat = _random_group(ctx, rng).natural_rep()
+        for r, s in ((sym_power_rep(nat, 2), nat), (nat, dual_rep(nat)),
+                     (dual_rep(nat), sym_power_rep(nat, 2))):
+            h, dr, ds = hom_rep(r, s), r.dim, s.dim
+            for g in range(nat.group.order):
+                sg, rinv, hg = s.matrices[g], r.inverse_matrix(g), h.matrices[g]
+                assert [[hg[k * dr + l, a * dr + b] for a in range(ds) for b in range(dr)]
+                        for k in range(ds) for l in range(dr)] == \
+                    [[sg[k, a] * rinv[b, l] for a in range(ds) for b in range(dr)]
+                     for k in range(ds) for l in range(dr)]
+
+
 def test_hom_rep_rejects_mismatched_groups():
     f2 = ff_make(2)
     g1 = MatrixGroup.closure([unipotent(f2, f2.one)])

@@ -327,24 +327,6 @@ def test_invariant_space_eliminates_only_generator_rows(make_rep, monkeypatch):
         assert calls["rows"] > generator_rows  # the re-check rows were built
 
 
-def test_packed_eliminator_cleans_only_stale_pivot_rows(monkeypatch):
-    """On cyclic:p=2,k=8 at degree 7, most pivot rows a new row hits are
-    zero at every pivot that came since they were last cleaned: they are
-    stamped clean without entering _clean.  Cleaning every row not yet
-    stamped with the latest pivot mask would enter it 2,679 times."""
-    from nullcone_lab.cli import parse_module_spec
-    rep = parse_module_spec("cyclic:p=2,k=8").rep
-    entered = []
-    clean = _PackedChar2Eliminator._clean
-
-    def counted(self, cols):
-        entered.append(cols)
-        return clean(self, cols)
-    monkeypatch.setattr(_PackedChar2Eliminator, "_clean", counted)
-    assert invariant_space(rep, 7).dim == 429
-    assert 0 < len(entered) <= 400
-
-
 def test_constraint_rows_negate_one_once(monkeypatch):
     from nullcone_lab import invariants
     f3 = ff_make(3)

@@ -3,6 +3,7 @@ the packed characteristic-2 engine is checked against the generic one."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -87,23 +88,79 @@ def test_rank_and_rref():
     assert [[s.val for s in r] for r in reduced] == [[1, 2, 0], [0, 0, 1]]
 
 
-def test_packed_engine_agrees_with_generic():
-    """Oracle: the generic engine, on random matrices over F_2."""
-    ctx = ff_make(2)
+def _random_f2_streams(ctx):
+    """Twelve random matrices over F_2, against the two-pass oracle."""
     elems = ctx.enumerate()
     rng = random.Random(20241)
-    for trial in range(12):
+    for _ in range(12):
         ncols = rng.randint(1, 7)
         nrows = rng.randint(1, 9)
         rows = [[rng.choice(elems) for _ in range(ncols)] for _ in range(nrows)]
+        yield ncols, [_sparse_scalars(r) for r in rows], \
+            [_sparse_scalars(v) for v in _two_pass_kernel(rows, ncols, ctx)]
+
+
+def _cyclic_generator_streams(ctx):
+    """The generator rows of cyclic:p=2,k=8 at degrees 1-8, as invariant_space
+    streams them.  Each row is x_a + x_b for a monomial a and its image b, so
+    the kernel is spanned by the indicators of the classes those rows join,
+    one per class, at its lowest column."""
+    from nullcone_lab.cli import parse_module_spec
+    from nullcone_lab.invariants import substitution_constraint_rows
+    rep = parse_module_spec("cyclic:p=2,k=8").rep
+    for d in range(1, 9):
+        ncols = math.comb(rep.dim + d - 1, d)
+        rows = [row for g in rep.group.generator_indices
+                for row in substitution_constraint_rows(rep.inverse_matrix(g), d) if row]
+        parent = list(range(ncols))
+
+        def find(c):
+            while parent[c] != c:
+                c = parent[c]
+            return c
+        for row in rows:
+            assert len(row) == 2
+            a, b = map(find, row)
+            parent[max(a, b)] = min(a, b)
+        classes: dict = {}
+        for c in range(ncols):
+            classes.setdefault(find(c), {})[c] = ctx.one
+        expected = list(classes.values())
+        if d == 7:
+            assert len(expected) == 429
+        yield ncols, rows, expected
+
+
+def _chain_then_hub_streams(ctx):
+    """A descending chain {i, i+1} leaves each pivot row nonzero at the next
+    pivot down; the rows through the chain's top column after it walk the
+    chain, as does the read."""
+    ncols, top = 12, 8
+    chain = [[i, i + 1] for i in reversed(range(top))]
+    hub = [[top, 10], [top, 3, 11], [top, 0], [top, 9, 5], [top, 10, 11], [top, 1]]
+    rows = [[ctx.one if c in cols else ctx.zero for c in range(ncols)]
+            for cols in chain + hub]
+    yield ncols, [_sparse_scalars(r) for r in rows], \
+        [_sparse_scalars(v) for v in _two_pass_kernel(rows, ncols, ctx)]
+
+
+@pytest.mark.parametrize("streams", [_random_f2_streams, _cyclic_generator_streams,
+                                     _chain_then_hub_streams],
+                         ids=["random", "cyclic-p2-k8", "chain-then-hub"])
+def test_packed_engine_agrees_with_generic(streams):
+    """Oracle: the generic engine row by row, and the kernel each stream
+    knows; over F_2."""
+    ctx = ff_make(2)
+    for ncols, rows, expected in streams(ctx):
         gen = _GenericEliminator(ctx, ncols)
         packed = _PackedChar2Eliminator(ctx, ncols)
-        for r in rows:
-            row = {c: s for c, s in enumerate(r) if not s.is_zero()}
+        for row in rows:
             assert gen.add_row(dict(row)) == packed.add_row(dict(row))
         assert gen.rank == packed.rank
+        basis = packed.kernel_basis()
         assert [[(c, s.val) for c, s in v.items()] for v in gen.kernel_basis()] == \
-               [[(c, s.val) for c, s in v.items()] for v in packed.kernel_basis()]
+               [[(c, s.val) for c, s in v.items()] for v in basis]
+        assert basis == expected
 
 
 def test_kernel_canonical_regardless_of_row_order():
@@ -263,8 +320,8 @@ def test_kernel_and_rref_match_two_pass_oracle(ctx_maker):
 def _f2_row_stream(draw, ncols):
     """Rows of at most two nonzeros, dense rows, or a mix, over F_2.  A drawn
     prefix comes in descending pivot order, which leaves each old pivot row
-    nonzero at the lower pivots that come after it: truly stale rows that
-    the rows after the prefix may hit."""
+    nonzero at the lower pivots that come after it: rows not yet cleared,
+    which the rows after the prefix may hit."""
     values = st.integers(0, 1)  # raw values of F_2
     kind = draw(st.sampled_from(["sparse", "dense", "mixed"]))
     rows = []
@@ -295,7 +352,8 @@ def test_packed_engine_matches_generic_on_sparse_dense_and_stale_streams(ncols, 
 
 def test_a_truly_stale_pivot_row_is_cleaned_before_it_is_used():
     """{3, 5} is left nonzero at pivot 3 when {2, 3} arrives; the row {5}
-    then reduces through it, cleaned first of 3 and so of 2: to {2}."""
+    then reduces at its highest pivot hit, 5 and then 3: to {2}.  The read
+    clears each pivot row of the lower pivots: the kernel is e_0, e_1, e_4."""
     f2 = ff_make(2)
     packed = _PackedChar2Eliminator(f2, 6)
     for row in ({3: 1, 5: 1}, {2: 1, 3: 1}, {5: 1}):
