@@ -21,6 +21,7 @@ from .errors import BadParameter, CapExceeded, ContextMismatch, NullconeLabError
 from .fields import FieldCtx, ff_make, field_order, lifts
 from .groups import MatrixGroup, Representation, check_group_order, regular_rep
 from .invariants import (
+    check_column_count,
     check_point_count,
     delta_bounded,
     epsilon,
@@ -163,17 +164,26 @@ def parse_module_spec(text: str) -> ModuleSpec:
     return ModuleSpec(rep, text, candidates, point)
 
 
-def _resolve_rep(args) -> ModuleSpec:
+def _request(args) -> tuple[tuple[int, int], tuple[int, int], Callable[[], tuple[int, int]],
+                            Callable[[], ModuleSpec]]:
+    """The module that --module or --gens names, nothing built: (field, dim,
+    field_checks, build), with the field order and the dimension as pairs
+    (base, exp), the field's checks, which return (p, e), and the build."""
     if args.module:
-        return parse_module_spec(args.module)
-    if args.gens:
-        if not args.field:
-            raise BadParameter("--gens requires --field")
-        ctx = _field(*_field_arg(args.field))
+        _, _, (field, dim, _), field_checks = _checked_spec(args.module)
+        return field, dim, field_checks, lambda: parse_module_spec(args.module)
+    if not args.gens:
+        raise BadParameter("need --module or --gens")
+    if not args.field:
+        raise BadParameter("--gens requires --field")
+    p, e = _field_arg(args.field)
+    dim = (len(args.gens.split("|")[0].split(";")), 1)  # rows of the first matrix
+
+    def build() -> ModuleSpec:
+        ctx = _field(p, e)
         gens = [Matrix.parse(ctx, g.strip()) for g in args.gens.split("|")]
-        group = MatrixGroup.closure(gens)
-        return ModuleSpec(group.natural_rep(), f"gens:{args.gens}")
-    raise BadParameter("need --module or --gens")
+        return ModuleSpec(MatrixGroup.closure(gens).natural_rep(), f"gens:{args.gens}")
+    return (p, e), dim, lambda: field_order(p, e) if p else (p, e), build
 
 
 def _resolve_point(spec: ModuleSpec, rep: Representation, text: str | None):
@@ -260,31 +270,18 @@ def cmd_compute(args) -> int:
     flag = NEEDED_FLAG.get(args.what)
     if flag and getattr(args, flag) is None:
         raise BadParameter(f"{args.what} needs --{flag}")
-    pointfield = None
-    if args.what in ("delta", "sigma"):
-        pointfield = _field_arg(args.pointfield) if args.pointfield else None
-        if args.module:
-            # what the spec cannot know: sigma's point count, and the lift
-            # into the point field, which needs the builder's checks
-            _, _, (field, dim, _), field_checks = _checked_spec(args.module)
-            q = pointfield or field
-            if args.what == "sigma" and _sized(q, dim):
-                check_point_count(q, dim)
-            if pointfield:
-                _check_point_lift(field_checks(), pointfield)
-        elif args.gens and args.field:
-            # the point count and the lift from the flags, before the group is closed
-            p, e = _field_arg(args.field)
-            if p:
-                field_order(p, e)  # ff_make's checks
-            if args.what == "sigma":
-                q = pointfield or (p, e)
-                dim = (len(args.gens.split("|")[0].split(";")), 1)  # rows of the first matrix
-                if _sized(q, dim):
-                    check_point_count(q, dim)
-            if pointfield:
-                _check_point_lift((p, e), pointfield)
-    spec = _resolve_rep(args)
+    pointfield = (_field_arg(args.pointfield)
+                  if args.what in ("delta", "sigma") and args.pointfield else None)
+    field, dim, field_checks, build = _request(args)
+    # the sizes with the command's flags: sigma's point count and the column
+    # count; then the lift into the point field, which needs the field's checks
+    if args.what == "sigma" and _sized(pointfield or field, dim):
+        check_point_count(pointfield or field, dim)
+    if args.what == "invariant-space" and _sized(dim):
+        check_column_count(dim[0] ** dim[1], args.degree)
+    if pointfield:
+        _check_point_lift(field_checks(), pointfield)
+    spec = build()
     rep = spec.rep
 
     if args.what == "invariant-space":

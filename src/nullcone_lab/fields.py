@@ -22,6 +22,7 @@ object.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 import weakref
@@ -247,20 +248,40 @@ def _power(a: int, k: int, mul) -> int:
 
 
 def _prime_factors(m: int) -> list[int]:
-    """The distinct primes dividing m >= 1, by trial division that stops
-    once the cofactor left after a factor passes ff_make's primality test."""
-    out, d = [], 2
-    while d * d <= m:
+    """The distinct primes dividing m >= 1, ascending: trial division by d
+    below 1000, then Pollard's rho splits what is left until each part
+    passes ff_make's primality test."""
+    out, d = set(), 2
+    while d < 1000 and d * d <= m:
         if m % d == 0:
-            out.append(d)
+            out.add(d)
             while m % d == 0:
                 m //= d
-            if _is_probable_prime(m):
-                break
         d += 1
-    if m > 1:
-        out.append(m)
-    return out
+    parts = [m] if m > 1 else []
+    while parts:
+        n = parts.pop()
+        if _is_probable_prime(n):
+            out.add(n)
+        else:
+            f = _rho_factor(n)
+            parts += [f, n // f]
+    return sorted(out)
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n with no factor below 1000: Pollard's
+    rho on x -> x^2 + c from x = 2, with Floyd's cycle check, for c = 1, 2, ...
+    until one c gives a factor other than n."""
+    c, f = 0, n
+    while f == n:
+        c, x, y, f = c + 1, 2, 2, 1
+        while f == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            f = math.gcd(x - y, n)
+    return f
 
 
 def least_primitive(q: int, mul) -> int:

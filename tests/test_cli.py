@@ -265,13 +265,25 @@ def test_va_with_a_huge_twist_is_answered_as_its_twist_mod_m(capsys):
 
 def test_torus_with_a_large_prime_in_q_minus_1_is_answered_quickly(capsys):
     """q - 1 = 2p for a prime p near 10^22, and r = p gives a group of order
-    2; finding the unit group's generator factors q - 1, and the trial
-    division stops at the prime cofactor p instead of running to its root."""
+    2; finding the unit group's generator factors q - 1, and the cofactor p
+    passes the primality test instead of being trial-divided to its root."""
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "compute", "epsilon", "--module",
                            "torus:q=20000000000000000000807,r=10000000000000000000403,m=1",
                            "--dmax", "2")
     assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert "= 2" in out and "witness: x0^2" in out
+
+
+def test_torus_with_two_large_primes_in_q_minus_1_is_answered_quickly(capsys):
+    """q - 1 = 2 p1 p2 with p1, p2 near 10^10: rho splits p1 p2, which trial
+    division would have run to its root."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "compute", "epsilon", "--module",
+                           "torus:q=200000005960000010603,r=100000002980000005301,m=1",
+                           "--dmax", "2")
+    assert time.perf_counter() - start < 5
     assert code == 0
     assert "= 2" in out and "witness: x0^2" in out
 
@@ -514,12 +526,78 @@ def test_sigma_counts_points_before_it_builds_the_point_field(capsys, monkeypatc
     ("1,1;0,1", "2,20000", (), "(2^20000)^2"),
     ("1,1;0,1", "2", ("--pointfield", "2,2000"), f"{2**2000}^2"),
     ("0,1,0;0,0,1;1,0,0|0,1,0;1,0,0;0,0,1", "2,7", (), "128^3"),
+    # the count comes before the prime test, as for a module spec
+    ("1,1;0,1", "4,600", (), f"{4**600}^2"),
+    pytest.param("1,1;0,1", str(10**4000 + 1), (), f"{10**4000 + 1}^2", id="huge-p"),
 ])
 def test_oversized_gens_sigma_is_refused_before_the_field_is_built(
         capsys, monkeypatch, gens, field, extra, count):
     """--gens and --field fix the point count as a module spec does: the
-    refusal comes before any extension field or group is built, in well
-    under a second, with the --module refusal's message."""
+    refusal comes before any prime is tested or any extension field or group
+    is built, in well under a second, with the --module refusal's message."""
+    from nullcone_lab import fields
+    from nullcone_lab.groups import MatrixGroup
+
+    def no_prime_test(*args, **kwargs):
+        raise AssertionError("a prime was tested before the count")
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built before the count")
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the group was closed before the count")
+    monkeypatch.setattr(fields, "_is_probable_prime", no_prime_test)
+    monkeypatch.setattr(fields, "_least_irreducible", no_field)
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
+    start = time.perf_counter()
+    result = run_cli(capsys, "compute", "sigma", "--gens", gens, "--field", field, *extra,
+                     "--dmax", "1", "--json")
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", f"error: TooManyPoints: {count} points exceeds the cap 1000000\n")
+
+
+def test_gens_sigma_within_the_cap_checks_its_field_first(capsys):
+    """(4^2)^2 = 256 points pass the count, so the field's checks decide."""
+    assert run_cli(capsys, "compute", "sigma", "--gens", "1,1;0,1", "--field", "4,2",
+                   "--dmax", "1") == (2, "", "error: NotPrime: 4 is not prime\n")
+    code, out, _ = run_cli(capsys, "compute", "sigma", "--gens", "1,1;0,1", "--field", "2,2",
+                           "--dmax", "2", "--json")
+    assert code == 0 and json.loads(out)["value"] == 2
+
+
+@pytest.mark.parametrize("field, wanted", [
+    ("x", "bad field 'x'; use 'p', 'p,n' or '0'"),
+    (None, "--gens requires --field"),
+    ("4", "NotPrime: 4 is not prime"),
+])
+@pytest.mark.parametrize("what, flag", COMMANDS)
+def test_gens_requests_take_the_module_order_under_every_command(
+        capsys, monkeypatch, what, flag, field, wanted):
+    """A --gens request passes the same checks as a --module one, in the same
+    order, under every command: a bad or missing --field or a field that is
+    no field is refused before any group is closed."""
+    from nullcone_lab.groups import MatrixGroup
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the group was closed before the refusal")
+    monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
+    field_args = ("--field", field) if field is not None else ()
+    assert run_cli(capsys, "compute", what, "--gens", "1,1;0,1", *field_args, flag, "1") == \
+        (2, "", f"error: {wanted}\n")
+
+
+@pytest.mark.parametrize("source, degree, wanted", [
+    (("--module", "cyclic:p=2,k=300"), 3, "degree 3 in 300 variables has 4545100"),
+    (("--module", "gl2:p=2,n=5"), 3, "degree 3 in 1024 variables has 179481600"),
+    (("--gens", "1,1;0,1", "--field", "2"), 100000, "degree 100000 in 2 variables has 100001"),
+    (("--gens", "0,1,0;0,0,1;1,0,0", "--field", "2,600"), 1000,
+     "degree 1000 in 3 variables has 501501"),
+])
+def test_invariant_space_counts_columns_before_the_module_is_built(
+        capsys, monkeypatch, source, degree, wanted):
+    """The sizes fix the column count C(dim+d-1, d), so it is refused, with
+    the message of the refusal inside invariant_space, before any field or
+    group is built, in well under a second."""
     from nullcone_lab import fields
     from nullcone_lab.groups import MatrixGroup
 
@@ -531,18 +609,10 @@ def test_oversized_gens_sigma_is_refused_before_the_field_is_built(
     monkeypatch.setattr(fields, "_least_irreducible", no_field)
     monkeypatch.setattr(MatrixGroup, "closure", staticmethod(no_closure))
     start = time.perf_counter()
-    result = run_cli(capsys, "compute", "sigma", "--gens", gens, "--field", field, *extra,
-                     "--dmax", "1", "--json")
+    result = run_cli(capsys, "compute", "invariant-space", *source, "--degree", str(degree))
     assert time.perf_counter() - start < 1
-    assert result == (2, "", f"error: TooManyPoints: {count} points exceeds the cap 1000000\n")
-
-
-def test_gens_sigma_within_the_cap_checks_its_field_first(capsys):
-    assert run_cli(capsys, "compute", "sigma", "--gens", "1,1;0,1", "--field", "4,600",
-                   "--dmax", "1") == (2, "", "error: NotPrime: 4 is not prime\n")
-    code, out, _ = run_cli(capsys, "compute", "sigma", "--gens", "1,1;0,1", "--field", "2,2",
-                           "--dmax", "2", "--json")
-    assert code == 0 and json.loads(out)["value"] == 2
+    assert result == (2, "", f"error: TooManyColumns: {wanted} monomial columns, "
+                             "above the cap 100000\n")
 
 
 def test_delta_counts_fixed_points_before_it_builds_the_point_field(capsys, monkeypatch):

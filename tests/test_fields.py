@@ -385,14 +385,19 @@ def test_epsilon_over_a_field_past_the_table_bound(capsys):
 
 
 def test_prime_factors_stop_at_a_prime_cofactor():
-    """Oracle: the primes below 3,000 that divide m, found one by one; and
-    2p for a prime p near 10^22 is factored without trial division to sqrt(p)."""
-    primes = [d for d in range(2, 3000) if all(d % e for e in range(2, d))]
-    for m in range(1, 3000):
+    """Oracle: the primes below 5,000 that divide m, found one by one; 2p for
+    a prime p near 10^22 is factored without trial division to sqrt(p); and
+    rho splits a composite cofactor with no factor below 1000, such as a
+    product of two primes near 10^10 or a prime power."""
+    primes = [d for d in range(2, 5000) if all(d % e for e in range(2, d))]
+    for m in range(1, 5000):
         assert _prime_factors(m) == [d for d in primes if m % d == 0]
     p = 10000000000000000000403
     assert _prime_factors(2 * p) == [2, p]
     assert _prime_factors(2**5 * 3 * p) == [2, 3, p]
+    assert _prime_factors(200000005960000010603 - 1) == [2, 10000000019, 10000000279]
+    assert _prime_factors(1009**2) == [1009]
+    assert _prime_factors(7 * 1009**2 * 1013**3) == [7, 1009, 1013]
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (31, 1),
