@@ -8,6 +8,11 @@ leaving the generator rank unchanged (this is the all-elements
 verification).  Bases are reduced row-echelon with graded-lex columns, so
 witnesses and certificates are byte-reproducible; each basis polynomial is
 built straight from the eliminator's sparse kernel vector.
+
+The rows are eliminated and re-checked in the field of the generators'
+entries, not of the module: in F_p when they all lie there, as for
+permutation matrices or a module lifted from F_p, so over F_2 by the
+one-int engine and the XOR re-check in any F_{2^n}.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .errors import (
     TooManyPoints,
     VanishesAtPoint,
 )
-from .fields import FieldCtx, Scalar, lift
+from .fields import FieldCtx, Scalar, ff_make, lift
 from .groups import (PermutationBasis, Representation, capped_power, permutation_rep,
                      power_text)
 from .linalg import Matrix, _make_eliminator, annihilation_check, rank
@@ -113,17 +118,38 @@ def check_column_count(nvars: int, d: int) -> None:
                              f"monomial columns, above the cap {COLUMN_CAP}")
 
 
+def _entry_field(ctx: FieldCtx, matrices: Sequence[Matrix]) -> FieldCtx:
+    """F_p when ctx is F_{p^n} and every entry of the matrices is a raw value
+    below p, else ctx.  Their constraint rows then lie in F_p, whose
+    elements keep their raw ints in F_{p^n}, and the rows' reduced echelon
+    kernel is the same over both fields."""
+    if ctx.is_finite and ctx.n > 1:
+        p = ctx.p
+        if all(max(map(max, m.rows), default=0) < p for m in matrices):
+            return ff_make(p)
+    return ctx
+
+
 def _fixed_space(ctx: FieldCtx, nvars: int, matrices: Iterable[Matrix],
                  d: int) -> list[dict[int, Scalar]]:
     """Canonical sparse basis of the degree-d polynomials f with f(Mx) = f
     for every M of the matrices: the kernel of their constraint rows.  With
-    no matrices it is the whole degree-d space."""
-    elim = _make_eliminator(ctx, math.comb(nvars + d - 1, d))
+    no matrices it is the whole degree-d space.  The rows are eliminated in
+    the field that `_entry_field` picks, and the kernel's values come back
+    as Scalars of ctx, one per distinct value."""
+    matrices = list(matrices)
+    field = _entry_field(ctx, matrices)
+    elim = _make_eliminator(field, math.comb(nvars + d - 1, d))
     for matrix in matrices:
         for row in substitution_constraint_rows(matrix, d):
             if row:
                 elim.add_row(row)
-    return elim.kernel_basis()
+    basis = elim.kernel_basis()
+    if field is not ctx:
+        scalars: dict = {}
+        basis = [{c: scalars.get(s.val) or scalars.setdefault(s.val, lift(s, ctx))
+                  for c, s in vec.items()} for vec in basis]
+    return basis
 
 
 class InvariantSpace:
@@ -155,9 +181,11 @@ def invariant_space(rep: Representation, d: int) -> InvariantSpace:
     check_column_count(nvars, d)
     group = rep.group
     # g.f = f means f(rho(g)^-1 x) = f
-    kernel_vectors = _fixed_space(ctx, nvars, map(rep.inverse_matrix,
-                                                  group.generator_indices), d)
-    annihilates = annihilation_check(kernel_vectors, ctx)
+    gens = [rep.inverse_matrix(g) for g in group.generator_indices]
+    kernel_vectors = _fixed_space(ctx, nvars, gens, d)
+    # the other elements' rows are checked in the generators' entry field: a
+    # value outside it fails
+    annihilates = annihilation_check(kernel_vectors, _entry_field(ctx, gens))
     gen_set = set(group.generator_indices)
     for g in range(group.order):
         if g == group.identity_index or g in gen_set:
@@ -413,7 +441,7 @@ def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int) -> Separati
 def fixed_point_space(rep: Representation) -> list[list[Scalar]]:
     """Basis of the common fixed space of the representing matrices: the
     kernel of the generators' rho(s) - I, the degree-1 constraint rows of
-    x -> rho(s)^T x."""
+    x -> rho(s)^T x, eliminated in the field of their entries."""
     transposes = (rep.matrices[g].transpose() for g in rep.group.generator_indices)
     zero = rep.ctx.zero
     return [[vec.get(c, zero) for c in range(rep.dim)]

@@ -4,8 +4,10 @@ with sparse products, and streamed elimination.
 Two elimination engines sit behind one interface: a generic one holding rows
 as sparse {column: raw value} dicts over any field, and one for F_2 alone
 that packs each row into one Python int, so a row operation is one big-int
-XOR.  F_{2^n} for n > 1 takes the generic engine, as odd characteristic and
-the rationals do.  Constraint rows are streamed into the eliminator one at a
+XOR.  The field of the rows' entries picks the engine, not the module's
+(invariants._entry_field): F_{2^n} rows with entries 0 and 1 are packed,
+other F_{2^n} rows take the generic engine, as odd characteristic and the
+rationals do.  Constraint rows are streamed into the eliminator one at a
 time; the full stacked matrix is never materialised.  Both engines pivot on
 a row's highest column, which makes their kernel basis the canonical reduced
 row-echelon one without a second elimination.  The F_2 engine keeps plain
@@ -203,7 +205,10 @@ class Matrix:
 # row reduction engines
 #
 # Rows enter as sparse {column: Scalar} or raw-value dicts; a row's pivot is
-# its highest nonzero column.
+# its highest nonzero column.  A row's Scalars may belong to an extension of
+# the engine's field when their raw values are the engine field's own: an
+# element of F_p has the same raw int in every F_{p^n}, and the reduced
+# echelon kernel of rows over F_p is the same over F_{p^n}.
 #
 # The F_2 engine holds a row as one int, bit j for column j, in plain
 # echelon form: a new row XORs in the pivot row of the highest pivot column
@@ -232,14 +237,18 @@ class Matrix:
 
 
 def _subtract(row: dict, factor, pivot: dict, ctx: FieldCtx) -> None:
-    """row -= factor * pivot on raw values, in place, keeping nonzeros only."""
+    """row -= factor * pivot on raw values, in place, keeping nonzeros only;
+    a factor of one multiplies nothing."""
     sub, mul, neg = ctx._sub, ctx._mul, ctx._neg
+    unit = factor == 1
     for c, b in pivot.items():
+        if not unit:
+            b = mul(factor, b)
         old = row.get(c)
         if old is None:
-            row[c] = neg(mul(factor, b))
+            row[c] = neg(b)
         else:
-            new = sub(old, mul(factor, b))
+            new = sub(old, b)
             if new:
                 row[c] = new
             else:
@@ -388,22 +397,28 @@ class _PackedChar2Eliminator:
     def raw_kernel_basis(self) -> list[dict]:
         """Back-substitute once, in ascending pivot order: the lower pivot
         rows a row holds are clear already, so each XOR adds free bits only.
-        The rows keep their span and pivots: rows may be added after a read."""
+        The rows keep their span and pivots: rows may be added after a read.
+
+        Both walks take a row's set bits from the top by bit_length(), one
+        step per set bit on ints no wider than the row; no int as wide as
+        every column is built per row, so wide, sparse streams read fast."""
         pivots, mask = self.pivots, self._pivot_mask
         # -1 = 1, the only nonzero value of F_2
         basis = {j: {j: 1} for j in range(self.ncols) if j not in pivots}
         for c in sorted(pivots):
             row = pivots[c]
-            lower = (row & mask) ^ 1 << c
+            top = 1 << c
+            lower = (row & mask) ^ top
             while lower:
-                j = (lower & -lower).bit_length() - 1
-                lower &= lower - 1
+                j = lower.bit_length() - 1
+                lower ^= 1 << j
                 row ^= pivots[j]
             pivots[c] = row
-            rest = row & ~mask
+            # c is now the row's only pivot bit: the rest are free columns
+            rest = row ^ top
             while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
+                j = rest.bit_length() - 1
+                rest ^= 1 << j
                 basis[j][c] = 1
         return list(basis.values())
 
@@ -464,6 +479,12 @@ def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCt
     vectors, bit k set where vector k is one there, and a row passes when
     the XOR of its nonzero entries' ints is zero.  Other fields sum raw-value
     products over the row's columns.
+
+    The rows may hold Scalars of an extension of ctx (see
+    invariants._entry_field).  A raw value that is not one of ctx's fails
+    the row rather than be read as one or reduced mod p: at every column
+    over F_2, and elsewhere at the kernel's columns, the ones that enter a
+    product.
     """
     if ctx.cardinality == 2:
         masks: dict[int, int] = {}
@@ -476,13 +497,16 @@ def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCt
             for row in rows:
                 acc = 0
                 for c, s in row.items():
-                    if s.val:
+                    v = s.val
+                    if v == 1:
                         acc ^= masks_get(c, 0)
+                    elif v:
+                        return False
                 if acc:
                     return False
             return True
         return annihilates
-    add, mul = ctx._add, ctx._mul
+    add, mul, q = ctx._add, ctx._mul, ctx.cardinality
     by_column: dict[int, list] = {}
     for k, vec in enumerate(kernel_vectors):
         for c, s in vec.items():
@@ -496,6 +520,8 @@ def annihilation_check(kernel_vectors: Sequence[dict[int, Scalar]], ctx: FieldCt
                 if hits is None:
                     continue
                 a = s.val
+                if q and a >= q:
+                    return False
                 unit = a == 1
                 for k, b in hits:
                     prod = b if unit else mul(a, b)

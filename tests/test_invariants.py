@@ -51,10 +51,10 @@ from nullcone_lab.invariants import (
     orbit_sums_vanish,
     reynolds,
     sigma_bounded,
+    substitution_constraint_rows,
     weight_invariant_monomials,
 )
-from nullcone_lab.linalg import (Matrix, _GenericEliminator, _PackedChar2Eliminator,
-                                 _make_eliminator)
+from nullcone_lab.linalg import Matrix, _GenericEliminator, _PackedChar2Eliminator
 from nullcone_lab.poly import Monomial, Polynomial, mono_basis, poly_parse
 
 from . import test_properties as props
@@ -180,10 +180,36 @@ def test_u2_degree_two_space_shows_frobenius_wrap():
 
 # -- the all-elements re-check ------------------------------------------------------
 
-RECHECK_FIELDS = [(ff_make(2), _PackedChar2Eliminator),
-                  (ff_make(2, 2), _GenericEliminator),
-                  (ff_make(3), _GenericEliminator),
-                  (FieldCtx.rationals(), _GenericEliminator)]
+F2, F3, F4, QQ = ff_make(2), ff_make(3), ff_make(2, 2), FieldCtx.rationals()
+# the field, the t of z4_group, and the engine that eliminates the rows with
+# its field: the 4-cycles lie in the prime field, so over F_4 they take the
+# packed engine over F_2; conjugated by diag(1, z, 1, 1) they hold z and z^2
+# and take the generic engine over F_4, whose dot-product re-check this case
+# keeps under test
+RECHECK_CASES = [pytest.param(F2, "1", (_PackedChar2Eliminator, F2), id="F2"),
+                 pytest.param(F4, "1", (_PackedChar2Eliminator, F2), id="F4"),
+                 pytest.param(F4, "z", (_GenericEliminator, F4), id="F4-z"),
+                 pytest.param(F3, "1", (_GenericEliminator, F3), id="F3"),
+                 pytest.param(QQ, "1", (_GenericEliminator, QQ), id="QQ")]
+
+
+def z4_group(ctx, t):
+    """Z/4 on the 4-cycle P conjugated by D = diag(1, t, 1, 1): its
+    generator D P D^-1 holds t and t^-1 where P holds ones."""
+    diag = Matrix(ctx, [[ctx.parse(t) if i == j == 1 else ctx.one if i == j else ctx.zero
+                         for j in range(4)] for i in range(4)])
+    return MatrixGroup.closure([diag * cyclic_group(ctx, 4).generators[0] * diag.inverse()])
+
+
+def record_add_row(mp):
+    """Count the add_row calls from now on by (eliminator class, its field)."""
+    ran = Counter()
+    for cls in (_PackedChar2Eliminator, _GenericEliminator):
+        def add_row(self, row, _fn=cls.add_row, _cls=cls):
+            ran[_cls, self.ctx] += 1
+            return _fn(self, row)
+        mp.setattr(cls, "add_row", add_row)
+    return ran
 
 
 def _swap_powers(group, mats, a, b):
@@ -196,33 +222,60 @@ def _swap_powers(group, mats, a, b):
     mats[i], mats[j] = mats[j], mats[i]
 
 
-def z4_with_swapped_powers(ctx, a, b):
-    """Z/4 = <g> on 4-cycle permutation matrices, with rho(g^a) and rho(g^b)
-    exchanged, through the checked constructor: it raises GroupMismatch
-    unless the swap composes rho with an automorphism of Z/4."""
-    group = cyclic_group(ctx, 4)
+def z4_with_swapped_powers(ctx, a, b, t="1"):
+    """z4_group(ctx, t) with rho(g^a) and rho(g^b) exchanged, through the
+    checked constructor: it raises GroupMismatch unless the swap composes
+    rho with an automorphism of Z/4."""
+    group = z4_group(ctx, t)
     mats = list(group.elements)
     _swap_powers(group, mats, a, b)
     return Representation(group, mats)
 
 
-def z4_tampered_after_construction(ctx, a, b):
+def z4_tampered_after_construction(ctx, a, b, t="1"):
     """The same swap made in rep.matrices after a checked construction: the
     only way to hold a representation that is not a homomorphism."""
-    rep = cyclic_group(ctx, 4).natural_rep()
+    rep = z4_group(ctx, t).natural_rep()
     _swap_powers(rep.group, rep.matrices, a, b)
     return rep
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("ctx,engine", RECHECK_FIELDS, ids=["F2", "F4", "F3", "QQ"])
-def test_recheck_refuses_an_inconsistent_representation(ctx, engine, d):
-    """The generator rows use rho(g^-1) = rho(g^3), which now holds P^2 and
-    fixes more than the group does; the rows of g^2 (now P^3) catch it."""
-    assert isinstance(_make_eliminator(ctx, 1), engine)
-    rep = z4_tampered_after_construction(ctx, 2, 3)
+@pytest.mark.parametrize("ctx,t,engine", RECHECK_CASES)
+def test_recheck_refuses_an_inconsistent_representation(ctx, t, engine, d, monkeypatch):
+    """The generator rows use rho(g^-1) = rho(g^3), which now holds the
+    square of the generator and fixes more than the group does; the rows of
+    g^2 (now its cube) catch it, in the engine's field."""
+    ran = record_add_row(monkeypatch)
+    rep = z4_tampered_after_construction(ctx, 2, 3, t)
     with pytest.raises(AssertionError, match="not fixed by the whole group"):
         invariant_space(rep, d)
+    assert set(ran) == {engine}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3], ids=["F4", "F9"])
+def test_recheck_in_the_prime_field_refuses_a_value_outside_it(p, d, monkeypatch):
+    """Z/4's generator lies over F_p, so its rows are eliminated and the
+    other elements' rows re-checked in F_p.  rho(g^2), tampered after
+    construction to hold z + 1 where it held a one, gives rows with values
+    outside F_p.  The raw int of z + 1 is p + 1, which F_2's XOR would read
+    as one and F_p's arithmetic would reduce to one, so that the tampered
+    matrix would pass as the true rho(g^2); the re-check must fail it."""
+    ctx = ff_make(p, 2)
+    rep = cyclic_group(ctx, 4).natural_rep()
+    g = rep.group.generator_indices[0]
+    square = rep.group.mul(g, g)
+    z_plus_one = (ctx.parse("z") + ctx.one).val
+    assert z_plus_one == p + 1
+    rows = [list(row) for row in rep.matrices[square].rows]
+    rows[0] = [z_plus_one if v else 0 for v in rows[0]]
+    rep.matrices[square] = Matrix._raw(ctx, tuple(map(tuple, rows)))
+    ran = record_add_row(monkeypatch)
+    with pytest.raises(AssertionError, match="not fixed by the whole group"):
+        invariant_space(rep, d)
+    assert set(ran) == {(_PackedChar2Eliminator if p == 2 else _GenericEliminator,
+                         ff_make(p))}
 
 
 @pytest.mark.parametrize("make_rep, degrees", [
@@ -257,14 +310,13 @@ def test_one_build_reads_the_rows_of_every_element_once(make_rep, degrees, monke
         assert all(read == built for _, built, read in calls)
 
 
-@pytest.mark.parametrize("ctx", [ctx for ctx, _ in RECHECK_FIELDS],
-                         ids=["F2", "F4", "F3", "QQ"])
-def test_recheck_passes_a_swap_the_generator_rows_absorb(ctx):
+@pytest.mark.parametrize("ctx,t,engine", RECHECK_CASES)
+def test_recheck_passes_a_swap_the_generator_rows_absorb(ctx, t, engine):
     """With rho(g) and rho(g^2) exchanged, the generator rows alone give the
     true space and the re-check sees nothing wrong; the checked constructor
     refuses that representation before any invariant space is asked of it."""
     with pytest.raises(GroupMismatch, match="not a homomorphism"):
-        z4_with_swapped_powers(ctx, 1, 2)
+        z4_with_swapped_powers(ctx, 1, 2, t)
 
 
 @pytest.mark.parametrize("ctx", [ff_make(3), FieldCtx.rationals()], ids=["F3", "QQ"])
@@ -325,6 +377,70 @@ def test_invariant_space_eliminates_only_generator_rows(make_rep, monkeypatch):
         assert calls["add_row"] == generator_rows
         assert calls["kernel_basis"] == 1
         assert calls["rows"] > generator_rows  # the re-check rows were built
+
+
+@st.composite
+def prime_field_reps(draw):
+    """The natural module of a group generated by one or two matrices over
+    F_p, p in {2, 3}: permutation, signed permutation or random invertible
+    matrices (GL_n(F_2) up to n = 3, GL_n(F_3) up to n = 2)."""
+    p = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["perm", "signed", "gl"]))
+    ctx = ff_make(p)
+    n = draw(st.integers(1, {"perm": 4, "signed": 3, "gl": 5 - p}[kind]))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        if kind == "gl":
+            square = st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                              min_size=n, max_size=n)
+            rows = draw(square.filter(
+                lambda r: not Matrix.from_ints(ctx, r).det().is_zero()))
+        else:
+            perm = draw(st.permutations(range(n)))
+            signs = [draw(st.sampled_from([1, -1])) if kind == "signed" else 1
+                     for _ in range(n)]
+            rows = [[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+        gens.append(Matrix.from_ints(ctx, rows))
+    return MatrixGroup.closure(gens).natural_rep()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep=prime_field_reps(), d=st.integers(1, 3), n=st.sampled_from([2, 3]))
+def test_a_lifted_prime_field_module_is_eliminated_in_the_prime_field(rep, d, n):
+    """rep lifted to F_{p^n} (F_4, F_8, F_9 or F_27) has the basis strings
+    of rep's own space, with coefficients of F_{p^n}; every generator row
+    goes to the engine of F_p, the F_2 engine in characteristic 2, and none
+    to an engine over F_{p^n}."""
+    want = [str(f) for f in invariant_space(rep, d).basis]
+    big = ff_make(rep.ctx.p, n)
+    lifted = rep.lift(big)
+    rows = sum(1 for g in lifted.group.generator_indices
+               for row in substitution_constraint_rows(lifted.inverse_matrix(g), d) if row)
+    with pytest.MonkeyPatch.context() as mp:
+        ran = record_add_row(mp)
+        space = invariant_space(lifted, d)
+    assert [str(f) for f in space.basis] == want
+    assert all(c.ctx is big for f in space.basis for c in f.terms.values())
+    engine = _PackedChar2Eliminator if big.p == 2 else _GenericEliminator
+    assert ran == ({(engine, rep.ctx): rows} if rows else {})
+
+
+def test_gl2_epsilon_eliminates_pi_on_the_packed_engine_only(monkeypatch, capsys):
+    """`compute epsilon --module gl2:p=2,n=2 --dmax 4 --json` certifies the
+    degrees below 4 on the spaces of pi over F_4.  pi's matrices are
+    permutation matrices, so all of its generator rows reach the F_2
+    engine and none reaches the generic one."""
+    from nullcone_lab import invariants
+    from nullcone_lab.cli import main, parse_module_spec
+    pi = invariants._permutation_rep(parse_module_spec("gl2:p=2,n=2").rep)
+    assert pi.ctx is F4
+    rows = sum(1 for d in (1, 2, 3) for g in pi.group.generator_indices
+               for row in substitution_constraint_rows(pi.inverse_matrix(g), d) if row)
+    ran = record_add_row(monkeypatch)
+    assert main(["compute", "epsilon", "--module", "gl2:p=2,n=2", "--dmax", "4",
+                 "--json"]) == 0
+    assert '"value": 4' in capsys.readouterr().out
+    assert ran == {(_PackedChar2Eliminator, F2): rows}
 
 
 def test_constraint_rows_negate_one_once(monkeypatch):

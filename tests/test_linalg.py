@@ -362,6 +362,22 @@ def test_a_truly_stale_pivot_row_is_cleaned_before_it_is_used():
     assert packed.raw_kernel_basis() == [{0: 1}, {1: 1}, {4: 1}]
 
 
+def test_packed_read_matches_generic_on_wide_two_term_streams():
+    """Random two-term rows over F_2 on 20,000 columns: the packed read,
+    which walks each row's set bits from the top, gives the generic
+    engine's kernel; so does a second read after more rows are added to
+    the pivot rows that the first read back-substituted."""
+    ctx, ncols = ff_make(2), 20_000
+    rng = random.Random(33)
+    gen, packed = _GenericEliminator(ctx, ncols), _PackedChar2Eliminator(ctx, ncols)
+    for batch in (12_000, 6_000):
+        for _ in range(batch):
+            a, b = rng.sample(range(ncols), 2)
+            assert gen.add_raw({a: 1, b: 1}) == packed.add_raw({a: 1, b: 1})
+        assert packed.raw_kernel_basis() == gen.raw_kernel_basis()
+    assert packed.rank == gen.rank > 12_000
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_descending_chain_clears_without_recursion(p):
     """Rows {i, i+1} for descending i leave each pivot row pending on the
@@ -456,8 +472,10 @@ _ANNIHILATION_FIELDS = {**_FIELDS, "F8": lambda: ff_make(2, 3), "F16": lambda: f
 
 @pytest.mark.parametrize("field", sorted(_ANNIHILATION_FIELDS))
 def test_only_f2_takes_the_packed_engine(field):
-    """One int per row serves F_2 alone; every F_{2^n} with n > 1 takes the
-    generic engine, as odd characteristic and the rationals do."""
+    """One int per row serves F_2 alone: every F_{2^n} with n > 1 gets the
+    generic engine, as odd characteristic and the rationals do.  Rows of
+    F_{2^n} reach the packed engine only by being eliminated in F_2, when
+    their entries lie there (see invariants._entry_field)."""
     ctx = _ANNIHILATION_FIELDS[field]()
     engine = _PackedChar2Eliminator if field == "F2" else _GenericEliminator
     assert type(_make_eliminator(ctx, 3)) is engine
@@ -504,6 +522,24 @@ def test_annihilation_check_matches_rank_raising(field, ncols, data):
         passing.append(not raises)
     # a stream passes exactly when each of its rows does
     assert annihilates(iter(drawn)) == all(passing)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_annihilation_check_in_the_prime_field_refuses_extension_values(p):
+    """Rows of F_{p^2} checked against a kernel over F_p, as invariants
+    does when the generators lie over F_p.  The kernel of x0 - x1 holds
+    e0 + e1, and the row (z + 1, -1) meets it in z, not zero.  The raw int
+    of z + 1 is p + 1: read as one (F_2's XOR) or reduced mod p it would
+    pass, so a value outside F_p must fail the row."""
+    small, big = ff_make(p), ff_make(p, 2)
+    elim = _make_eliminator(small, 3)
+    elim.add_row({0: small.one, 1: -small.one})
+    annihilates = annihilation_check(elim.kernel_basis(), small)
+    one, z = big.one, big.parse("z")
+    assert annihilates([{0: one, 1: -one}, {2: big.zero}])
+    assert (z + one).val == p + 1
+    assert not annihilates([{0: z + one, 1: -one}])
+    assert not annihilates([{0: one, 1: -one}, {0: z + one, 1: -one}])
 
 
 @pytest.mark.parametrize("field", ["F2", "F4", "F8", "F3"])
