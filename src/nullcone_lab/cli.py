@@ -28,6 +28,7 @@ from .invariants import (
     fixed_point_space,
     invariant_space,
     nullcone_status,
+    point_text,
     sigma_bounded,
 )
 from .linalg import Matrix
@@ -328,9 +329,10 @@ def cmd_compute(args) -> int:
     if args.json:
         _dump_json({"module": spec.label, **report.to_dict()})
     elif args.csv and args.what in ("delta", "sigma"):
+        text = point_text()
         rows = [["point", "epsilon"]]
         for p, value in report.point_values:
-            rows.append([",".join(str(s) for s in p),
+            rows.append([",".join(text(p)),
                          str(value) if value is not None
                          else f"undetermined above {report.degree_bound}"])
         _dump_csv(rows)

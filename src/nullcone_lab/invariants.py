@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from collections import Counter, abc
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CharDividesDegree,
@@ -268,21 +268,31 @@ class SeparationReport:
         return self.value is not None
 
     def to_dict(self) -> dict:
+        text = point_text()
         out = {
             "kind": self.kind,
             "value": self.value if self.determined
             else {"undetermined_above": self.degree_bound},
             "witness": str(self.witness) if self.witness is not None else None,
-            "points": [[str(s) for s in p] for p in self.points],
+            "points": [text(p) for p in self.points],
             "degree_bound": self.degree_bound,
             "field": self.field.describe(),
         }
         if self.kind in ("delta", "sigma"):
-            out["undetermined_points"] = [[str(s) for s in p]
-                                          for p in self.undetermined_points]
+            out["undetermined_points"] = [text(p) for p in self.undetermined_points]
             if self.certified_complete is not None:
                 out["certified_complete"] = self.certified_complete
         return out
+
+
+def point_text() -> Callable[[Sequence[Scalar]], list[str]]:
+    """The coordinate texts of points of one field, each distinct value
+    formatted once for as long as the returned function is held."""
+    texts: dict = {}
+
+    def text(point):
+        return [texts.get(s.val) or texts.setdefault(s.val, str(s)) for s in point]
+    return text
 
 
 def _is_fixed_point(rep: Representation, v: Sequence[Scalar]) -> bool:
@@ -506,24 +516,60 @@ class _PointValues(abc.Sequence):
         return self._pairs == list(other)
 
 
+def _frobenius_stable(rep: Representation, frob) -> bool:
+    """Whether frob maps each generator's raw rows to one of rho(G)'s.  It is
+    an injective ring map on matrices, so then frob(rho(G)) = rho(G)."""
+    images = {tuple(map(frob, rep.matrices[s].rows)) for s in rep.group.generator_indices}
+    return images <= {m.rows for m in rep.matrices}
+
+
+def _line_frobenius(rep: Representation, basis: Sequence[Sequence[int]] | None = None):
+    """phi: x -> x^p on raw tuples when epsilon is constant on the orbits of
+    the lines under it, else None.  If phi(rho(G)) = rho(G), f -> f^phi maps
+    each space of invariants onto itself and f^phi(phi v) = phi(f(v)).  phi
+    fixes 0 and 1, so it permutes the lead-1 tuples; a delta point
+    sum c_i b_i goes to sum phi(c_i) b_i when phi fixes every b_i."""
+    if rep.ctx.n == 1:
+        return None
+    power, p = rep.ctx._pow, rep.ctx.p
+
+    def frob(t):
+        return tuple(power(x, p) for x in t)
+    if basis is not None and any(frob(b) != tuple(b) for b in basis):
+        return None
+    return frob if _frobenius_stable(rep, frob) else None
+
+
 def _sup_report(kind: str, rep: Representation, k: int, to_point, dmax: int,
-                declared: Sequence[Polynomial] | None) -> SeparationReport:
+                declared: Sequence[Polynomial] | None, frob) -> SeparationReport:
     """Sup of epsilon over the nonzero points of F_q^k, which to_point maps
-    from coefficient tuples in their order, with one epsilon call per F*-line.
+    from coefficient tuples in their order, with one epsilon call per class
+    of F*-lines under frob, phi of `_line_frobenius`, or per line without it.
 
     Every invariant space is spanned by homogeneous polynomials, and
     f(cv) = c^d f(v), so the basis vectors vanishing at v, the fixed-point
     test and the zero pattern of the permutation coordinates are the same
-    at every point of the line F*v.  Each line is evaluated at its first
-    point, so values, witnesses, the point lists and the first error are
-    those of evaluating every point; only reported lines become points.
-    Declared generators need not be homogeneous, so they are still
-    evaluated at every undetermined point.
+    at every point of the line F*v.  Each class is evaluated at the first
+    point of its first line, and its other lines take that report.  The
+    first line of the highest value is the first of its class, so values,
+    witnesses, the point lists and the first error are those of evaluating
+    every point; only reported lines become points.  Declared generators
+    need not be homogeneous, so they are still evaluated at every
+    undetermined point.
     """
     gens = _checked_generators(rep, declared) if declared is not None else None
     ctx = rep.ctx
-    reports = {r: epsilon(rep, to_point(r), dmax)
-               for r in _line_reps(ctx.cardinality, k)}
+    reports, shared = {}, {}
+    for r in _line_reps(ctx.cardinality, k):
+        rpt = shared.pop(r, None)
+        if rpt is None:
+            rpt = epsilon(rep, to_point(r), dmax)
+            if frob is not None:
+                image = frob(r)
+                while image != r:
+                    shared[image] = rpt
+                    image = frob(image)
+        reports[r] = rpt
     lines = [(r, rpt.value) for r, rpt in reports.items()]
     # max keeps the first line of the highest value, so its witness
     best = max((rpt for rpt in reports.values() if rpt.determined),
@@ -556,9 +602,10 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     The fixed points are the span of the reduced echelon basis b_i of the
     fixed space, and the point of coefficients c is sum c_i b_i, so the
     coefficient order is the point order.  The span is a union of F*-lines
-    and epsilon runs once per line (see `_sup_report`), so only each line's
-    first point and the points a report lists are built.  Each point built
-    is checked fixed, which covers the rest: rho(g)(cv) = c rho(g)v.
+    and epsilon runs once per Frobenius class of lines when rho(G) and the
+    b_i are phi-stable, else per line (see `_sup_report`), so only each
+    class's first point and the points a report lists are built.  Each
+    point built is checked fixed, which covers the rest: rho(g)(cv) = c rho(g)v.
     """
     if not pointfield.is_finite:
         raise RationalContext("delta enumerates the points of a finite field")
@@ -576,7 +623,8 @@ def delta_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
         if not _is_fixed_point(rep, point):
             raise AssertionError("fixed-space enumeration produced a moving point")
         return point
-    return _sup_report("delta", rep, len(basis), to_point, dmax, declared_generators)
+    return _sup_report("delta", rep, len(basis), to_point, dmax, declared_generators,
+                       _line_frobenius(rep, basis))
 
 
 def check_point_count(pointfield: FieldCtx | tuple[int, int],
@@ -601,7 +649,8 @@ def sigma_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
                   cap: int = DEFAULT_POINT_CAP) -> SeparationReport:
     """Sup of epsilon over all nonzero points of the module over `pointfield`.
 
-    Epsilon runs once per F*-line (see `_sup_report`); the point cap and the
+    Epsilon runs once per Frobenius class of F*-lines when rho(G) is
+    phi-stable, else per line (see `_sup_report`); the point cap and the
     reports still count and list every point.  A point's coefficient tuple
     is its raw values.
     """
@@ -609,7 +658,7 @@ def sigma_bounded(rep: Representation, dmax: int, pointfield: FieldCtx,
     rep = rep.lift(pointfield)
     return _sup_report("sigma", rep, rep.dim,
                        lambda c: [Scalar(pointfield, x) for x in c],
-                       dmax, declared_generators)
+                       dmax, declared_generators, _line_frobenius(rep))
 
 
 # ---------------------------------------------------------------------------

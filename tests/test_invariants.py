@@ -7,6 +7,7 @@ import csv
 import gc
 import io
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -31,7 +32,7 @@ from nullcone_lab.errors import (
     VanishesAtPoint,
 )
 from nullcone_lab.constructions import gl2_test_module, va_joint_group
-from nullcone_lab.fields import FieldCtx, Scalar, ff_make
+from nullcone_lab.fields import FieldCtx, Scalar, ff_make, frobenius
 from nullcone_lab.groups import MatrixGroup, Representation, regular_rep
 from nullcone_lab.invariants import (
     SeparationReport,
@@ -822,34 +823,76 @@ def _per_point_report(kind, rep, points, dmax, gens):
                             point_values=[(v, r.value) for v, r in zip(points, reports)])
 
 
+def _counting_epsilon(monkeypatch):
+    """Patch invariants.epsilon to record its points; returns the record."""
+    from nullcone_lab import invariants
+    counted = []
+
+    def counting_epsilon(rep, point, dmax):
+        counted.append(point)
+        return epsilon(rep, point, dmax)
+    monkeypatch.setattr(invariants, "epsilon", counting_epsilon)
+    return counted
+
+
+def _frobenius_classes(ctx, k):
+    """The orbits of x -> x^p on the F*-lines of ctx^k, walked on Scalars
+    through `fields.frobenius`, apart from the engine's raw tuples."""
+    seen, classes = set(), 0
+    for coeffs in itertools.product(ctx.enumerate(), repeat=k):
+        if any(not c.is_zero() for c in coeffs):
+            lead = next(c for c in coeffs if not c.is_zero())
+            line = tuple(c / lead for c in coeffs)
+            if line not in seen:
+                classes += 1
+                while line not in seen:
+                    seen.add(line)
+                    line = tuple(frobenius(c) for c in line)
+    return classes
+
+
 LINE_CASES = [  # kind, module spec, pointfield (p, n) or None, dmax, declared generators
     ("sigma", "va:p=3,n=1,m=2", None, 3, True),
     ("sigma", "torus:q=7,r=1,m=2", None, 4, False),
     ("sigma", "gn:p=3,n=1", None, 3, False),
     ("delta", "cyclic:p=2,k=4", (2, 2), 4, False),
+    # phi-stable modules over extension fields: their lines merge into classes
+    ("sigma", "va:p=2,n=1,m=2", None, 3, True),
+    ("delta", "va:p=2,n=1,m=2", None, 3, True),
+    ("delta", "va:p=3,n=1,m=2", None, 3, True),
+    ("sigma", "torus:q=7,r=1,m=2", (7, 2), 4, True),
+    ("delta", "torus:q=7,r=1,m=2", (7, 2), 4, True),
+    ("sigma", "cyclic:p=2,k=4", (2, 3), 4, False),
+    ("delta", "cyclic:p=2,k=4", (2, 3), 4, False),
 ]
 
 
 @pytest.mark.parametrize("kind, module, pointfield, dmax, declared", LINE_CASES)
-def test_line_reports_equal_the_per_point_reference(kind, module, pointfield, dmax,
-                                                    declared):
+def test_line_reports_equal_the_per_point_reference(monkeypatch, kind, module, pointfield,
+                                                    dmax, declared):
+    """One epsilon per Frobenius class of lines gives the per-point
+    reference's value, witness, point lists, certificate and point_values."""
     from nullcone_lab.cli import parse_module_spec
     spec = parse_module_spec(module)
     pf = ff_make(*pointfield) if pointfield else spec.rep.ctx
     rep = spec.rep.lift(pf)
     gens = spec.candidates if declared else None
+    counted = _counting_epsilon(monkeypatch)
     if kind == "sigma":
         report = sigma_bounded(spec.rep, dmax, pf, declared_generators=gens)
         points = [list(c) for c in itertools.product(pf.enumerate(), repeat=rep.dim)][1:]
+        k = rep.dim
     else:
         report = delta_bounded(spec.rep, dmax, pf, declared_generators=gens)
-        points = props.span_points(fixed_point_space(rep), pf)
+        basis = fixed_point_space(rep)
+        k, points = len(basis), props.span_points(basis, pf)
     lifted = [_lift_poly(g, pf) for g in gens] if declared else None
     expected = _per_point_report(kind, rep, points, dmax, lifted)
     assert report.to_dict() == expected.to_dict()
     assert report.point_values == expected.point_values
     if declared:
         assert report.certified_complete is not None
+    assert len(counted) == _frobenius_classes(pf, k)
 
 
 def _csv_rows(report):
@@ -956,31 +999,74 @@ def test_delta_output_is_pinned(capsys, fmt, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param("sigma --module va:p=3,n=1,m=3 --dmax 3 --csv",
+                 "fe61b8813d0b7d8b2caf3c18687172e7eadeaef4717f250f028efce9c1cb8e15",
+                 id="sigma-va:p=3,n=1,m=3-csv"),
+    pytest.param("delta --module va:p=2,n=1,m=1 --pointfield 2,9 --dmax 2 --json",
+                 "04bcf14f72a9ad780cff60ac43aba8c89045adf51d76405e581a1fc63ba2ae71",
+                 id="delta-va:p=2,n=1,m=1-F512-json"),
+])
+def test_frobenius_class_output_is_pinned(capsys, argv, digest):
+    """Runs whose lines merge into Frobenius classes, over F_27 and F_512:
+    the stdout sha256 that one epsilon per line printed."""
+    import hashlib
+    from nullcone_lab.cli import main
+    assert main(["compute", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("module, calls, npoints", [
-    ("va:p=3,n=1,m=2", (9**3 - 1) // 8, 9**3 - 1),  # one call per F_9*-line
-    ("cyclic:p=2,k=3", 7, 7),                         # over F_2 a line is a point
-    # a (module, point field) pair runs delta: V^G is 2-dimensional here
-    pytest.param(("va:p=2,n=1,m=1", (2, 6)), (64**2 - 1) // 63, 64**2 - 1,
+    # rho(G) is stable under x -> x^3, so the 91 F_9*-lines fall into 13
+    # classes of one line (entries in F_3) and 39 of two
+    pytest.param("va:p=3,n=1,m=2", 13 + (91 - 13) // 2, 9**3 - 1,
+                 id="sigma-va:p=3,n=1,m=2-F9"),
+    # over F_2 a line is a point, and a class is a line
+    pytest.param("cyclic:p=2,k=3", 7, 7, id="sigma-cyclic:p=2,k=3-F2"),
+    # a (module, point field) pair runs delta: V^G is 2-dimensional here, and
+    # its 65 F_64*-lines are (0, 1) and (1, t), one class per orbit of t under
+    # x -> x^2: 2 in F_2, 1 in F_4 - F_2, 2 in F_8 - F_2 and 9 of 6 elements
+    pytest.param(("va:p=2,n=1,m=1", (2, 6)), 1 + 2 + 1 + 2 + 9, 64**2 - 1,
                  id="delta-va:p=2,n=1,m=1-F64"),
 ])
-def test_sigma_calls_epsilon_once_per_line(monkeypatch, module, calls, npoints):
-    from nullcone_lab import invariants
+def test_sigma_calls_epsilon_once_per_class(monkeypatch, module, calls, npoints):
     from nullcone_lab.cli import parse_module_spec
     module, pointfield = module if isinstance(module, tuple) else (module, None)
     spec = parse_module_spec(module)
-    counted = []
-
-    def counting_epsilon(rep, point, dmax):
-        counted.append(point)
-        return epsilon(rep, point, dmax)
-
-    monkeypatch.setattr(invariants, "epsilon", counting_epsilon)
+    counted = _counting_epsilon(monkeypatch)
     if pointfield:
         report = delta_bounded(spec.rep, 3, ff_make(*pointfield))
     else:
         report = sigma_bounded(spec.rep, 3, spec.rep.ctx)
     assert len(counted) == calls
     assert len(report.point_values) == npoints
+
+
+# rho(G) = {I, M} over F_4, and x -> x^2 swaps M's entries z + 1 and z, so
+# the image of M is not in rho(G)
+UNSTABLE_SIGMA = ["compute", "sigma", "--gens", "1,0,0;z+1,1,0;z,0,1", "--field", "2,2",
+                  "--dmax", "3", "--json"]
+
+
+def test_a_module_not_stable_under_frobenius_is_walked_per_line(monkeypatch, capsys):
+    from nullcone_lab.cli import main
+    counted = _counting_epsilon(monkeypatch)
+    assert main(UNSTABLE_SIGMA) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 2
+    assert len(counted) == (4**3 - 1) // 3
+
+
+def test_the_frobenius_stability_check_is_load_bearing(monkeypatch, capsys):
+    """Merging the classes of the module above anyway reports a wrong sigma:
+    the line of (0, 1, z + 1) needs degree 2, and it shares a class with the
+    earlier (0, 1, z), which a degree-1 invariant separates."""
+    from nullcone_lab import invariants
+    from nullcone_lab.cli import main
+    monkeypatch.setattr(invariants, "_frobenius_stable", lambda rep, frob: True)
+    counted = _counting_epsilon(monkeypatch)
+    assert main(UNSTABLE_SIGMA) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1
+    assert len(counted) == _frobenius_classes(ff_make(2, 2), 3)
 
 
 def test_delta_report_determinism():
