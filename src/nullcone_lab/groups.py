@@ -375,7 +375,8 @@ class PermutationBasis:
 
     Slots are grouped orbit by orbit; `perms[g]` maps slot k to the slot of
     rho(g) applied to basis vector k.  `perm_rep` caches g -> P_g built from
-    `perms` (see invariants._permutation_rep).
+    `perms` (see invariants._permutation_rep), and `support_reps` its
+    restriction to each union of orbits asked for (invariants._support_rep).
     """
 
     def __init__(self, rep: Representation, basis_matrix: Matrix,
@@ -389,6 +390,7 @@ class PermutationBasis:
         self.perms = perms
         self.orbit_slices = orbit_slices
         self.perm_rep: Representation | None = None
+        self.support_reps: dict[tuple[int, ...], Representation] = {}
 
     def is_free(self) -> bool:
         return all(len(s) == self.group_order for s in self.orbit_slices)

@@ -354,7 +354,8 @@ def _permutation_rep(rep: Representation) -> Representation:
 
     Built once from the verified `perms` and cached on the basis; it holds
     the group but not rep, so no reference cycle forms.  When the basis is
-    the standard one, pi is rep itself and shares its space cache.
+    the standard one, pi is rep itself and shares its space cache.  It is
+    also pi_S of `_support_rep` when S is every slot.
     """
     pb = rep.permutation_basis()
     if pb.basis_matrix.is_identity():
@@ -364,6 +365,34 @@ def _permutation_rep(rep: Representation) -> Representation:
     return pb.perm_rep
 
 
+def _support(pb: PermutationBasis, w: Sequence[Scalar]) -> tuple[int, ...]:
+    """The slots of the orbits on which w is not all zero, ascending: the
+    support of w when pi fixes w, as w is then constant on each orbit."""
+    return tuple(k for s in pb.orbit_slices if any(not w[k].is_zero() for k in s)
+                 for k in s)
+
+
+def _support_rep(rep: Representation, support: tuple[int, ...]) -> Representation:
+    """pi_S: pi restricted to the slots S of `support`, a union of slot
+    orbits, renumbered in order; cached per support on the basis, and pi
+    itself on every slot.  Setting x_k = 0 off S maps pi's invariants of
+    each degree onto pi_S's (orbit sums span both), and f(w) = f|_S(w_S)
+    when w vanishes off S.  A support that a generator's perm leaves is
+    refused by an explicit check, which survives python -O."""
+    if len(support) == rep.dim:
+        return _permutation_rep(rep)
+    pb = rep.permutation_basis()
+    cached = pb.support_reps.get(support)
+    if cached is None:
+        slot = {k: i for i, k in enumerate(support)}
+        if any(pb.perms[g][k] not in slot
+               for g in rep.group.generator_indices for k in support):
+            raise AssertionError("a generator moves a slot out of the support")
+        cached = pb.support_reps[support] = permutation_rep(
+            rep.group, [[slot[pi[k]] for k in support] for pi in pb.perms])
+    return cached
+
+
 def orbit_sums_vanish(rep: Representation, v: Sequence[Scalar], value: int) -> bool:
     """Every invariant of degree < value vanishes at v, by orbit sums.
 
@@ -371,20 +400,29 @@ def orbit_sums_vanish(rep: Representation, v: Sequence[Scalar], value: int) -> b
     orbit sums of the monomials under the slot permutations span the
     invariants of the permutation module in every characteristic
     (Derksen-Kemper; Goebel, J. Symbolic Comput. 19, 1995), and f -> f(Bx)
-    carries them to rho's, so each must vanish at w = B^-1 v.
+    carries them to rho's, so each must vanish at w = B^-1 v.  The orbits
+    of slots where w is not all zero make a set S that the slot
+    permutations keep, so an orbit sum of a monomial off S is zero at w:
+    only the monomials on S are enumerated, under pi_S's permutations, and
+    the column count is that of |S| variables.
     """
     pb = rep.permutation_basis()
     if pb is None:
         raise NotPermutationAction("no permutation basis was found")
-    check_column_count(rep.dim, value - 1)
     w = pb.coordinates(v)
+    support = _support(pb, w)
+    if not support:
+        return True
+    check_column_count(len(support), value - 1)
+    perms = _support_rep(rep, support).variable_permutations()
+    ws = [w[k] for k in support]
     for d in range(1, value):
         seen: set[tuple[int, ...]] = set()
-        for e in _exponent_basis(rep.dim, d):
+        for e in _exponent_basis(len(support), d):
             if e not in seen:
-                total = _orbit_sum(pb.perms, rep.ctx, e)
+                total = _orbit_sum(perms, rep.ctx, e)
                 seen |= total.terms.keys()
-                if not total.evaluate(w).is_zero():
+                if not total.evaluate(ws).is_zero():
                     return False
     return True
 
@@ -415,8 +453,10 @@ def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int) -> Separati
     the witness is invariant.  A fast-path witness is a product of linear
     forms, certified by checking that every generator's matrix permutes
     them.  On the fast path the lower degrees (every degree up to dmax when
-    none separates) are checked in permutation coordinates.  Any other
-    witness is a basis vector of an invariant space.
+    none separates) are checked in permutation coordinates, on pi_S of
+    `_support_rep` at the support S of w = B^-1 v, with columns counted in
+    |S| variables; the zero point builds no space.  Any other witness is a
+    basis vector of an invariant space.
     """
     v = _check_point(rep, point)
     ctx = rep.ctx
@@ -429,14 +469,18 @@ def epsilon(rep: Representation, point: Sequence[Scalar], dmax: int) -> Separati
         slc = min((s for s in pb.orbit_slices if all(not w[k].is_zero() for k in s)),
                   key=len, default=None)
         below = len(slc) if slc is not None and len(slc) <= dmax else dmax + 1
-        # refuse before the witness or any lower degree is built
-        check_column_count(rep.dim, below - 1)
         # every invariant of degree < below vanishes at v: with rho(g) B = B P_g,
         # f -> f(Bx) maps the rho-invariants of each degree onto pi's, and
-        # f(Bw) = f(v), so pi's spaces at w decide it, and pi's constraint rows
-        # have at most two nonzeros each
-        if _epsilon_by_spaces(_permutation_rep(rep), w, below - 1).determined:
-            raise AssertionError("fast path disagreed with the invariant spaces")
+        # f(Bw) = f(v), so pi's spaces at w decide it; pi fixes w, so its
+        # support is a union of slot orbits, and pi_S's spaces at w_S decide
+        # it in turn.  Their constraint rows have at most two nonzeros each
+        support = _support(pb, w)
+        if support:
+            # refuse before the witness or any lower degree is built
+            check_column_count(len(support), below - 1)
+            if _epsilon_by_spaces(_support_rep(rep, support), [w[k] for k in support],
+                                  below - 1).determined:
+                raise AssertionError("fast path disagreed with the invariant spaces")
         if below > dmax:
             return SeparationReport("epsilon", None, None, [v], dmax, ctx)
         witness, forms = _fast_path_epsilon(pb, slc, rep.dim)

@@ -3,7 +3,8 @@
 Exponent vectors are plain int tuples; the graded-lex order (higher total
 degree first, then descending lexicographic on exponents) fixes every basis
 listing, coefficient vector, and printed form, so reports are reproducible
-byte for byte.
+byte for byte.  Products and substitution walks key their terms by packed
+ints (`_exponent_codec`) and decode each resulting term once.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import re
 import struct
 from functools import lru_cache
 from itertools import compress, count, repeat
-from operator import add, itemgetter
-from typing import Collection, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .errors import ContextMismatch, DimensionMismatch, ParseError
 from .fields import FieldCtx, Scalar
@@ -146,8 +147,7 @@ def substitution_images(matrix: Matrix, monomials: Collection[tuple[int, ...]]
                         prod[key] = s
         return prod
 
-    unpack = struct.Struct(f"<{nvars}" + {8: "B", 16: "H", 32: "I", 64: "Q"}[width]).unpack
-    size = nvars * width // 8
+    unpack = _exponent_codec(nvars, width)[1]
     exps_of: dict[int, tuple[int, ...]] = {}
     images = [{0: one}]  # images[t] is the image of the current chain's first t steps
     for exps, shared, new in plan:
@@ -158,7 +158,7 @@ def substitution_images(matrix: Matrix, monomials: Collection[tuple[int, ...]]
         for key, c in images[-1].items():
             e = exps_of.get(key)
             if e is None:
-                e = exps_of[key] = unpack(key.to_bytes(size, "little"))
+                e = exps_of[key] = unpack(key)
             image[e] = c
         yield exps, image
 
@@ -180,8 +180,32 @@ def _chain_plan(monomials: tuple[tuple[int, ...], ...], build_order: tuple[int, 
             shared += 1
         plan.append((exps, shared, new_chain[shared:]))
         chain = new_chain
-    degree = max((len(c) for c, _ in chains), default=0)
-    return next(w for w in (8, 16, 32, 64) if degree >> w == 0), tuple(plan)
+    return _slot_width(max((len(c) for c, _ in chains), default=0)), tuple(plan)
+
+
+def _slot_width(degree: int) -> int:
+    """The least of 8, 16, 32, 64, 128, ... bits that holds degree."""
+    width = 8
+    while degree >> width:
+        width *= 2
+    return width
+
+
+@lru_cache(maxsize=64)
+def _exponent_codec(nvars: int, width: int
+                    ) -> tuple[Callable[[Sequence[int]], int], Callable[[int], tuple[int, ...]]]:
+    """(pack, unpack) between exponent tuples and ints with exponent j in
+    bits [width*j, width*(j+1)): while no exponent reaches 2^width, the sum
+    of two packed ints is the packed sum of their exponents.  Slots of up
+    to 64 bits go through one struct, wider ones through shifts."""
+    if width <= 64:
+        layout = struct.Struct(f"<{nvars}" + {8: "B", 16: "H", 32: "I", 64: "Q"}[width])
+        size, to_bytes, unpack = layout.size, layout.pack, layout.unpack
+        return (lambda exps: int.from_bytes(to_bytes(*exps), "little"),
+                lambda key: unpack(key.to_bytes(size, "little")))
+    mask, shifts = (1 << width) - 1, range(0, nvars * width, width)
+    return (lambda exps: sum(e << s for e, s in zip(exps, shifts)),
+            lambda key: tuple(key >> s & mask for s in shifts))
 
 
 def monomial_images(matrix: Matrix, monomials: Collection[tuple[int, ...]]
@@ -310,10 +334,15 @@ class Polynomial:
         if isinstance(other, Scalar):
             return self.scale(other)
         other = self._check(other)
-        out: dict[tuple[int, ...], Scalar] = {}
+        # no exponent of the product exceeds the sum of the two degrees
+        pack, unpack = _exponent_codec(
+            self.nvars, _slot_width(max(self.degree(), 0) + max(other.degree(), 0)))
+        right = [(pack(e), c) for e, c in other.terms.items()]
+        out: dict[int, Scalar] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+            k1 = pack(e1)
+            for k2, c2 in right:
+                e = k1 + k2
                 c = c1 * c2
                 acc = out.get(e)
                 s = c if acc is None else acc + c
@@ -321,7 +350,8 @@ class Polynomial:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return Polynomial(self.ctx, self.nvars, out, _trusted=True)
+        return Polynomial(self.ctx, self.nvars, {unpack(e): c for e, c in out.items()},
+                          _trusted=True)
 
     def scale(self, s: Scalar) -> "Polynomial":
         if s.ctx != self.ctx:

@@ -183,8 +183,10 @@ def suite_epsilon_free() -> SuiteReport:
 
 
 def _gl2_delta_columns(p: int = 2, n: int = 1) -> None:
-    """Both methods of gl2-delta build degree q-1 in the module's q*q
-    coordinates: refuse an oversized one before the module is built."""
+    """Both methods of gl2-delta build degree q-1 on the support of
+    w = B^-1 v, 2q of the module's q*q permutation slots: refuse before the
+    module is built when degree q-1 in all q*q coordinates is oversized,
+    an upper bound on the support's count."""
     q = p**n
     check_column_count(q * q, q - 1)
 

@@ -766,7 +766,8 @@ def test_delta_over_the_rationals_exits_2(capsys):
 ])
 def test_oversized_invariant_space_is_refused_before_any_is_built(capsys, monkeypatch,
                                                                   argv):
-    """Degree 7 of the 64-dim gl2 module has C(70, 7) columns: the fast path
+    """The identity of the 64-dim gl2 module has 16 nonzero permutation
+    coordinates, and degree 7 on them has C(22, 7) columns: the fast path
     refuses it before it builds its witness or any degree.  gl2-delta
     refuses degree q-1 of the q*q-dim module before it builds the module."""
     from nullcone_lab import invariants, suites
@@ -781,12 +782,44 @@ def test_oversized_invariant_space_is_refused_before_any_is_built(capsys, monkey
     if argv[-1] == "4":
         monkeypatch.setattr(suites, "gl2_test_module", no_module)
         wanted = "degree 15 in 256 variables has 1520398315196482557890304"
+    elif argv[0] == "compute":
+        wanted = "degree 7 in 16 variables has 170544"
     else:
         wanted = "degree 7 in 64 variables has 1198774720"
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: TooManyColumns: {wanted} monomial columns, above the cap 100000\n"
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    pytest.param("epsilon --module gl2:p=2,n=3 --dmax 3 --json", 1,
+                 "4079b29791853ae87c7895139ae8b6000c1eeda70be3141163c84578c11c7c13",
+                 id="epsilon-gl2:p=2,n=3"),
+    # fixed points of several supports: one restricted representation each
+    pytest.param("delta --module gl2:p=2,n=2 --dmax 4 --json", 0,
+                 "0677505a4fddccd93b02d932ec53ec31d49639a089d7307347a8379c82eab0a6",
+                 id="delta-gl2:p=2,n=2"),
+    pytest.param("delta --module gl2:p=3,n=1 --dmax 3 --json", 0,
+                 "10ac0a457c27dcbe250f06351fa819637df57cef3bf0a16095244faf1dbcb831",
+                 id="delta-gl2:p=3,n=1"),
+])
+def test_support_restricted_output_is_pinned(capsys, argv, code, digest):
+    """The stdout sha256 that the lower degrees on every permutation slot
+    printed: scanning them on the support of w prints the same bytes."""
+    import hashlib
+    got, out, _ = run_cli(capsys, "compute", *argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gl2_q8_answers_degree_4_on_the_support(capsys):
+    """Degree 4 in the 64 coordinates has 766,480 columns, but the identity's
+    permutation coordinates are nonzero on 16 slots only, where it has
+    3,876: every invariant of degree <= 4 vanishes there."""
+    code, out, err = run_cli(capsys, "compute", "epsilon", "--module", "gl2:p=2,n=3",
+                             "--dmax", "4")
+    assert (code, out, err) == (1, "epsilon(gl2:p=2,n=3) = undetermined above 4\n", "")
 
 
 def _gl2_dmax4_run(capsys, monkeypatch, what):
@@ -813,12 +846,16 @@ def _gl2_dmax4_run(capsys, monkeypatch, what):
 
 def test_epsilon_on_gl2_builds_no_x_coordinate_space(capsys, monkeypatch):
     """Every constraint row of gl2-epsilon comes from a permutation matrix
-    (the permutation representation pi), and the module's own space cache
-    stays empty."""
+    (pi restricted to the 8 slots where the point's coordinates are not
+    zero), and the module's own space cache stays empty."""
     payload, rep, matrices = _gl2_dmax4_run(capsys, monkeypatch, "epsilon")
     assert payload["value"] == 4
     assert rep._inv_space_cache == {}
-    assert sorted(rep.permutation_basis().perm_rep._inv_space_cache) == [1, 2, 3]
+    pb = rep.permutation_basis()
+    assert pb.perm_rep is None
+    [(support, pi_s)] = pb.support_reps.items()
+    assert len(support) == pi_s.dim == 8
+    assert sorted(pi_s._inv_space_cache) == [1, 2, 3]
     assert matrices and all(m.permutation() is not None for m in matrices)
 
 

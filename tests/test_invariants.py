@@ -428,13 +428,17 @@ def test_a_lifted_prime_field_module_is_eliminated_in_the_prime_field(rep, d, n)
 
 def test_gl2_epsilon_eliminates_pi_on_the_packed_engine_only(monkeypatch, capsys):
     """`compute epsilon --module gl2:p=2,n=2 --dmax 4 --json` certifies the
-    degrees below 4 on the spaces of pi over F_4.  pi's matrices are
-    permutation matrices, so all of its generator rows reach the F_2
-    engine and none reaches the generic one."""
+    degrees below 4 on the spaces of pi_S over F_4, pi restricted to the
+    support S of w = B^-1 v.  pi_S's matrices are permutation matrices, so
+    all of its generator rows reach the F_2 engine and none reaches the
+    generic one."""
     from nullcone_lab import invariants
     from nullcone_lab.cli import main, parse_module_spec
-    pi = invariants._permutation_rep(parse_module_spec("gl2:p=2,n=2").rep)
-    assert pi.ctx is F4
+    module = parse_module_spec("gl2:p=2,n=2")
+    pb = module.rep.permutation_basis()
+    support = invariants._support(pb, pb.coordinates(module.default_point))
+    pi = invariants._support_rep(module.rep, support)
+    assert pi.ctx is F4 and pi.dim == len(support) == 8
     rows = sum(1 for d in (1, 2, 3) for g in pi.group.generator_indices
                for row in substitution_constraint_rows(pi.inverse_matrix(g), d) if row)
     ran = record_add_row(monkeypatch)
@@ -626,24 +630,25 @@ def test_column_count_refusal_names_a_count_it_can_write(nvars, d, shown):
 
 
 def test_fast_path_refuses_degree_below_the_value_before_building(monkeypatch):
-    """epsilon = 4 on gl2:p=2,n=2 needs degrees 1-3; degree 3 has 816
-    columns, so a cap of 815 refuses before degree 1 is built, and the
-    orbit-sum check refuses before it enumerates a monomial."""
+    """epsilon = 4 on gl2:p=2,n=2 needs degrees 1-3 on the 8 slots where
+    w = B^-1 v is not zero; degree 3 has 120 columns there, so a cap of 119
+    refuses before degree 1 is built, and the orbit-sum check refuses
+    before it enumerates a monomial."""
     from nullcone_lab import invariants
     module = gl2_test_module(2, 2)
     rep, v = module.rep, module.identity_point
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the refusal")
-    monkeypatch.setattr(invariants, "COLUMN_CAP", 815)
+    monkeypatch.setattr(invariants, "COLUMN_CAP", 119)
     monkeypatch.setattr(invariants, "substitution_constraint_rows", refuse)
     monkeypatch.setattr(invariants, "_exponent_basis", refuse)
-    with pytest.raises(TooManyColumns, match="degree 3 in 16 variables has 816"):
+    with pytest.raises(TooManyColumns, match="degree 3 in 8 variables has 120"):
         epsilon(rep, v, 4)
-    with pytest.raises(TooManyColumns, match="degree 3 in 16 variables has 816"):
+    with pytest.raises(TooManyColumns, match="degree 3 in 8 variables has 120"):
         orbit_sums_vanish(rep, v, 4)
     monkeypatch.undo()
-    monkeypatch.setattr(invariants, "COLUMN_CAP", 816)
+    monkeypatch.setattr(invariants, "COLUMN_CAP", 120)
     assert epsilon(rep, v, 4).value == 4
     assert orbit_sums_vanish(rep, v, 4)
 

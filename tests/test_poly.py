@@ -345,6 +345,93 @@ def test_mul_identity_and_difference_of_squares():
     assert f * P(qq, 2, "x0 + -1*x1") == P(qq, 2, "x0^2 + -1*x1^2")
 
 
+_PRODUCT_FIELDS = {"F2": lambda: ff_make(2), "F4": lambda: ff_make(2, 2),
+                   "F3": lambda: ff_make(3), "F9": lambda: ff_make(3, 2),
+                   "QQ": FieldCtx.rationals}
+# added to every exponent of a factor: two of them sum across the slot
+# widths 255/256, 65535/65536 and 2^64 - 1/2^64
+_OFFSETS = [0, 1, 127, 128, 32767, 32768, 2**63 - 1, 2**63]
+
+
+def _naive_product(f: Polynomial, g: Polynomial) -> dict:
+    """The tuple-keyed product loop, one Scalar product per term pair: the
+    packed product's oracle, terms in the same order."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            acc = out.get(e)
+            s = c if acc is None else acc + c
+            if s.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+@st.composite
+def _offset_polys(draw, ctx, nvars):
+    """A polynomial whose exponents are small ones plus one drawn offset per
+    variable, with nonzero coefficients."""
+    if ctx.is_finite:
+        coeff = st.sampled_from([s for s in ctx.enumerate() if not s.is_zero()])
+    else:
+        coeff = st.builds(lambda a, b: Scalar(ctx, Fraction(a, b)),
+                          st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 2))
+    offset = [draw(st.sampled_from(_OFFSETS)) for _ in range(nvars)]
+    exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars)
+    support = draw(st.lists(exps.map(lambda e: tuple(a + b for a, b in zip(e, offset))),
+                            max_size=6, unique=True))
+    return Polynomial(ctx, nvars, {e: draw(coeff) for e in support})
+
+
+def _counted(run):
+    """run() with its Scalar products and sums counted."""
+    calls = {"mul": 0, "add": 0}
+    mul, add = Scalar.__mul__, Scalar.__add__
+
+    def counting(name, op):
+        def wrapped(a, b):
+            calls[name] += 1
+            return op(a, b)
+        return wrapped
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Scalar, "__mul__", counting("mul", mul))
+        mp.setattr(Scalar, "__add__", counting("add", add))
+        out = run()
+    return out, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(_PRODUCT_FIELDS)), nvars=st.integers(1, 3),
+       data=st.data())
+def test_packed_product_equals_the_tuple_keyed_product(field, nvars, data):
+    """Same terms in the same order, and the same Scalar products and sums,
+    for f*g and for (f+g)*(f-g), whose cross terms cancel."""
+    ctx = _PRODUCT_FIELDS[field]()
+    f = data.draw(_offset_polys(ctx, nvars))
+    g = data.draw(_offset_polys(ctx, nvars))
+    for a, b in ((f, g), (f + g, f - g)):
+        packed, packed_calls = _counted(lambda: a * b)
+        naive, naive_calls = _counted(lambda: _naive_product(a, b))
+        assert list(packed.terms.items()) == list(naive.items())
+        assert packed_calls == naive_calls
+
+
+def test_packed_product_widens_its_slots_past_64_bits():
+    """Products of degree 255, 256, 65536 and 2^64: the last needs slots of
+    128 bits, which no struct format holds."""
+    f2 = ff_make(2)
+    for k in (255, 256, 65536, 2**64):
+        x = Polynomial(f2, 2, {(k - k // 2, 0): f2.one, (0, 0): f2.one})
+        y = Polynomial(f2, 2, {(k // 2, 0): f2.one, (0, 1): f2.one})
+        product = x * y
+        assert list(product.terms) == [(k, 0), (k - k // 2, 1), (k // 2, 0), (0, 1)]
+    square = P(f2, 2, "x0 + x1")
+    assert square * square == P(f2, 2, "x0^2 + x1^2")  # x0*x1 cancels
+
+
 def test_no_zero_coefficients_stored():
     f3 = ff_make(3)
     f = P(f3, 2, "x0 + 2*x0")  # 3*x0 = 0

@@ -210,6 +210,91 @@ def test_permutation_rep_is_rep_for_the_standard_basis():
         is PERMUTATION_MODULES["Z4-regular-F4"]
 
 
+# -- lower degrees on the support of w ----------------------------------------------------
+
+SUPPORT_MODULES = {**PERMUTATION_MODULES, "gl2-2-2": gl2_test_module(2, 2).rep}
+
+
+@st.composite
+def fixed_points(draw):
+    """A module of SUPPORT_MODULES and a random combination of its fixed
+    space (the all-zero draw, the simplest, gives the zero point)."""
+    label = draw(st.sampled_from(sorted(SUPPORT_MODULES)))
+    rep = SUPPORT_MODULES[label]
+    v = [rep.ctx.zero] * rep.dim
+    for b in fixed_point_space(rep):
+        c = draw(st.sampled_from(rep.ctx.enumerate()))
+        v = [acc + c * x for acc, x in zip(v, b)]
+    return label, rep, v
+
+
+def _all_slot_orbit_sums_vanish(rep, v, value):
+    """The orbit-sum check over every monomial in all the slots."""
+    pb = rep.permutation_basis()
+    w = pb.coordinates(v)
+    for d in range(1, value):
+        for e in _exponent_basis(rep.dim, d):
+            if not invariants._orbit_sum(pb.perms, rep.ctx, e).evaluate(w).is_zero():
+                return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=fixed_points())
+def test_support_scan_equals_the_all_slot_scan(case):
+    """At a fixed point, pi_S's spaces at w_S and pi's at w agree degree by
+    degree up to 4, and so do the orbit sums on S and on every slot; at the
+    zero point S is empty and pi's scan finds nothing."""
+    label, rep, v = case
+    pb = rep.permutation_basis()
+    w = pb.coordinates(v)
+    support = invariants._support(pb, w)
+    assert support == tuple(k for k, s in enumerate(w) if not s.is_zero()), label
+    pi = _permutation_rep(rep)
+    for d in range(1, 5):
+        full = _epsilon_by_spaces(pi, w, d).value
+        if support:
+            pi_s = invariants._support_rep(rep, support)
+            assert pi_s.dim == len(support)
+            assert _epsilon_by_spaces(pi_s, [w[k] for k in support], d).value == full, label
+        else:
+            assert full is None, label
+    for value in range(1, 6):
+        assert orbit_sums_vanish(rep, v, value) == \
+            _all_slot_orbit_sums_vanish(rep, v, value), label
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.sampled_from(sorted(SUPPORT_MODULES)), data=st.data())
+def test_a_support_the_group_moves_trips_the_guard(label, data):
+    rep = SUPPORT_MODULES[label]
+    orbits = [s for s in rep.permutation_basis().orbit_slices if len(s) > 1]
+    cut = data.draw(st.sampled_from(orbits))
+    kept = data.draw(st.lists(st.sampled_from(cut), min_size=1, max_size=len(cut) - 1,
+                              unique=True))
+    whole = [k for s in orbits if s is not cut and data.draw(st.booleans()) for k in s]
+    support = tuple(sorted(kept + whole))
+    with pytest.raises(AssertionError, match="moves a slot out of the support"):
+        invariants._support_rep(rep, support)
+    assert support not in rep.permutation_basis().support_reps
+
+
+def test_the_zero_point_builds_no_space(monkeypatch):
+    """With S empty nothing is scanned, at any dmax, and the report still
+    reads undetermined above it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an invariant space was built at the zero point")
+    monkeypatch.setattr(invariants, "substitution_constraint_rows", refuse)
+    monkeypatch.setattr(invariants, "_exponent_basis", refuse)
+    for label, rep in SUPPORT_MODULES.items():
+        zero = [rep.ctx.zero] * rep.dim
+        built = dict(rep.permutation_basis().support_reps)
+        report = epsilon(rep, zero, 40)
+        assert report.to_dict()["value"] == {"undetermined_above": 40}, label
+        assert orbit_sums_vanish(rep, zero, 41), label
+        assert rep.permutation_basis().support_reps == built, label
+
+
 # -- subgroup monotonicity ---------------------------------------------------------------
 
 def test_epsilon_subgroup_monotonicity_va():
